@@ -12,10 +12,10 @@ from .forward import (CurrentPatternSet, CEMSystem, VoltageData, DNMatrix,
 from .beltrami import (MuGrid, QCMap, BeltramiConvergenceError,
                        MapInversionError, beltrami_coefficient, extend_mu,
                        hilbert_transform, cauchy_transform, solve_beltrami,
-                       identity_map, evaluate_map, invert_map,
+                       evaluate_map, invert_map,
                        pushforward_tensor, save_qcmap, load_qcmap)
-from .calderon import (CGOTracePair, FhatGrid, ReconstructedField,
-                       make_cgo_pair, bilinear_form, fhat_grid,
+from .calderon import (FhatGrid, ReconstructedField,
+                       cgo_traces, bilinear_form, fhat_grid,
                        inverse_fourier, reconstruct_scalar, assemble_tensor,
                        reconstruct_field, save_field, load_field,
                        save_fhat, load_fhat)

@@ -48,10 +48,6 @@ def beltrami_coefficient(A: np.ndarray) -> complex:
     return complex(A[1, 1] - A[0, 0] - 2j * A[0, 1]) / (A[0, 0] + A[1, 1] + 2.0 * np.sqrt(det))
 
 
-def _smoothstep(t: np.ndarray) -> np.ndarray:
-    return 3.0 * t * t - 2.0 * t ** 3
-
-
 @dataclass(frozen=True)
 class MuGrid:
     """Compactly supported Beltrami coefficient sampled on a square grid.
@@ -92,12 +88,16 @@ def extend_mu(A0: np.ndarray, r: float = 2.0, blend: float = 0.5,
         raise ValueError(f"blend width must lie in (0, r); got blend={blend}, r={r}")
     if s < 2.0 * r:
         raise ValueError(f"grid half-width s={s} must be at least 2r={2 * r}")
-    mu0 = beltrami_coefficient(A0)
+    return _ramped_mu(beltrami_coefficient(A0), n, s, r, blend)
+
+
+def _ramped_mu(mu0: complex, n: int, s: float, r: float,
+               blend: float) -> MuGrid:
+    """mu0 times the ramp 1 - smoothstep((|z| - (r - blend)) / blend)."""
     x = -s + (2.0 * s / n) * np.arange(n)
     X, Y = np.meshgrid(x, x, indexing="ij")
-    rho = np.hypot(X, Y)
-    t = np.clip((rho - (r - blend)) / blend, 0.0, 1.0)
-    ramp = 1.0 - _smoothstep(t)
+    t = np.clip((np.hypot(X, Y) - (r - blend)) / blend, 0.0, 1.0)
+    ramp = 1.0 - (3.0 * t * t - 2.0 * t ** 3)
     return MuGrid(mu=mu0 * ramp, n=int(n), s=float(s), r=float(r),
                   blend=float(blend), mu0=mu0)
 
@@ -216,19 +216,17 @@ class QCMap:
     """Grid-sampled quasi-conformal map and its inverse evaluation."""
 
     phi: np.ndarray            # (n, n) complex samples of Phi
-    hstar: np.ndarray          # (n, n) complex fixed point h*
     mu: MuGrid
     residual: float            # sup |dbar Phi - mu d Phi| on inner half-grid
     iterations: int
     increments: np.ndarray     # sup-norm increment per iteration
+    config_sha256: str = ""
 
     def __post_init__(self):
         ax = self.mu.axis()
         self._interp = RegularGridInterpolator((ax, ax), self.phi,
                                                method="linear", bounds_error=True)
-        d = self.mu.spacing
-        dx = (np.roll(self.phi, -1, axis=0) - np.roll(self.phi, 1, axis=0)) / (2 * d)
-        dy = (np.roll(self.phi, -1, axis=1) - np.roll(self.phi, 1, axis=1)) / (2 * d)
+        dx, dy = _centred_gradient(self.phi, self.mu.spacing)
         self._grad_x = RegularGridInterpolator((ax, ax), dx, method="linear",
                                                bounds_error=False, fill_value=None)
         self._grad_y = RegularGridInterpolator((ax, ax), dy, method="linear",
@@ -238,12 +236,6 @@ class QCMap:
     def window(self) -> float:
         """Half-width of the trusted evaluation window [-s/2, s/2]^2."""
         return self.mu.s / 2.0
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        return evaluate_map(self, points)
-
-    def invert(self, points: np.ndarray) -> np.ndarray:
-        return invert_map(self, points)
 
     def jacobian(self, points: np.ndarray) -> np.ndarray:
         """(N, 2, 2) Jacobian of Phi = (Re f, Im f) at interior points,
@@ -259,6 +251,23 @@ class QCMap:
         return J
 
 
+def _centred_gradient(phi: np.ndarray, d: float
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dx, d/dy) of grid samples with spacing d by centred differences,
+    wrapping periodically at the grid edges."""
+    fx = (np.roll(phi, -1, axis=0) - np.roll(phi, 1, axis=0)) / (2 * d)
+    fy = (np.roll(phi, -1, axis=1) - np.roll(phi, 1, axis=1)) / (2 * d)
+    return fx, fy
+
+
+def _beltrami_residual(phi: np.ndarray, mu: MuGrid) -> float:
+    """sup |dbar Phi - mu d Phi| over the inner half-grid."""
+    fx, fy = _centred_gradient(phi, mu.spacing)
+    dbar = 0.5 * (fx + 1j * fy)
+    dphi = 0.5 * (fx - 1j * fy)
+    q = mu.n // 4
+    return float(np.abs(dbar - mu.mu * dphi)[q:-q, q:-q].max())
+
 
 def solve_beltrami(mu: MuGrid, tol: float = 1e-10, max_iter: int = 200,
                    h0: Optional[Union[complex, np.ndarray]] = None,
@@ -272,8 +281,8 @@ def solve_beltrami(mu: MuGrid, tol: float = 1e-10, max_iter: int = 200,
     tol : float
         Termination threshold on the sup-norm iterate increment.
     max_iter : int
-        Iteration budget; exceeding it raises BeltramiConvergenceError
-        carrying the last increment.
+        Iteration budget, at least 1; exceeding it raises
+        BeltramiConvergenceError carrying the last increment.
     h0 : complex or array, optional
         Initial iterate.  Default is T[mu]; passing the constant mu0
         value reproduces the constant-coefficient starting guess.
@@ -286,6 +295,8 @@ def solve_beltrami(mu: MuGrid, tol: float = 1e-10, max_iter: int = 200,
     dbar Phi - mu d Phi over the inner half-grid, with derivatives by
     centered finite differences.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     sup_mu = float(np.abs(mu.mu).max())
     if sup_mu >= 1.0:
         raise ValueError(f"sup |mu| = {sup_mu:g} >= 1: not quasi-conformal")
@@ -319,22 +330,8 @@ def solve_beltrami(mu: MuGrid, tol: float = 1e-10, max_iter: int = 200,
     w = cauchy_transform(mu.mu * (h + 1.0), s)
     X, Y = mu.meshgrid()
     phi = (X + 1j * Y) + w
-
-    d = mu.spacing
-    fx = (np.roll(phi, -1, axis=0) - np.roll(phi, 1, axis=0)) / (2 * d)
-    fy = (np.roll(phi, -1, axis=1) - np.roll(phi, 1, axis=1)) / (2 * d)
-    dbar = 0.5 * (fx + 1j * fy)
-    dphi = 0.5 * (fx - 1j * fy)
-    q = n // 4
-    res = float(np.abs(dbar - mu.mu * dphi)[q:-q, q:-q].max())
-
-    return QCMap(phi=phi, hstar=h, mu=mu, residual=res,
+    return QCMap(phi=phi, mu=mu, residual=_beltrami_residual(phi, mu),
                  iterations=len(increments), increments=np.array(increments))
-
-
-def identity_map(n: int = 512, s: float = 4.0) -> QCMap:
-    """The trivial map Phi(z) = z (coefficient identically zero)."""
-    return solve_beltrami(extend_mu(np.eye(2), n=n, s=s))
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +426,15 @@ _MAGIC = b"ANISOEITQC1\x00"
 
 
 def save_qcmap(qcmap: QCMap, path, sidecar_path=None) -> None:
-    """Write header (n, s, r) + row-major complex doubles, plus a JSON
-    sidecar with residual, iteration count and the mu parameters."""
+    """Write the header (n, s, r, blend, mu0) and the row-major complex
+    samples of Phi, plus a JSON sidecar with the mu parameters, residual,
+    iteration count and config hash."""
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<qddd", qcmap.mu.n, qcmap.mu.s, qcmap.mu.r,
                             qcmap.mu.blend))
         f.write(struct.pack("<dd", qcmap.mu.mu0.real, qcmap.mu.mu0.imag))
         f.write(np.ascontiguousarray(qcmap.phi, dtype=np.complex128).tobytes())
-        f.write(np.ascontiguousarray(qcmap.hstar, dtype=np.complex128).tobytes())
     if sidecar_path is None:
         sidecar_path = str(path) + ".json"
     with open(sidecar_path, "w") as f:
@@ -448,6 +445,7 @@ def save_qcmap(qcmap: QCMap, path, sidecar_path=None) -> None:
             "mu0": [qcmap.mu.mu0.real, qcmap.mu.mu0.imag],
             "residual": qcmap.residual,
             "iterations": qcmap.iterations,
+            "config_sha256": qcmap.config_sha256,
         }, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -462,20 +460,6 @@ def load_qcmap(path) -> QCMap:
         mu0 = complex(re0, im0)
         raw = f.read(16 * n * n)
         phi = np.frombuffer(raw, dtype=np.complex128).reshape(n, n).copy()
-        raw = f.read(16 * n * n)
-        hstar = np.frombuffer(raw, dtype=np.complex128).reshape(n, n).copy()
-    x = -s + (2 * s / n) * np.arange(n)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    rho = np.hypot(X, Y)
-    t = np.clip((rho - (r - blend)) / blend, 0.0, 1.0)
-    mu = MuGrid(mu=mu0 * (1.0 - _smoothstep(t)), n=int(n), s=s, r=r,
-                blend=blend, mu0=mu0)
-    d = mu.spacing
-    fx = (np.roll(phi, -1, axis=0) - np.roll(phi, 1, axis=0)) / (2 * d)
-    fy = (np.roll(phi, -1, axis=1) - np.roll(phi, 1, axis=1)) / (2 * d)
-    dbar = 0.5 * (fx + 1j * fy)
-    dphi = 0.5 * (fx - 1j * fy)
-    q = n // 4
-    res = float(np.abs(dbar - mu.mu * dphi)[q:-q, q:-q].max())
-    return QCMap(phi=phi, hstar=hstar, mu=mu, residual=res, iterations=0,
-                 increments=np.array([]))
+    mu = _ramped_mu(mu0, n, s, r, blend)
+    return QCMap(phi=phi, mu=mu, residual=_beltrami_residual(phi, mu),
+                 iterations=0, increments=np.array([]))

@@ -21,7 +21,8 @@ the forward map recovers the multiplier in the original coordinates.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,73 +34,61 @@ BG_RING_RADIUS = 0.8    # |x| of the background calibration ring in Omega
 BG_RING_SAMPLES = 64
 
 
-@dataclass(frozen=True)
-class CGOTracePair:
-    """A pair of exponential harmonic traces for one frequency z != 0."""
+def cgo_traces(zs, points) -> tuple[np.ndarray, np.ndarray]:
+    """(N, P) traces phi1, phi2 at N points for P nonzero frequencies.
 
-    z: np.ndarray    # (2,)
-    b: np.ndarray    # (2,) = (-z2, z1)
-
-    def trace1(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.exp(1j * np.pi * (pts @ self.z) + np.pi * (pts @ self.b))
-
-    def trace2(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.exp(1j * np.pi * (pts @ self.z) - np.pi * (pts @ self.b))
-
-
-def make_cgo_pair(z) -> CGOTracePair:
-    """Traces for frequency z, with the companion vector b = (-z2, z1).
-
-    The rotation choice satisfies z.b = 0 and |b| = |z| exactly and is
-    odd in z, which makes the assembled spectrum Hermitian.
+    The companion vector of each frequency is b = (-z2, z1): this choice
+    satisfies z.b = 0 and |b| = |z| exactly and is odd in z, which makes
+    the assembled spectrum Hermitian.
     """
-    z = np.asarray(z, dtype=float).reshape(2)
-    if np.hypot(z[0], z[1]) == 0.0:
+    zs = np.atleast_2d(np.asarray(zs, dtype=float))
+    if (np.hypot(zs[:, 0], zs[:, 1]) == 0.0).any():
         raise ValueError("frequency z must be nonzero")
-    return CGOTracePair(z=z, b=np.array([-z[1], z[0]]))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    bs = np.stack([-zs[:, 1], zs[:, 0]], axis=1)
+    expo_i = 1j * np.pi * (pts @ zs.T)
+    expo_r = np.pi * (pts @ bs.T)
+    return np.exp(expo_i + expo_r), np.exp(expo_i - expo_r)
 
 
-def _basis_and_weights(dn: DNMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized pattern basis (L-1, L) and midpoint quadrature weights."""
-    t_hat = dn.patterns.normalized.T
-    L = dn.L
-    w = np.full(L, 2.0 * np.pi * dn.layout.radius / L)
-    return t_hat, w
-
-
-def _project(t_hat: np.ndarray, weights: np.ndarray,
-             values: np.ndarray) -> np.ndarray:
-    """Arc-length-weighted projection of boundary samples onto the basis.
-
-    Coefficients are <phi, t_m>_w / <t_m, t_m>_w, which reduces to the
-    plain Euclidean projection for equispaced electrodes.
-    """
-    num = (t_hat * weights) @ values
-    den = (t_hat * weights * t_hat).sum(axis=1)
-    return num / den
-
-
-def bilinear_form(dn: DNMatrix, phi1: np.ndarray, phi2: np.ndarray) -> complex:
+def bilinear_form(dn: DNMatrix, phi1: np.ndarray, phi2: np.ndarray):
     """Data-side pairing approximating the boundary integral of
-    phi1 * (boundary map applied to phi2).
+    phi1 * (boundary map applied to phi2), for one (L,) trace pair or P
+    pairs of (L, P) traces sampled at the electrode centers.
 
-    Both traces are sampled at the electrode centers; each is expanded in
-    the normalized trigonometric pattern basis and the coefficient
-    vectors are contracted through the DN matrix.  On a homogeneous unit
-    disk this reproduces pi * k for phi1 = phi2 = cos(k theta).
+    Each trace is projected onto the normalized trig pattern basis with
+    midpoint arc-length weights, <phi, t_m>_w / <t_m, t_m>_w, and the
+    coefficient vectors are contracted through the DN matrix.  On a
+    homogeneous unit disk this gives pi * k for phi1 = phi2 = cos(k theta).
     """
-    phi1 = np.asarray(phi1).reshape(-1)
-    phi2 = np.asarray(phi2).reshape(-1)
-    if phi1.shape != (dn.L,) or phi2.shape != (dn.L,):
+    phi1, phi2 = np.asarray(phi1), np.asarray(phi2)
+    if phi1.shape != phi2.shape or phi1.shape[:1] != (dn.L,) \
+            or phi1.ndim > 2:
         raise ValueError(
-            f"trace samples must have length L={dn.L}; "
+            f"trace samples must have shape (L,) or (L, P) with L={dn.L}; "
             f"got {phi1.shape} and {phi2.shape}")
-    t_hat, w = _basis_and_weights(dn)
-    c1 = _project(t_hat, w, phi1)
-    c2 = _project(t_hat, w, phi2)
-    return complex(c1 @ dn.dn @ c2)
+    t_hat = dn.patterns.normalized.T
+    w = np.full(dn.L, 2.0 * np.pi * dn.layout.radius / dn.L)
+    den = (t_hat * w * t_hat).sum(axis=1)
+    c1 = ((t_hat * w) @ phi1.reshape(dn.L, -1)) / den[:, None]
+    c2 = ((t_hat * w) @ phi2.reshape(dn.L, -1)) / den[:, None]
+    B = np.einsum("kp,kj,jp->p", c1, dn.dn, c2)
+    return B if phi1.ndim == 2 else complex(B[0])
+
+
+def masked_lattice(R: float, m: int) -> tuple[np.ndarray, float]:
+    """Points 0 < |z| <= R of the m x m grid over [-R, R]^2, in row-major
+    order, and the grid spacing.
+
+    The centre of ``np.linspace(-R, R, m)`` can land at +-2.2e-16 rather
+    than 0; it is pinned to 0 so the z = 0 mode is always excluded.
+    """
+    axis = np.linspace(-R, R, m)
+    axis[m // 2] = 0.0
+    Z1, Z2 = np.meshgrid(axis, axis, indexing="ij")
+    zs = np.stack([Z1.ravel(), Z2.ravel()], axis=1)
+    rho = np.hypot(zs[:, 0], zs[:, 1])
+    return zs[(rho > 0) & (rho <= R + 1e-12)], float(axis[1] - axis[0])
 
 
 @dataclass
@@ -143,37 +132,15 @@ def fhat_grid(dn: DNMatrix, qcmap: Optional[QCMap], R: float, m: int = 33,
     if m < 3 or m % 2 == 0:
         raise ValueError(f"lattice size must be odd and >= 3, got {m}")
     centers = dn.electrode_centers()
-    if qcmap is not None:
-        if np.abs(centers).max() > qcmap.window:
-            raise ValueError("map window does not cover the boundary circle")
-        y = evaluate_map(qcmap, centers)
-    else:
-        y = centers
+    y = evaluate_map(qcmap, centers) if qcmap is not None else centers
 
-    axis = np.linspace(-R, R, m)
-    Z1, Z2 = np.meshgrid(axis, axis, indexing="ij")
-    zs = np.stack([Z1.ravel(), Z2.ravel()], axis=1)
+    zs, spacing = masked_lattice(R, m)
+    phi1, phi2 = cgo_traces(zs, y)
+    scaled = replace(dn, dn=dn.dn / np.sqrt(det_background))
     rho = np.hypot(zs[:, 0], zs[:, 1])
-    keep = (rho > 0) & (rho <= R + 1e-12)
-    zs = zs[keep]
-
-    bs = np.stack([-zs[:, 1], zs[:, 0]], axis=1)
-    expo_i = 1j * np.pi * (y @ zs.T)          # (L, P)
-    expo_r = np.pi * (y @ bs.T)
-    phi1 = np.exp(expo_i + expo_r)
-    phi2 = np.exp(expo_i - expo_r)
-
-    t_hat, w = _basis_and_weights(dn)
-    den = (t_hat * w * t_hat).sum(axis=1)
-    c1 = ((t_hat * w) @ phi1) / den[:, None]
-    c2 = ((t_hat * w) @ phi2) / den[:, None]
-    dn_scaled = dn.dn / np.sqrt(det_background)
-    B = np.einsum("kp,kj,jp->p", c1, dn_scaled, c2)
-    rho = np.hypot(zs[:, 0], zs[:, 1])
-    values = -B / (2.0 * np.pi ** 2 * rho ** 2)
+    values = -bilinear_form(scaled, phi1, phi2) / (2.0 * np.pi ** 2 * rho ** 2)
     return FhatGrid(R=float(R), m=int(m), zs=zs, values=values,
-                    spacing=float(axis[1] - axis[0]),
-                    det_background=float(det_background),
+                    spacing=spacing, det_background=float(det_background),
                     config_sha256=dn.config_sha256)
 
 
@@ -233,18 +200,20 @@ def save_fhat(fhat: FhatGrid, json_path, bin_path) -> None:
         f.write("\n")
 
 
+def _beside(json_path, name) -> Path:
+    # The sidecars record the binary's path as it was given to the writer;
+    # read it from the sidecar's directory so a moved outdir still loads.
+    return Path(json_path).parent / Path(name).name
+
+
 def load_fhat(json_path) -> FhatGrid:
     with open(json_path) as f:
         doc = json.load(f)
     if doc.get("format") != "anisoeit-fhat":
         raise ValueError(f"{json_path}: not a spectrum file")
     R, m = float(doc["R"]), int(doc["m"])
-    axis = np.linspace(-R, R, m)
-    Z1, Z2 = np.meshgrid(axis, axis, indexing="ij")
-    zs = np.stack([Z1.ravel(), Z2.ravel()], axis=1)
-    rho = np.hypot(zs[:, 0], zs[:, 1])
-    zs = zs[(rho > 0) & (rho <= R + 1e-12)]
-    with open(doc["values_file"], "rb") as f:
+    zs, _ = masked_lattice(R, m)
+    with open(_beside(json_path, doc["values_file"]), "rb") as f:
         values = np.frombuffer(f.read(), dtype=np.complex128).copy()
     if len(values) != len(zs) or len(values) != doc["count"]:
         raise ValueError(f"{json_path}: lattice size mismatch")
@@ -319,10 +288,8 @@ def reconstruct_field(dn: DNMatrix, qcmap: Optional[QCMap], A0: np.ndarray,
     a_grid = a_flat.reshape(grid, grid)
 
     xs = axis.copy()
-    cross = np.full(grid, np.nan)
-    on_axis = np.abs(xs) <= 1.0
-    cross[on_axis] = reconstruct_scalar(
-        atilde, qcmap, np.stack([xs[on_axis], np.zeros(on_axis.sum())], axis=1))
+    cross = reconstruct_scalar(
+        atilde, qcmap, np.stack([xs, np.zeros(grid)], axis=1))
 
     return ReconstructedField(
         grid_axis=axis, a=a_grid, mask=inside.reshape(grid, grid),
@@ -364,7 +331,7 @@ def load_field(json_path) -> ReconstructedField:
     g = int(doc["grid"])
     lo, hi = doc["grid_axis_minmax"]
     axis = np.linspace(lo, hi, g)
-    with open(doc["grid_file"], "rb") as f:
+    with open(_beside(json_path, doc["grid_file"]), "rb") as f:
         a = np.frombuffer(f.read(), dtype=np.float64).reshape(g, g).copy()
     GX, GY = np.meshgrid(axis, axis, indexing="ij")
     mask = np.hypot(GX, GY) <= 1.0

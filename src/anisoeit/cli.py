@@ -64,14 +64,9 @@ def cmd_map(cfg: RunConfig) -> int:
     h0 = mu.mu0 if cfg.qc_initial_guess == "mu0" else None
     qc = solve_beltrami(mu, tol=cfg.qc_tol, max_iter=cfg.qc_max_iter,
                         h0=h0, pad=cfg.qc_pad)
+    qc.config_sha256 = cfg.sha256()
     out = _outdir(cfg)
     save_qcmap(qc, out / "map.bin", out / "map.json")
-    with open(out / "map.json") as f:
-        sidecar = json.load(f)
-    sidecar["config_sha256"] = cfg.sha256()
-    with open(out / "map.json", "w") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-        f.write("\n")
     # image of the boundary circle, for plotting elsewhere
     theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
     circle = cfg.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)

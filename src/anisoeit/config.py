@@ -9,14 +9,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, asdict
-from typing import Optional
+from typing import Union, get_args, get_type_hints
 
 import numpy as np
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration (CLI exit code 2)."""
+
+
+def _finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return abs(value) <= sys.float_info.max   # rejects NaN, inf, huge ints
 
 
 @dataclass
@@ -49,19 +56,29 @@ class RunConfig:
     outdir: str = "out"
 
     def validate(self) -> None:
+        # fields hold their annotated types; float ones take any finite number
+        for name, hint in get_type_hints(RunConfig).items():
+            value, kinds = getattr(self, name), get_args(hint) or (hint,)
+            want = ("a finite number" if float in kinds
+                    else " or ".join(k.__name__ for k in kinds))
+            if not (_finite_number(value) if float in kinds else
+                    isinstance(value, kinds) and not isinstance(value, bool)):
+                raise ConfigError(f"{name} must be {want}, got {value!r}")
         if isinstance(self.phantom, str):
             if self.phantom not in ("A1", "A2", "A3", "A4"):
                 raise ConfigError(f"unknown phantom name {self.phantom!r}")
-        elif isinstance(self.phantom, dict):
+        else:
             if "M" not in self.phantom or "A0" not in self.phantom:
                 raise ConfigError("custom phantom needs keys 'M' and 'A0'")
-            A0 = np.asarray(self.phantom["A0"], dtype=float)
-            if A0.shape != (2, 2) or not np.allclose(A0, A0.T):
-                raise ConfigError("phantom A0 must be a symmetric 2x2 matrix")
-            if np.linalg.eigvalsh(A0)[0] <= 0 or float(self.phantom["M"]) <= 0:
-                raise ConfigError("phantom A0 must be SPD and M positive")
-        else:
-            raise ConfigError("phantom must be a name or an {M, A0} object")
+            M = self.phantom["M"]
+            A0 = np.asarray(self.phantom["A0"], dtype=object)
+            if not (_finite_number(M) and M > 0) or A0.shape != (2, 2) \
+                    or not all(map(_finite_number, A0.flat)):
+                raise ConfigError("custom phantom needs a positive number M "
+                                  "and a 2x2 matrix of numbers A0")
+            A0 = A0.astype(float)
+            if not np.allclose(A0, A0.T) or np.linalg.eigvalsh(A0)[0] <= 0:
+                raise ConfigError("phantom A0 must be symmetric positive definite")
         if self.radius <= 0 or not (0 < self.target_h < self.radius):
             raise ConfigError("need 0 < target_h < radius")
         if self.L < 4 or self.L % 2:
@@ -79,19 +96,23 @@ class RunConfig:
         if self.qc_r - self.qc_blend < self.radius:
             raise ConfigError("domain must fit inside the constant-coefficient "
                               "radius qc_r - qc_blend")
+        if self.qc_max_iter < 1:
+            raise ConfigError("qc_max_iter must be at least 1")
         if self.qc_initial_guess not in ("tmu", "mu0"):
             raise ConfigError("qc_initial_guess must be 'tmu' or 'mu0'")
         if not self.truncation_radii:
             raise ConfigError("truncation_radii must be non-empty")
         for R in self.truncation_radii:
-            if R <= 0:
-                raise ConfigError("truncation radii must be positive")
+            if not (_finite_number(R) and R > 0):
+                raise ConfigError("truncation radii must be positive numbers")
         if self.lattice < 3 or self.lattice % 2 == 0:
             raise ConfigError("lattice must be odd and >= 3")
         if self.output_grid < 11 or self.output_grid % 2 == 0:
             raise ConfigError("output_grid must be odd and >= 11")
         if self.noise < 0:
             raise ConfigError("noise level must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))

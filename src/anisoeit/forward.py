@@ -54,13 +54,6 @@ class CurrentPatternSet:
         """(L, L-1) columns T[:, k] / ||T[:, k]||."""
         return self.T / self.norms
 
-    def frequency_of_column(self, k: int) -> tuple[int, str]:
-        """Map column index (0-based) to (harmonic, 'cos'|'sin')."""
-        half = self.L // 2
-        if k < half:
-            return k + 1, "cos"
-        return k - half + 1, "sin"
-
 
 def trig_current_patterns(L: int, amplitude: float = 1.0) -> CurrentPatternSet:
     if L < 4 or L % 2 != 0:
@@ -103,20 +96,26 @@ class CEMSystem:
         return self._factor
 
 
-def element_stiffness(vertices: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """3x3 stiffness of one linear triangle for constant tensor A.
+def element_stiffness(p: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """(M, 3, 3) stiffness of M linear triangles with constant tensors.
 
-    Entries are area * (grad phi_i)^T A (grad phi_j); the basis gradients
-    are constant on the element.
+    ``p`` holds the (M, 3, 2) counterclockwise vertices and ``A`` the
+    (M, 2, 2) tensors.  Entries are area * (grad phi_i)^T A (grad phi_j);
+    the basis gradients are constant on each element.  Raises on a
+    triangle with non-positive signed area, naming its index.
     """
-    x, y = vertices[:, 0], vertices[:, 1]
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    area2 = x[0] * b[0] + x[1] * b[1] + x[2] * b[2]   # 2*area (signed)
-    if area2 <= 0:
-        raise ValueError("triangle has non-positive area")
-    G = np.stack([b, c]) / area2                       # (2, 3) gradients
-    return 0.5 * area2 * (G.T @ A @ G)
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]   # 2*area (signed)
+    if (area2 <= 0).any():
+        bad = int(np.argmin(area2))
+        raise ValueError(f"degenerate triangle {bad}: "
+                         f"signed area {0.5 * area2[bad]:g}")
+    x, y = p[..., 0], p[..., 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    G = np.stack([b, c], axis=1) / area2[:, None, None]   # (M, 2, 3)
+    return 0.5 * area2[:, None, None] * np.einsum("mki,mkl,mlj->mij", G, A, G)
 
 
 def assemble_cem_system(mesh: Mesh, A: ConductivityTensorField,
@@ -132,24 +131,7 @@ def assemble_cem_system(mesh: Mesh, A: ConductivityTensorField,
     N = mesh.n_nodes
     L = layout.L
     p = nodes[tris]                                    # (M, 3, 2)
-    e1 = p[:, 1] - p[:, 0]
-    e2 = p[:, 2] - p[:, 0]
-    area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    if (area2 <= 0).any():
-        bad = int(np.argmin(area2))
-        raise ValueError(
-            f"degenerate triangle {bad} (nodes {tris[bad].tolist()}): "
-            f"signed area {0.5 * area2[bad]:g}")
-
-    x, y = p[..., 0], p[..., 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    G = np.stack([b, c], axis=1) / area2[:, None, None]   # (M, 2, 3)
-
-    centroids = p.mean(axis=1)
-    Ac = A(centroids)                                      # (M, 2, 2)
-    Ke = 0.5 * area2[:, None, None] * np.einsum(
-        "mki,mkl,mlj->mij", G, Ac, G)                      # (M, 3, 3)
+    Ke = element_stiffness(p, A(p.mean(axis=1)))       # (M, 3, 3)
 
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()

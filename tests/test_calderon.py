@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from scipy.special import j0, j1
 
-from anisoeit import (make_cgo_pair, bilinear_form, fhat_grid,
+from anisoeit import (cgo_traces, bilinear_form, fhat_grid,
                       inverse_fourier, reconstruct_scalar, assemble_tensor,
                       reconstruct_field, save_field, load_field,
                       trig_current_patterns, place_electrodes)
-from anisoeit.calderon import FhatGrid
+from anisoeit.calderon import FhatGrid, masked_lattice
 from anisoeit.forward import DNMatrix
 
 
@@ -28,58 +28,74 @@ def analytic_disk_dn_matrix(L: int, sigma: float = 1.0) -> DNMatrix:
 
 
 def test_cgo_basic_construction():
-    pair = make_cgo_pair([1.0, 0.0])
-    assert np.allclose(pair.b, [0.0, 1.0])
-    y = np.array([[0.4, -0.3]])
-    val = pair.trace1(y)[0]
-    assert val == pytest.approx(np.exp(1j * np.pi * 0.4 + np.pi * (-0.3)),
-                                abs=1e-15)
+    # z = (1, 0) has companion b = (0, 1)
+    phi1, phi2 = cgo_traces([[1.0, 0.0]], [[0.4, -0.3]])
+    assert phi1.shape == phi2.shape == (1, 1)
+    assert phi1[0, 0] == pytest.approx(
+        np.exp(1j * np.pi * 0.4 + np.pi * (-0.3)), abs=1e-15)
+    assert phi2[0, 0] == pytest.approx(
+        np.exp(1j * np.pi * 0.4 - np.pi * (-0.3)), abs=1e-15)
+    zs = np.array([[1.0, 0.0], [0.7, -1.1], [-0.2, 0.5]])
+    pts = np.array([[0.4, -0.3], [0.1, 0.2], [-0.5, 0.0], [0.3, 0.3]])
+    phi1, phi2 = cgo_traces(zs, pts)
+    assert phi1.shape == phi2.shape == (4, 3)
+    for p in range(3):
+        one1, one2 = cgo_traces(zs[p], pts)
+        assert np.allclose(phi1[:, p], one1[:, 0], rtol=1e-14, atol=0)
+        assert np.allclose(phi2[:, p], one2[:, 0], rtol=1e-14, atol=0)
 
 
 def test_cgo_product_identity():
-    pair = make_cgo_pair([0.7, -1.1])
-    y = np.array([[0.3, -0.2]])
-    prod = pair.trace1(y)[0] * pair.trace2(y)[0]
+    phi1, phi2 = cgo_traces([[0.7, -1.1]], [[0.3, -0.2]])
     expected = np.exp(2j * np.pi * (0.7 * 0.3 + (-1.1) * (-0.2)))
-    assert prod == pytest.approx(expected, rel=1e-14)
+    assert phi1[0, 0] * phi2[0, 0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_cgo_constraints_exact():
     rng = np.random.default_rng(3)
     for _ in range(100):
         z = rng.standard_normal(2)
-        pair = make_cgo_pair(z)
-        zb = pair.z[0] * pair.b[0] + pair.z[1] * pair.b[1]
-        assert zb == 0.0
-        bb = pair.b[0] * pair.b[0] + pair.b[1] * pair.b[1]
-        zz = pair.z[0] * pair.z[0] + pair.z[1] * pair.z[1]
-        assert bb == zz
+        b = np.array([-z[1], z[0]])
+        # z.b = 0: at y = z the real exponent vanishes to rounding, so
+        # both traces are unimodular and coincide
+        phi1, phi2 = cgo_traces(z, z)
+        assert abs(phi1[0, 0]) == pytest.approx(1.0, rel=1e-14)
+        assert phi1[0, 0] == pytest.approx(phi2[0, 0], rel=1e-14)
+        # |b| = |z|: at y = b the phase vanishes and the growth is
+        # exp(pi |z|^2)
+        phi1, phi2 = cgo_traces(z, b)
+        zz = z[0] * z[0] + z[1] * z[1]
+        assert phi1[0, 0] == pytest.approx(np.exp(np.pi * zz), rel=1e-14)
+        assert phi2[0, 0] == pytest.approx(np.exp(-np.pi * zz), rel=1e-14)
         # (iz + b).(iz - b) = -2|z|^2 for the rotation choice
-        c1 = 1j * pair.z + pair.b
-        c2 = 1j * pair.z - pair.b
+        c1 = 1j * z + b
+        c2 = 1j * z - b
         val = c1[0] * c2[0] + c1[1] * c2[1]
         assert val == pytest.approx(-2.0 * zz, rel=1e-14)
 
 
 def test_cgo_rejects_zero_frequency():
     with pytest.raises(ValueError):
-        make_cgo_pair([0.0, 0.0])
+        cgo_traces([0.0, 0.0], [[0.1, 0.2]])
+    with pytest.raises(ValueError):
+        cgo_traces([[1.0, 0.5], [0.0, 0.0]], [[0.1, 0.2]])
 
 
 def test_cgo_harmonicity_taylor_bound():
     z = np.array([1.3, -0.7])
-    pair = make_cgo_pair(z)
     y0 = np.array([0.3, -0.2])
     h = 1e-3
     stencil = np.array([y0, y0 + [h, 0], y0 - [h, 0], y0 + [0, h], y0 - [0, h]])
-    vals = pair.trace1(stencil).real
-    lap = (vals[1] + vals[2] + vals[3] + vals[4] - 4 * vals[0]) / h ** 2
-    mag = abs(pair.trace1(y0[None])[0])
-    # fourth derivatives of the trace are bounded by (pi|z|)^4 |phi|
     nz = np.hypot(*z)
-    bound = (np.pi * nz) ** 4 * h ** 2 * mag * np.exp(2 * np.pi * nz * h) / 6.0
-    assert abs(lap) <= 1.05 * bound
-    assert abs(lap) / mag < 1e-4
+    for trace in cgo_traces(z, stencil):
+        vals = trace[:, 0]
+        lap = (vals[1] + vals[2] + vals[3] + vals[4] - 4 * vals[0]) / h ** 2
+        mag = abs(vals[0])
+        # fourth derivatives of the trace are bounded by (pi|z|)^4 |phi|
+        bound = (np.pi * nz) ** 4 * h ** 2 * mag \
+            * np.exp(2 * np.pi * nz * h) / 6.0
+        assert abs(lap) <= 1.05 * bound
+        assert abs(lap) / mag < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +136,25 @@ def test_bilinear_scales_with_conductivity():
     assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
 
+def test_bilinear_batched_matches_single(dn_identity16):
+    th = dn_identity16.layout.centers
+    phi1 = np.stack([np.exp(1j * k * th) for k in (1, 2, 3)], axis=1)
+    phi2 = np.stack([np.cos(k * th) - 0.5j * np.sin(th) for k in (2, 1, 3)],
+                    axis=1)
+    batched = bilinear_form(dn_identity16, phi1, phi2)
+    assert batched.shape == (3,)
+    for p in range(3):
+        single = bilinear_form(dn_identity16, phi1[:, p], phi2[:, p])
+        assert batched[p] == pytest.approx(single, rel=1e-12)
+
+
 def test_bilinear_rejects_wrong_length(dn_identity16):
     with pytest.raises(ValueError):
         bilinear_form(dn_identity16, np.ones(8), np.ones(16))
+    with pytest.raises(ValueError):
+        bilinear_form(dn_identity16, np.ones((16, 3)), np.ones((16, 2)))
+    with pytest.raises(ValueError):
+        bilinear_form(dn_identity16, np.ones((16, 2, 2)), np.ones((16, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +188,18 @@ def test_fhat_metadata(dn_identity32):
     assert len(fh.zs) == len(fh.values)
 
 
+@pytest.mark.parametrize("R,m", [(1.8, 49), (1.8, 41), (1.9, 61)])
+def test_fhat_lattice_centre_excluded(dn_identity32, R, m):
+    # np.linspace(-R, R, m) leaves the centre at +-2.2e-16 for these
+    # pairs; the z = 0 mode must still be dropped
+    fh = fhat_grid(dn_identity32, None, R=R, m=m)
+    assert np.hypot(fh.zs[:, 0], fh.zs[:, 1]).min() >= fh.spacing * 0.999
+    assert np.abs(fh.values).max() < 10.0
+    pts = np.stack([np.linspace(-0.9, 0.9, 21), np.zeros(21)], axis=1)
+    _, imres = inverse_fourier(fh, pts)
+    assert imres <= 1e-6
+
+
 def test_fhat_rejects_bad_lattice(dn_identity32):
     with pytest.raises(ValueError):
         fhat_grid(dn_identity32, None, R=-1.0)
@@ -176,15 +220,10 @@ def test_fhat_rejects_small_map_window(dn_identity32):
 
 
 def _indicator_lattice(R, m):
-    axis = np.linspace(-R, R, m)
-    Z1, Z2 = np.meshgrid(axis, axis, indexing="ij")
-    zs = np.stack([Z1.ravel(), Z2.ravel()], axis=1)
+    zs, spacing = masked_lattice(R, m)
     rho = np.hypot(zs[:, 0], zs[:, 1])
-    keep = (rho > 0) & (rho <= R + 1e-12)
-    zs = zs[keep]
-    rho = rho[keep]
     return FhatGrid(R=R, m=m, zs=zs, values=j1(2 * np.pi * rho) / rho,
-                    spacing=axis[1] - axis[0], det_background=1.0)
+                    spacing=spacing, det_background=1.0)
 
 
 def test_inverse_zero_spectrum():
@@ -308,6 +347,24 @@ def test_fhat_serialization_roundtrip(tmp_path, dn_identity16):
     assert back.R == fh.R and back.m == fh.m
     assert back.spacing == fh.spacing
     assert back.config_sha256 == "f00d"
+
+
+def test_sidecars_reload_after_move(tmp_path, dn_identity16):
+    from anisoeit import save_fhat, load_fhat
+    field = reconstruct_field(dn_identity16, None, np.eye(2), R=1.5,
+                              lattice=21, grid=31)
+    before = tmp_path / "before"
+    before.mkdir()
+    save_fhat(field.fhat, before / "fhat.json", before / "fhat.bin")
+    save_field(field, before / "recon.json", before / "recon.bin")
+    after = tmp_path / "after"
+    before.rename(after)
+    back = load_fhat(after / "fhat.json")
+    assert np.array_equal(back.values, field.fhat.values)
+    assert np.array_equal(back.zs, field.fhat.zs)
+    back = load_field(after / "recon.json")
+    assert np.array_equal(np.isnan(back.a), np.isnan(field.a))
+    assert np.array_equal(back.a[back.mask], field.a[field.mask])
 
 
 def test_field_serialization_roundtrip(tmp_path, dn_identity16):

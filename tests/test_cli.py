@@ -205,6 +205,34 @@ def test_config_errors_exit_2(workdir):
     assert main(["simulate", "--config", "missing.json"]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    '{"noise": NaN}',
+    '{"L": "16"}',
+    '{"lattice": 33.5}',
+    '{"truncation_radii": 2.0}',
+    '{"seed": -1}',
+    '{"qc_max_iter": 0}',
+])
+def test_config_validation_exit_2(workdir, capsys, text):
+    (workdir / "bad.json").write_text(text)
+    for cmd in ("simulate", "map"):
+        assert main([cmd, "--config", "bad.json"]) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "config"
+    assert not (workdir / "out").exists()
+
+
+def test_exported_dataclass_type_hints_resolve():
+    import dataclasses
+    import typing
+    import anisoeit
+    classes = [v for v in vars(anisoeit).values()
+               if isinstance(v, type) and dataclasses.is_dataclass(v)]
+    assert RunConfig in classes
+    for cls in classes:
+        assert typing.get_type_hints(cls), cls.__name__
+
+
 def test_numerical_failure_exit_3(workdir):
     write_config(workdir / "cfg.json", phantom="A3", qc_max_iter=1)
     assert main(["map", "--config", "cfg.json"]) == 3

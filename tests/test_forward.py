@@ -39,7 +39,7 @@ def test_patterns_reject_odd():
 
 
 def test_element_stiffness_identity():
-    K = element_stiffness(REF_TRIANGLE, np.eye(2))
+    K = element_stiffness(REF_TRIANGLE[None], np.eye(2)[None])[0]
     expected = np.array([[1.0, -0.5, -0.5],
                          [-0.5, 0.5, 0.0],
                          [-0.5, 0.0, 0.5]])
@@ -47,7 +47,7 @@ def test_element_stiffness_identity():
 
 
 def test_element_stiffness_anisotropic():
-    K = element_stiffness(REF_TRIANGLE, np.diag([4.0, 1.0]))
+    K = element_stiffness(REF_TRIANGLE[None], np.diag([4.0, 1.0])[None])[0]
     expected = np.array([[2.5, -2.0, -0.5],
                          [-2.0, 2.0, 0.0],
                          [-0.5, 0.0, 0.5]])
