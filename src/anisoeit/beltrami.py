@@ -14,7 +14,11 @@ classical fixed-point iteration
 where T is the two-dimensional Hilbert (Beurling) transform, realized as
 the Fourier multiplier conj(zeta)/zeta, and P is the solid Cauchy
 transform (the dbar inverse), realized by zero-padded FFT convolution
-with the 1/(pi z) kernel and normalized so that P[g](0) = 0.
+with the 1/(pi z) kernel and normalized so that P[g](0) = 0.  Both
+transforms embed their input in a larger zero grid; their FFTs skip the
+all-zero rows of the embedded input and the columns the crop discards,
+and return bit-for-bit what full-grid fft2/ifft2 would.  The Hilbert
+symbol and the Cauchy kernel transform are cached per grid.
 
 All grid functions live on a uniform n x n lattice over [-s, s)^2 with
 the support of mu inside |z| <= r (s >= 2r).
@@ -22,9 +26,11 @@ the support of mu inside |z| <= r (s >= 2r).
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
@@ -116,7 +122,11 @@ def hilbert_transform(g: np.ndarray, s: float, pad: int = 1) -> np.ndarray:
 
     ``pad > 1`` embeds the data centrally in a pad*n grid before applying
     the multiplier and crops afterwards, which suppresses the
-    periodization error for compactly supported input.
+    periodization error for compactly supported input.  The padded
+    transforms skip the all-zero rows of the embedded input and the
+    cropped-away columns of the output, and the symbol is built once per
+    grid (``_hilbert_symbol``); the result is bit-for-bit that of full
+    ``np.fft.fft2``/``ifft2`` on the embedded array.
     """
     g = np.asarray(g)
     if np.isnan(g).any():
@@ -124,18 +134,55 @@ def hilbert_transform(g: np.ndarray, s: float, pad: int = 1) -> np.ndarray:
     n = g.shape[0]
     if g.shape != (n, n):
         raise ValueError(f"expected a square grid, got shape {g.shape}")
-    if pad > 1:
-        big = np.zeros((pad * n, pad * n), dtype=complex)
-        lo = (pad * n - n) // 2
-        big[lo:lo + n, lo:lo + n] = g
-        return hilbert_transform(big, pad * s)[lo:lo + n, lo:lo + n]
-    freq = np.fft.fftfreq(n, d=2.0 * s / n)
+    pad = max(pad, 1)
+    m = pad * n
+    lo = (m - n) // 2
+    # numpy's complex multiply is not bit-commutative, and it reuses a large
+    # temporary operand as the output, so keep the full-grid formula's
+    # ``symbol * fft`` form (``fft * kernel`` in cauchy_transform) as is
+    return _cropped_ifft2(_hilbert_symbol(m, pad * s) * _padded_fft2(g, m, lo),
+                          lo, n)
+
+
+@functools.lru_cache(maxsize=4)
+def _hilbert_symbol(m: int, s: float) -> np.ndarray:
+    """Read-only multiplier conj(zeta)/zeta of the m x m grid over
+    [-s, s)^2, zero at the zero frequency."""
+    freq = np.fft.fftfreq(m, d=2.0 * s / m)
     FX, FY = np.meshgrid(freq, freq, indexing="ij")
     zeta = FX + 1j * FY
     with np.errstate(divide="ignore", invalid="ignore"):
         symbol = np.conj(zeta) / zeta
     symbol[0, 0] = 0.0
-    return np.fft.ifft2(symbol * np.fft.fft2(g))
+    symbol.flags.writeable = False
+    return symbol
+
+
+def _padded_fft2(g: np.ndarray, m: int, lo: int) -> np.ndarray:
+    """``np.fft.fft2`` of the n x n array g embedded at [lo, lo+n)^2 in an
+    m x m zero grid.
+
+    Same 1-D transforms in the same order as fft2 (axis 1, then axis 0),
+    but the axis-1 pass runs only on the rows of g's non-zero bounding
+    box: the other rows transform to zero.
+    """
+    n = g.shape[0]
+    F = np.zeros((m, m), dtype=complex)
+    rows = np.flatnonzero(g.any(axis=1))
+    if rows.size:
+        r0, r1 = rows[0], rows[-1] + 1
+        block = np.zeros((r1 - r0, m), dtype=complex)
+        block[:, lo:lo + n] = g[r0:r1]
+        F[lo + r0:lo + r1] = np.fft.fft(block, axis=1)
+    return np.fft.fft(F, axis=0, out=F)
+
+
+def _cropped_ifft2(F: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """The [lo, lo+n)^2 block of ``np.fft.ifft2(F)``: the axis-1 pass on
+    every row, then the axis-0 pass on the kept columns only.  F is
+    overwritten."""
+    rows = np.fft.ifft(F, axis=1, out=F)[:, lo:lo + n]
+    return np.fft.ifft(rows, axis=0)[lo:lo + n]
 
 
 def _cauchy_kernel(n: int, s: float, refine: int = 4) -> np.ndarray:
@@ -168,7 +215,12 @@ def _cauchy_kernel(n: int, s: float, refine: int = 4) -> np.ndarray:
     return K
 
 
-_KERNEL_CACHE: dict = {}
+@functools.lru_cache(maxsize=4)
+def _cauchy_kernel_hat(n: int, s: float) -> np.ndarray:
+    """Read-only 2-D FFT of the padded Cauchy kernel for the n x n grid."""
+    Khat = np.fft.fft2(_cauchy_kernel(n, s))
+    Khat.flags.writeable = False
+    return Khat
 
 
 def cauchy_transform(g: np.ndarray, s: float) -> np.ndarray:
@@ -177,7 +229,8 @@ def cauchy_transform(g: np.ndarray, s: float) -> np.ndarray:
     FFT convolution of the compactly supported input with the 1/(pi z)
     kernel on a zero-padded 2n x 2n grid (true linear convolution over the
     window, no wrap-around), followed by subtraction of the value at the
-    origin.
+    origin.  The kernel transform is built once per grid
+    (``_cauchy_kernel_hat``).
     """
     g = np.asarray(g, dtype=complex)
     if np.isnan(g).any():
@@ -186,13 +239,8 @@ def cauchy_transform(g: np.ndarray, s: float) -> np.ndarray:
     if g.shape != (n, n):
         raise ValueError(f"expected a square grid, got shape {g.shape}")
     d = 2.0 * s / n
-    key = (n, float(s))
-    if key not in _KERNEL_CACHE:
-        _KERNEL_CACHE[key] = np.fft.fft2(_cauchy_kernel(n, s))
-    Khat = _KERNEL_CACHE[key]
-    gp = np.zeros((2 * n, 2 * n), dtype=complex)
-    gp[:n, :n] = g
-    conv = np.fft.ifft2(np.fft.fft2(gp) * Khat)[:n, :n] * (d * d)
+    conv = _cropped_ifft2(_padded_fft2(g, 2 * n, 0) * _cauchy_kernel_hat(n, s),
+                          0, n) * (d * d)
     return conv - conv[n // 2, n // 2]
 
 
@@ -451,6 +499,12 @@ def save_qcmap(qcmap: QCMap, path, sidecar_path=None) -> None:
 
 
 def load_qcmap(path) -> QCMap:
+    """Read a map written by ``save_qcmap``.
+
+    The residual, iteration count and config hash come from the JSON
+    sidecar, ``<path>.json`` or else ``map.json`` beside the file; without
+    one the residual is recomputed from Phi and the hash is empty.
+    """
     with open(path, "rb") as f:
         magic = f.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -461,5 +515,15 @@ def load_qcmap(path) -> QCMap:
         raw = f.read(16 * n * n)
         phi = np.frombuffer(raw, dtype=np.complex128).reshape(n, n).copy()
     mu = _ramped_mu(mu0, n, s, r, blend)
-    return QCMap(phi=phi, mu=mu, residual=_beltrami_residual(phi, mu),
-                 iterations=0, increments=np.array([]))
+    doc = {}
+    for candidate in (Path(str(path) + ".json"), Path(path).parent / "map.json"):
+        if candidate.exists():
+            doc = json.loads(candidate.read_text())
+            break
+    residual = doc.get("residual")
+    if residual is None:
+        residual = _beltrami_residual(phi, mu)
+    return QCMap(phi=phi, mu=mu, residual=float(residual),
+                 iterations=int(doc.get("iterations", 0)),
+                 increments=np.array([]),
+                 config_sha256=doc.get("config_sha256", ""))

@@ -92,14 +92,9 @@ def cmd_reconstruct(cfg: RunConfig, dn_path=None, map_path=None) -> int:
         raise ConfigError(f"{dn_path} was produced under a different config "
                           f"({dn.config_sha256[:12]}... != {want[:12]}...)")
     qc = load_qcmap(map_path)
-    for candidate in (Path(str(map_path) + ".json"),
-                      Path(map_path).parent / "map.json"):
-        if candidate.exists():
-            sidecar = json.loads(candidate.read_text())
-            if sidecar.get("config_sha256", want) != want:
-                raise ConfigError(
-                    f"{map_path} was produced under a different config")
-            break
+    if qc.config_sha256 and qc.config_sha256 != want:
+        raise ConfigError(f"{map_path} was produced under a different config "
+                          f"({qc.config_sha256[:12]}... != {want[:12]}...)")
     ph = _phantom(cfg)
     for R in cfg.truncation_radii:
         fieldobj = calderon.reconstruct_field(

@@ -5,7 +5,8 @@ from anisoeit import (beltrami_coefficient, extend_mu, hilbert_transform,
                       cauchy_transform, solve_beltrami, evaluate_map,
                       invert_map, pushforward_tensor, save_qcmap, load_qcmap,
                       a0_catalog, BeltramiConvergenceError, MapInversionError)
-from anisoeit.beltrami import MuGrid, QCMap, _centred_gradient
+from anisoeit.beltrami import (MuGrid, QCMap, _cauchy_kernel, _cauchy_kernel_hat,
+                               _centred_gradient, _hilbert_symbol)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +160,69 @@ def test_cauchy_rejects_nan():
         cauchy_transform(g, s=4.0)
 
 
+def _full_grid_hilbert(g, s, pad):
+    # the transform as full-grid fft2/ifft2 on the embedded array
+    n = g.shape[0]
+    m = pad * n
+    lo = (m - n) // 2
+    big = np.zeros((m, m), dtype=complex)
+    big[lo:lo + n, lo:lo + n] = g
+    freq = np.fft.fftfreq(m, d=2.0 * (pad * s) / m)
+    FX, FY = np.meshgrid(freq, freq, indexing="ij")
+    zeta = FX + 1j * FY
+    with np.errstate(divide="ignore", invalid="ignore"):
+        symbol = np.conj(zeta) / zeta
+    symbol[0, 0] = 0.0
+    return np.fft.ifft2(symbol * np.fft.fft2(big))[lo:lo + n, lo:lo + n]
+
+
+def _full_grid_cauchy(g, s):
+    n = g.shape[0]
+    d = 2.0 * s / n
+    gp = np.zeros((2 * n, 2 * n), dtype=complex)
+    gp[:n, :n] = g
+    Khat = np.fft.fft2(_cauchy_kernel(n, s))
+    conv = np.fft.ifft2(np.fft.fft2(gp) * Khat)[:n, :n] * (d * d)
+    return conv - conv[n // 2, n // 2]
+
+
+def _transform_inputs(n):
+    rng = np.random.default_rng(n)
+    inputs = {"zero": np.zeros((n, n), dtype=complex)}
+    for ij in ((0, 0), (0, n - 1), (n - 1, n - 1)):
+        g = np.zeros((n, n), dtype=complex)
+        g[ij] = 0.7 - 1.3j
+        inputs[f"pixel{ij}"] = g
+    g = np.zeros((n, n), dtype=complex)
+    g[5:n // 2, n // 3:n - 4] = 1.5 - 0.5j   # off-centre block
+    inputs["block"] = g
+    inputs["complex"] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    inputs["real"] = rng.standard_normal((n, n))
+    return inputs
+
+
+@pytest.mark.parametrize("n", [32, 33, 64])
+def test_transforms_bit_identical_to_full_grid(n):
+    # the pruned transforms run the same 1-D FFTs as the full grid, so the
+    # values agree exactly (signed zeros aside, hence array_equal); from
+    # n = 64 at pad 2 the padded spectrum is large enough (256 KiB) for
+    # numpy to multiply into the temporary in place
+    for name, g in _transform_inputs(n).items():
+        for pad in (1, 2, 3):
+            got = hilbert_transform(g, 4.0, pad=pad)
+            assert np.array_equal(got, _full_grid_hilbert(g, 4.0, pad)), (name, pad)
+        assert np.array_equal(cauchy_transform(g, 4.0),
+                              _full_grid_cauchy(g, 4.0)), name
+
+
+def test_transform_caches_read_only_and_reused():
+    for build in (_hilbert_symbol, _cauchy_kernel_hat):
+        arr = build(64, 4.0)
+        assert build(64, 4.0) is arr
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # Beltrami solve
 
@@ -198,6 +262,22 @@ def test_solve_nonconvergence_error():
     for budget in (0, -1):
         with pytest.raises(ValueError, match="max_iter"):
             solve_beltrami(mu, max_iter=budget)
+
+
+def test_padding_converges_to_exact_affine_map():
+    # inside the constant-coefficient disk the exact map is z + mu0 conj(z);
+    # the FFT solve deviates from it by periodization error, which padding
+    # suppresses (measured 2.2e-3, 1.4e-4, 9.9e-6 for pad 1, 2, 4)
+    mu = extend_mu(a0_catalog()["A4"], r=2.0, blend=0.5, n=128, s=4.0)
+    X, Y = mu.meshgrid()
+    Z = X + 1j * Y
+    disk = np.abs(Z) <= 1.0
+    dev = []
+    for pad in (1, 2, 4):
+        phi = solve_beltrami(mu, pad=pad).phi
+        dev.append(np.abs(phi - (Z + mu.mu0 * np.conj(Z)))[disk].max())
+    assert dev[1] * 5 <= dev[0] and dev[2] * 5 <= dev[1], dev
+    assert dev[2] <= 2e-5
 
 
 # ---------------------------------------------------------------------------
@@ -357,4 +437,18 @@ def test_qcmap_serialization_roundtrip(tmp_path, catalog_maps):
     assert back.mu.n == qc.mu.n and back.mu.s == qc.mu.s
     assert back.mu.mu0 == qc.mu.mu0
     assert np.allclose(back.mu.mu, qc.mu.mu)
+    assert back.residual == qc.residual
+    assert back.iterations == qc.iterations
+
+
+def test_qcmap_loads_without_sidecar(tmp_path, catalog_maps):
+    # the sidecar normally supplies residual, iterations and config hash;
+    # without one the residual is recomputed from Phi
+    qc = catalog_maps["A3"]
+    (tmp_path / "side").mkdir()
+    path = tmp_path / "phi.bin"
+    save_qcmap(qc, path, tmp_path / "side" / "phi.json")
+    back = load_qcmap(path)
+    assert np.array_equal(back.phi, qc.phi)
     assert back.residual == pytest.approx(qc.residual, rel=1e-12)
+    assert back.iterations == 0 and back.config_sha256 == ""

@@ -126,6 +126,19 @@ def test_provenance_mismatch_rejected(workdir):
     assert main(["reconstruct", "--config", "b.json"]) == 2
 
 
+
+def test_map_provenance_mismatch_rejected(workdir, capsys):
+    # data and config agree; only the map comes from another config
+    write_config(workdir / "a.json", phantom="A1", target_h=0.1, outdir="out")
+    write_config(workdir / "b.json", phantom="A1", target_h=0.1, seed=1,
+                 outdir="out")
+    assert main(["simulate", "--config", "b.json"]) == 0
+    assert main(["map", "--config", "a.json"]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", "b.json"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config" and "map.bin" in record["message"]
+
 def test_evaluate_perfect_reconstruction(workdir):
     cfg = write_config(workdir / "cfg.json", phantom="A1", target_h=0.1)
     ph = phantom_by_name("A1")
