@@ -134,7 +134,8 @@ def hilbert_transform(g: np.ndarray, s: float, pad: int = 1) -> np.ndarray:
     n = g.shape[0]
     if g.shape != (n, n):
         raise ValueError(f"expected a square grid, got shape {g.shape}")
-    pad = max(pad, 1)
+    if pad < 1:
+        raise ValueError(f"pad must be at least 1, got {pad}")
     m = pad * n
     lo = (m - n) // 2
     # numpy's complex multiply is not bit-commutative, and it reuses a large
@@ -473,19 +474,20 @@ def pushforward_tensor(A, qcmap: QCMap, points: np.ndarray) -> np.ndarray:
 _MAGIC = b"ANISOEITQC1\x00"
 
 
-def save_qcmap(qcmap: QCMap, path, sidecar_path=None) -> None:
+def save_qcmap(qcmap: QCMap, path) -> None:
     """Write the header (n, s, r, blend, mu0) and the row-major complex
-    samples of Phi, plus a JSON sidecar with the mu parameters, residual,
-    iteration count and config hash."""
+    samples of Phi, plus the JSON sidecar ``path.with_suffix(".json")``
+    with the mu parameters, residual, iteration count and config hash."""
+    sidecar = Path(path).with_suffix(".json")
+    if sidecar == Path(path):
+        raise ValueError(f"{path}: the map binary would be its own sidecar")
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<qddd", qcmap.mu.n, qcmap.mu.s, qcmap.mu.r,
                             qcmap.mu.blend))
         f.write(struct.pack("<dd", qcmap.mu.mu0.real, qcmap.mu.mu0.imag))
         f.write(np.ascontiguousarray(qcmap.phi, dtype=np.complex128).tobytes())
-    if sidecar_path is None:
-        sidecar_path = str(path) + ".json"
-    with open(sidecar_path, "w") as f:
+    with open(sidecar, "w") as f:
         json.dump({
             "format": "anisoeit-qcmap",
             "n": qcmap.mu.n, "s": qcmap.mu.s, "r": qcmap.mu.r,
@@ -502,8 +504,8 @@ def load_qcmap(path) -> QCMap:
     """Read a map written by ``save_qcmap``.
 
     The residual, iteration count and config hash come from the JSON
-    sidecar, ``<path>.json`` or else ``map.json`` beside the file; without
-    one the residual is recomputed from Phi and the hash is empty.
+    sidecar ``path.with_suffix(".json")``; without it the residual is
+    recomputed from Phi and the hash is empty.
     """
     with open(path, "rb") as f:
         magic = f.read(len(_MAGIC))
@@ -515,11 +517,8 @@ def load_qcmap(path) -> QCMap:
         raw = f.read(16 * n * n)
         phi = np.frombuffer(raw, dtype=np.complex128).reshape(n, n).copy()
     mu = _ramped_mu(mu0, n, s, r, blend)
-    doc = {}
-    for candidate in (Path(str(path) + ".json"), Path(path).parent / "map.json"):
-        if candidate.exists():
-            doc = json.loads(candidate.read_text())
-            break
+    sidecar = Path(path).with_suffix(".json")
+    doc = json.loads(sidecar.read_text()) if sidecar.exists() else {}
     residual = doc.get("residual")
     if residual is None:
         residual = _beltrami_residual(phi, mu)

@@ -192,7 +192,7 @@ def save_fhat(fhat: FhatGrid, json_path, bin_path) -> None:
         "det_background": fhat.det_background,
         "pattern_normalization": "euclidean",
         "count": int(len(fhat.zs)),
-        "values_file": str(bin_path),
+        "values_file": Path(bin_path).name,
         "config_sha256": fhat.config_sha256,
     }
     with open(json_path, "w") as f:
@@ -201,8 +201,8 @@ def save_fhat(fhat: FhatGrid, json_path, bin_path) -> None:
 
 
 def _beside(json_path, name) -> Path:
-    # The sidecars record the binary's path as it was given to the writer;
-    # read it from the sidecar's directory so a moved outdir still loads.
+    # The binary sits beside its sidecar, which records its bare name
+    # (older sidecars hold a full path), so a moved outdir still loads.
     return Path(json_path).parent / Path(name).name
 
 
@@ -315,7 +315,7 @@ def save_field(fieldobj: ReconstructedField, json_path, bin_path) -> None:
         "imag_residual": fieldobj.imag_residual,
         "cross_section_x": fieldobj.cross_section_x.tolist(),
         "cross_section": fieldobj.cross_section.tolist(),
-        "grid_file": str(bin_path),
+        "grid_file": Path(bin_path).name,
         "config_sha256": fieldobj.config_sha256,
     }
     with open(json_path, "w") as f:

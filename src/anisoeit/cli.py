@@ -66,7 +66,7 @@ def cmd_map(cfg: RunConfig) -> int:
                         h0=h0, pad=cfg.qc_pad)
     qc.config_sha256 = cfg.sha256()
     out = _outdir(cfg)
-    save_qcmap(qc, out / "map.bin", out / "map.json")
+    save_qcmap(qc, out / "map.bin")
     # image of the boundary circle, for plotting elsewhere
     theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
     circle = cfg.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)

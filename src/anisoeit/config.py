@@ -98,6 +98,8 @@ class RunConfig:
                               "radius qc_r - qc_blend")
         if self.qc_max_iter < 1:
             raise ConfigError("qc_max_iter must be at least 1")
+        if self.qc_pad < 1:
+            raise ConfigError("qc_pad must be at least 1")
         if self.qc_initial_guess not in ("tmu", "mu0"):
             raise ConfigError("qc_initial_guess must be 'tmu' or 'mu0'")
         if not self.truncation_radii:

@@ -6,14 +6,16 @@ applies trigonometric current patterns, and condenses the simulated
 voltages into discrete Neumann-to-Dirichlet / Dirichlet-to-Neumann
 matrices in the normalized trigonometric basis.
 
-The block system solved per current pattern is
+Electrode voltages are written U = G beta in the ground basis
+G = [1; -I] (L x (L-1)), whose columns sum to zero.  The block system
+solved for current patterns I is
 
-    [[B, C], [C^T, D]] (alpha, beta) = (0, I_1 - I_2, ..., I_1 - I_L)
+    [[B, C], [C^T, D]] (alpha, beta) = (0, G^T I)
 
-with B the conductivity stiffness plus electrode mass terms, and the
-electrode voltages recovered as U = CC beta where CC has columns summing
-to zero (ground condition).  The voltage-coefficient block C~ equals C^T:
-the underlying form is symmetric for real coefficients.
+with B the conductivity stiffness plus electrode mass terms,
+C = -(W / z) G and D = G^T diag(|e_l| / z_l) G, where W[l, k] is the
+integral of the basis function phi_k over electrode e_l.  The form is
+symmetric for real coefficients.
 """
 
 from __future__ import annotations
@@ -59,22 +61,16 @@ def trig_current_patterns(L: int, amplitude: float = 1.0) -> CurrentPatternSet:
     if L < 4 or L % 2 != 0:
         raise ValueError(f"electrode count must be even and >= 4, got L={L}")
     theta = 2.0 * np.pi * np.arange(L) / L
-    half = L // 2
-    T = np.empty((L, L - 1))
-    for k in range(1, L):
-        if k <= half:
-            T[:, k - 1] = np.cos(k * theta)
-        else:
-            T[:, k - 1] = np.sin((k - half) * theta)
+    k, half = np.arange(1, L), L // 2
+    T = np.where(k <= half, np.cos(np.outer(theta, k)),
+                 np.sin(np.outer(theta, k - half)))
     return CurrentPatternSet(L=L, amplitude=float(amplitude), T=amplitude * T)
 
 
-def _ground_matrix(L: int) -> np.ndarray:
-    """L x (L-1) map from reduced coefficients to zero-sum voltages."""
-    CC = np.zeros((L, L - 1))
-    CC[0, :] = 1.0
-    CC[1:, :] = -np.eye(L - 1)
-    return CC
+def _ground_matrix(L: int) -> sparse.csr_matrix:
+    """Sparse L x (L-1) ground basis G: U = G beta sums to zero."""
+    return sparse.vstack([np.ones((1, L - 1)), -sparse.identity(L - 1)],
+                         format="csr")
 
 
 @dataclass
@@ -85,10 +81,6 @@ class CEMSystem:
     layout: ElectrodeLayout
     matrix: sparse.csc_matrix       # (N+L-1) x (N+L-1), symmetric
     _factor: Optional[object] = None
-
-    @property
-    def n_nodes(self) -> int:
-        return self.mesh.n_nodes
 
     def factor(self):
         if self._factor is None:
@@ -137,62 +129,60 @@ def assemble_cem_system(mesh: Mesh, A: ConductivityTensorField,
     cols = np.tile(tris, (1, 3)).ravel()
     K = sparse.coo_matrix((Ke.ravel(), (rows, cols)), shape=(N, N))
 
-    # electrode boundary terms
+    # electrode terms on the boundary edges (i, j) each electrode l covers
     z = layout.contact_impedances
-    edges = mesh.boundary_edges()
     owner = boundary_edge_electrodes(mesh, layout)
-    mass_rows, mass_cols, mass_vals = [], [], []
-    w = np.zeros((L, N))           # w[l, k] = integral of phi_k over e_l
-    arc_len = np.zeros(L)
-    for (i, j), l in zip(edges, owner):
-        if l < 0:
-            continue
-        s = float(np.linalg.norm(nodes[j] - nodes[i]))
-        arc_len[l] += s
-        # segment mass matrix s/6 * [[2,1],[1,2]]
-        mass_rows += [i, i, j, j]
-        mass_cols += [i, j, i, j]
-        mass_vals += [2 * s / 6 / z[l], s / 6 / z[l], s / 6 / z[l], 2 * s / 6 / z[l]]
-        w[l, i] += s / 2
-        w[l, j] += s / 2
-    Kz = sparse.coo_matrix((mass_vals, (mass_rows, mass_cols)), shape=(N, N))
+    ij, l = mesh.boundary_edges()[owner >= 0], owner[owner >= 0]
+    d = nodes[ij[:, 1]] - nodes[ij[:, 0]]
+    s = np.sqrt(np.vecdot(d, d))                       # edge lengths |e|
+    m = s / 6 / z[l]                 # segment mass s/(6 z) [[2, 1], [1, 2]]
+    Kz = sparse.coo_matrix((np.stack([2 * m, m, m, 2 * m], axis=1).ravel(),
+                            (np.repeat(ij, 2, axis=1).ravel(),
+                             np.tile(ij, 2).ravel())), shape=(N, N))
+    # W[l, k] = integral of phi_k over e_l, summed before dividing by z_l
+    W = sparse.coo_matrix((np.repeat(s / 2, 2), (np.repeat(l, 2), ij.ravel())),
+                          shape=(L, N))
+    W.sum_duplicates()
+    W.data /= z[W.row]
+    G = _ground_matrix(L)
+    C = -(W.T @ G)                                     # (N, L-1)
+    D = G.T @ sparse.diags(np.bincount(l, weights=s, minlength=L) / z) @ G
 
-    # C[k, j] = -(1/z_1) w_1[k] + (1/z_{j+1}) w_{j+1}[k]
-    wz = w / z[:, None]
-    C = np.tile(-wz[0], (L - 1, 1)).T + wz[1:].T       # (N, L-1)
-    D = (arc_len[0] / z[0]) * np.ones((L - 1, L - 1)) + np.diag(arc_len[1:] / z[1:])
-
-    M = sparse.bmat([[K + Kz, sparse.csr_matrix(C)],
-                     [sparse.csr_matrix(C.T), sparse.csr_matrix(D)]],
-                    format="csc")
+    M = sparse.bmat([[K + Kz, C], [C.T, D]], format="csc")
     return CEMSystem(mesh=mesh, layout=layout, matrix=M)
 
 
-def solve_forward(system: CEMSystem, pattern: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Solve one current pattern; returns (interior potential, electrode voltages).
+def solve_forward(system: CEMSystem, patterns: np.ndarray) -> np.ndarray:
+    """Electrode voltages for an (L,) pattern or an (L, K) block of them.
 
-    The pattern must satisfy conservation of current (entries summing to
-    zero).  Electrode voltages sum to zero by construction of the
-    ground-fixing basis.
+    Every column must conserve current (entries summing to zero).  All
+    columns share one solve on the cached factor, each must meet the 1e-10
+    relative residual bound, and an error names the failing column.  The
+    voltages U = G beta sum to zero by construction of the ground basis G.
     """
-    pattern = np.asarray(pattern, dtype=float)
-    L = system.layout.L
-    if pattern.shape != (L,):
-        raise ValueError(f"pattern must have shape ({L},), got {pattern.shape}")
-    tot = abs(pattern.sum())
-    if tot > 1e-10 * max(1.0, np.abs(pattern).max()):
-        raise ValueError(f"pattern violates current conservation (sum {tot:g})")
-    N = system.n_nodes
-    rhs = np.zeros(N + L - 1)
-    rhs[N:] = pattern[0] - pattern[1:]
+    P = np.asarray(patterns, dtype=float)
+    L, N = system.layout.L, system.mesh.n_nodes
+    if P.ndim not in (1, 2) or P.shape[0] != L:
+        raise ValueError(f"patterns must have shape ({L},) or ({L}, K), "
+                         f"got {P.shape}")
+    block = P.reshape(L, -1)
+    tot = np.abs(block.sum(axis=0))
+    bad = tot > 1e-10 * np.maximum(1.0, np.abs(block).max(axis=0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"pattern column {k} violates current conservation "
+                         f"(sum {tot[k]:g})")
+    G = _ground_matrix(L)
+    rhs = np.zeros((N + L - 1, block.shape[1]))
+    rhs[N:] = G.T @ block
     sol = system.factor().solve(rhs)
-    resid = np.linalg.norm(system.matrix @ sol - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    if resid > 1e-10:
-        raise RuntimeError(f"forward solve residual {resid:.3e} exceeds 1e-10")
-    beta = sol[N:]
-    U = _ground_matrix(L) @ beta
-    return sol[:N], U
+    resid = (np.linalg.norm(system.matrix @ sol - rhs, axis=0)
+             / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300))
+    if not (resid <= 1e-10).all():
+        k = int(np.argmin(resid <= 1e-10))
+        raise RuntimeError(f"forward solve residual {resid[k]:.3e} of "
+                           f"pattern column {k} exceeds 1e-10")
+    return (G @ sol[N:]).reshape(P.shape)
 
 
 @dataclass
@@ -217,6 +207,10 @@ class VoltageData:
         return self.patterns.L
 
 
+# a K-column solve holds 3 (N+L-1) x K arrays in SuperLU (RHS, copy, work)
+_BLOCK = 32
+
+
 def simulate_voltages(mesh: Mesh, A: ConductivityTensorField,
                       layout: ElectrodeLayout,
                       patterns: Optional[CurrentPatternSet] = None,
@@ -231,10 +225,8 @@ def simulate_voltages(mesh: Mesh, A: ConductivityTensorField,
     if patterns is None:
         patterns = trig_current_patterns(layout.L)
     system = assemble_cem_system(mesh, A, layout)
-    L = layout.L
-    U = np.empty((L, L - 1))
-    for k in range(L - 1):
-        _, U[:, k] = solve_forward(system, patterns.T[:, k])
+    U = np.concatenate([solve_forward(system, patterns.T[:, k:k + _BLOCK])
+                        for k in range(0, layout.L - 1, _BLOCK)], axis=1)
     if noise > 0.0:
         rng = np.random.Generator(np.random.Philox(seed))
         U = U + noise * np.abs(U).max() * rng.standard_normal(U.shape)

@@ -151,12 +151,10 @@ class Mesh:
         if not (gaps > 0).all():
             raise ValueError("boundary node angles do not strictly increase")
         # every interior edge is shared by exactly two triangles
-        edges = {}
-        for t, tri in enumerate(self.triangles):
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                key = (min(tri[a], tri[b]), max(tri[a], tri[b]))
-                edges[key] = edges.get(key, 0) + 1
-        counts = np.array(list(edges.values()))
+        pairs = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
+                        axis=1).astype(np.int64)
+        _, counts = np.unique(pairs[:, 0] * self.n_nodes + pairs[:, 1],
+                              return_counts=True)
         if not ((counts == 1) | (counts == 2)).all():
             raise ValueError("an edge is shared by more than two triangles")
         n_hull = int((counts == 1).sum())

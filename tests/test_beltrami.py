@@ -131,6 +131,12 @@ def test_hilbert_rejects_nan():
         hilbert_transform(g, s=4.0)
 
 
+@pytest.mark.parametrize("pad", [0, -3])
+def test_hilbert_rejects_pad_below_one(pad):
+    with pytest.raises(ValueError, match="pad must be at least 1"):
+        hilbert_transform(np.zeros((32, 32)), s=4.0, pad=pad)
+
+
 def test_cauchy_zero():
     out = cauchy_transform(np.zeros((64, 64)), s=4.0)
     assert not np.abs(out).any()
@@ -432,6 +438,7 @@ def test_qcmap_serialization_roundtrip(tmp_path, catalog_maps):
     path = tmp_path / "map.bin"
     save_qcmap(qc, path)
     back = load_qcmap(path)
+    assert (tmp_path / "map.json").exists()
     assert path.stat().st_size == 60 + 16 * qc.mu.n ** 2
     assert np.array_equal(back.phi, qc.phi)
     assert back.mu.n == qc.mu.n and back.mu.s == qc.mu.s
@@ -439,15 +446,17 @@ def test_qcmap_serialization_roundtrip(tmp_path, catalog_maps):
     assert np.allclose(back.mu.mu, qc.mu.mu)
     assert back.residual == qc.residual
     assert back.iterations == qc.iterations
+    with pytest.raises(ValueError, match="its own sidecar"):
+        save_qcmap(qc, tmp_path / "phi.json")
 
 
 def test_qcmap_loads_without_sidecar(tmp_path, catalog_maps):
     # the sidecar normally supplies residual, iterations and config hash;
     # without one the residual is recomputed from Phi
     qc = catalog_maps["A3"]
-    (tmp_path / "side").mkdir()
     path = tmp_path / "phi.bin"
-    save_qcmap(qc, path, tmp_path / "side" / "phi.json")
+    save_qcmap(qc, path)
+    path.with_suffix(".json").unlink()
     back = load_qcmap(path)
     assert np.array_equal(back.phi, qc.phi)
     assert back.residual == pytest.approx(qc.residual, rel=1e-12)

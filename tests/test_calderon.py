@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.special import j0, j1
@@ -357,6 +359,9 @@ def test_sidecars_reload_after_move(tmp_path, dn_identity16):
     before.mkdir()
     save_fhat(field.fhat, before / "fhat.json", before / "fhat.bin")
     save_field(field, before / "recon.json", before / "recon.bin")
+    for name, key in (("fhat", "values_file"), ("recon", "grid_file")):
+        doc = json.loads((before / f"{name}.json").read_text())
+        assert doc[key] == f"{name}.bin"
     after = tmp_path / "after"
     before.rename(after)
     back = load_fhat(after / "fhat.json")

@@ -225,6 +225,8 @@ def test_config_errors_exit_2(workdir):
     '{"truncation_radii": 2.0}',
     '{"seed": -1}',
     '{"qc_max_iter": 0}',
+    '{"qc_pad": 0}',
+    '{"qc_pad": -3}',
 ])
 def test_config_validation_exit_2(workdir, capsys, text):
     (workdir / "bad.json").write_text(text)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,29 @@ def test_d_block_structure(mesh16, layout16):
     assert np.allclose(D, expected, rtol=1e-12)
 
 
+def test_c_block_structure(mesh16, layout16):
+    layout = dataclasses.replace(layout16,
+                                 contact_impedances=np.linspace(0.01, 0.04, 16))
+    system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout)
+    N, L = mesh16.n_nodes, layout.L
+    C = system.matrix[:N, N:].toarray()
+    # w[l, k] = integral of phi_k over electrode l (half of each edge length)
+    edges = mesh16.boundary_edges()
+    owner = boundary_edge_electrodes(mesh16, layout)
+    w = np.zeros((L, N))
+    for (i, j), l in zip(edges, owner):
+        if l >= 0:
+            s = np.linalg.norm(mesh16.nodes[j] - mesh16.nodes[i])
+            w[l, i] += s / 2
+            w[l, j] += s / 2
+    wz = w / layout.contact_impedances[:, None]
+    # C[k, j] = -w_1[k] / z_1 + w_{j+1}[k] / z_{j+1}
+    expected = -wz[0][:, None] + wz[1:].T
+    assert np.allclose(C, expected, rtol=1e-12, atol=0.0)
+    assert np.allclose(system.matrix[N:, :N].toarray(), expected.T,
+                       rtol=1e-12, atol=0.0)
+
+
 def test_system_symmetric_positive_definite(layout16):
     mesh = build_disk_mesh(1.0, 0.2, layout16)
     system = assemble_cem_system(mesh, constant_tensor(np.eye(2)), layout16)
@@ -82,14 +107,14 @@ def test_solve_ground_condition(mesh16, layout16):
     system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
     pat = trig_current_patterns(16)
     for k in (0, 7, 10):
-        _, U = solve_forward(system, pat.T[:, k])
+        U = solve_forward(system, pat.T[:, k])
         assert abs(U.sum()) < 1e-12
 
 
 def test_solve_cosine_symmetry(mesh16, layout16):
     system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
     pat = trig_current_patterns(16)
-    _, U = solve_forward(system, pat.T[:, 0])
+    U = solve_forward(system, pat.T[:, 0])
     # mirror across the y-axis maps electrode l to (L/2 - l) mod L and
     # flips the sign of a cos(theta) voltage profile
     mirror = [(8 - l) % 16 for l in range(16)]
@@ -102,6 +127,28 @@ def test_solve_rejects_nonconserving_pattern(mesh16, layout16):
     system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
     with pytest.raises(ValueError):
         solve_forward(system, np.ones(16))
+
+
+def test_block_solve_matches_single_columns(mesh16, layout16):
+    system = assemble_cem_system(mesh16, constant_tensor(np.diag([1.0, 1.3])),
+                                 layout16)
+    T = trig_current_patterns(16).T
+    U = solve_forward(system, T)
+    assert U.shape == (16, 15)
+    for k in range(15):
+        Uk = solve_forward(system, T[:, k])
+        assert np.abs(U[:, k] - Uk).max() <= 1e-12 * np.abs(Uk).max()
+    assert np.abs(U.sum(axis=0)).max() < 1e-12
+
+
+def test_block_solve_names_nonconserving_column(mesh16, layout16):
+    system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
+    T = trig_current_patterns(16).T.copy()
+    T[3, 9] += 0.5
+    with pytest.raises(ValueError, match="column 9 "):
+        solve_forward(system, T)
+    with pytest.raises(ValueError, match="shape"):
+        solve_forward(system, T[:15])
 
 
 def test_assemble_rejects_degenerate_triangle(mesh16, layout16):

@@ -3,7 +3,7 @@ import pytest
 
 from anisoeit import (build_disk_mesh, place_electrodes, constant_tensor,
                       tensor_from_factored, save_mesh, load_mesh)
-from anisoeit.mesh import boundary_edge_electrodes
+from anisoeit.mesh import Mesh, boundary_edge_electrodes
 from anisoeit.phantoms import sigma_profile
 
 
@@ -64,6 +64,25 @@ def test_mesh_interior_edges_shared_twice():
     boundary = {tuple(sorted(e)) for e in mesh.boundary_edges()}
     for key, count in edges.items():
         assert count == (1 if key in boundary else 2)
+
+
+def test_validate_rejects_edge_shared_by_three_triangles():
+    layout = place_electrodes(8, 0.5, 0.01)
+    mesh = build_disk_mesh(1.0, 0.2, layout)
+    tris = np.concatenate([mesh.triangles, mesh.triangles[:1]])
+    bad = Mesh(nodes=mesh.nodes, triangles=tris,
+               boundary_nodes=mesh.boundary_nodes, radius=1.0)
+    with pytest.raises(ValueError, match="shared by more than two triangles"):
+        bad.validate()
+
+
+def test_validate_rejects_short_boundary_loop():
+    layout = place_electrodes(8, 0.5, 0.01)
+    mesh = build_disk_mesh(1.0, 0.2, layout)
+    bad = Mesh(nodes=mesh.nodes, triangles=mesh.triangles,
+               boundary_nodes=np.delete(mesh.boundary_nodes, 3), radius=1.0)
+    with pytest.raises(ValueError, match="boundary loop does not match"):
+        bad.validate()
 
 
 def test_boundary_angles_increase():
