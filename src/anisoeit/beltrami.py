@@ -36,6 +36,8 @@ from typing import Optional, Union
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
+from .atomic import atomic_open
+
 
 def beltrami_coefficient(A: np.ndarray) -> complex:
     """Complex dilatation mu of a symmetric positive-definite 2x2 matrix.
@@ -472,6 +474,7 @@ def pushforward_tensor(A, qcmap: QCMap, points: np.ndarray) -> np.ndarray:
 # serialization: binary grid + JSON sidecar
 
 _MAGIC = b"ANISOEITQC1\x00"
+_HEADER = len(_MAGIC) + 8 + 5 * 8     # magic, n, s, r, blend, mu0
 
 
 def save_qcmap(qcmap: QCMap, path) -> None:
@@ -481,13 +484,13 @@ def save_qcmap(qcmap: QCMap, path) -> None:
     sidecar = Path(path).with_suffix(".json")
     if sidecar == Path(path):
         raise ValueError(f"{path}: the map binary would be its own sidecar")
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<qddd", qcmap.mu.n, qcmap.mu.s, qcmap.mu.r,
                             qcmap.mu.blend))
         f.write(struct.pack("<dd", qcmap.mu.mu0.real, qcmap.mu.mu0.imag))
         f.write(np.ascontiguousarray(qcmap.phi, dtype=np.complex128).tobytes())
-    with open(sidecar, "w") as f:
+    with atomic_open(sidecar, "w") as f:
         json.dump({
             "format": "anisoeit-qcmap",
             "n": qcmap.mu.n, "s": qcmap.mu.s, "r": qcmap.mu.r,
@@ -505,17 +508,24 @@ def load_qcmap(path) -> QCMap:
 
     The residual, iteration count and config hash come from the JSON
     sidecar ``path.with_suffix(".json")``; without it the residual is
-    recomputed from Phi and the hash is empty.
+    recomputed from Phi and the hash is empty.  A file that is not
+    exactly 60 + 16 n^2 bytes long (truncated, or an older map that still
+    carries a trailing h* block) raises ``ValueError``.
     """
-    with open(path, "rb") as f:
-        magic = f.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a QC map file")
-        n, s, r, blend = struct.unpack("<qddd", f.read(8 + 3 * 8))
-        re0, im0 = struct.unpack("<dd", f.read(16))
-        mu0 = complex(re0, im0)
-        raw = f.read(16 * n * n)
-        phi = np.frombuffer(raw, dtype=np.complex128).reshape(n, n).copy()
+    raw = Path(path).read_bytes()
+    if raw[:len(_MAGIC)] != _MAGIC:
+        raise ValueError(f"{path}: not a QC map file")
+    if len(raw) < _HEADER:
+        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the "
+                         f"{_HEADER}-byte header")
+    n, s, r, blend, re0, im0 = struct.unpack_from("<qddddd", raw, len(_MAGIC))
+    expected = _HEADER + 16 * n * n
+    if len(raw) != expected:
+        raise ValueError(f"{path}: {len(raw)} bytes, but a map with n={n} "
+                         f"has {_HEADER} + 16 n^2 = {expected}")
+    mu0 = complex(re0, im0)
+    phi = np.frombuffer(raw, dtype=np.complex128,
+                        offset=_HEADER).reshape(n, n).copy()
     mu = _ramped_mu(mu0, n, s, r, blend)
     sidecar = Path(path).with_suffix(".json")
     doc = json.loads(sidecar.read_text()) if sidecar.exists() else {}

@@ -27,6 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .atomic import atomic_open
 from .beltrami import QCMap, evaluate_map
 from .forward import DNMatrix
 
@@ -76,19 +77,25 @@ def bilinear_form(dn: DNMatrix, phi1: np.ndarray, phi2: np.ndarray):
     return B if phi1.ndim == 2 else complex(B[0])
 
 
-def masked_lattice(R: float, m: int) -> tuple[np.ndarray, float]:
-    """Points 0 < |z| <= R of the m x m grid over [-R, R]^2, in row-major
-    order, and the grid spacing.
+def _lattice(R: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Axis of the m x m grid over [-R, R]^2 and its (m, m) mask
+    0 < |z| <= R, indexed [z1, z2].
 
     The centre of ``np.linspace(-R, R, m)`` can land at +-2.2e-16 rather
     than 0; it is pinned to 0 so the z = 0 mode is always excluded.
     """
     axis = np.linspace(-R, R, m)
     axis[m // 2] = 0.0
-    Z1, Z2 = np.meshgrid(axis, axis, indexing="ij")
-    zs = np.stack([Z1.ravel(), Z2.ravel()], axis=1)
-    rho = np.hypot(zs[:, 0], zs[:, 1])
-    return zs[(rho > 0) & (rho <= R + 1e-12)], float(axis[1] - axis[0])
+    rho = np.hypot(axis[:, None], axis[None, :])
+    return axis, (rho > 0) & (rho <= R + 1e-12)
+
+
+def masked_lattice(R: float, m: int) -> tuple[np.ndarray, float]:
+    """Points 0 < |z| <= R of the m x m grid over [-R, R]^2, in row-major
+    order, and the grid spacing."""
+    axis, mask = _lattice(R, m)
+    i, j = np.nonzero(mask)
+    return np.stack([axis[i], axis[j]], axis=1), float(axis[1] - axis[0])
 
 
 @dataclass
@@ -104,15 +111,13 @@ class FhatGrid:
     config_sha256: str = ""
 
     def hermitian_defect(self) -> float:
-        """max |Fhat(-z) - conj(Fhat(z))| / max |Fhat|."""
-        lookup = {(round(z[0], 12), round(z[1], 12)): v
-                  for z, v in zip(self.zs, self.values)}
-        worst = 0.0
-        for z, v in zip(self.zs, self.values):
-            mirror = lookup.get((round(-z[0], 12), round(-z[1], 12)))
-            if mirror is not None:
-                worst = max(worst, abs(mirror - np.conj(v)))
-        return worst / max(np.abs(self.values).max(), 1e-300)
+        """max |Fhat(-z) - conj(Fhat(z))| / max |Fhat|.
+
+        The masked lattice is point-symmetric in row-major order, so the
+        mirror -z of the k-th point is the k-th point from the end.
+        """
+        defect = np.abs(self.values[::-1] - np.conj(self.values)).max()
+        return float(defect / max(np.abs(self.values).max(), 1e-300))
 
 
 def fhat_grid(dn: DNMatrix, qcmap: Optional[QCMap], R: float, m: int = 33,
@@ -125,7 +130,8 @@ def fhat_grid(dn: DNMatrix, qcmap: Optional[QCMap], R: float, m: int = 33,
     data).  The DN matrix is divided by sqrt(det_background) so the
     background conductivity after flattening is one.  The z = 0 mode is
     excluded; the missing mean is restored downstream by background
-    calibration.
+    calibration.  A non-finite sample, as left by traces that overflow at
+    a large R, raises ``ValueError``.
     """
     if R <= 0:
         raise ValueError(f"truncation radius must be positive, got {R}")
@@ -135,10 +141,18 @@ def fhat_grid(dn: DNMatrix, qcmap: Optional[QCMap], R: float, m: int = 33,
     y = evaluate_map(qcmap, centers) if qcmap is not None else centers
 
     zs, spacing = masked_lattice(R, m)
-    phi1, phi2 = cgo_traces(zs, y)
     scaled = replace(dn, dn=dn.dn / np.sqrt(det_background))
     rho = np.hypot(zs[:, 0], zs[:, 1])
-    values = -bilinear_form(scaled, phi1, phi2) / (2.0 * np.pi ** 2 * rho ** 2)
+    # traces that overflow leave non-finite samples, which the check
+    # below reports in place of numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi1, phi2 = cgo_traces(zs, y)
+        values = -bilinear_form(scaled, phi1, phi2) \
+            / (2.0 * np.pi ** 2 * rho ** 2)
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise ValueError(f"Fhat has {bad} non-finite samples of "
+                         f"{len(values)} at R={R:g}")
     return FhatGrid(R=float(R), m=int(m), zs=zs, values=values,
                     spacing=spacing, det_background=float(det_background),
                     config_sha256=dn.config_sha256)
@@ -151,12 +165,25 @@ def inverse_fourier(fhat: FhatGrid, eval_points: np.ndarray
     Returns the real part of  sum_z Fhat(z) exp(-2 pi i z.y) dz^2  at each
     point together with the relative imaginary residual that was discarded
     (small when the spectrum is Hermitian).
+
+    The phase factors over the tensor lattice, exp(-2 pi i z1 y1) and
+    exp(-2 pi i z2 y2), are each (m, P) for P points, and the sum is
+    sum_j E1[j] * (F @ E2)[j] with F the m x m spectrum, zero off the
+    mask; no (lattice x points) array is formed.
     """
-    if len(fhat.zs) == 0:
-        raise ValueError("empty frequency lattice")
+    axis, mask = _lattice(fhat.R, fhat.m)
+    if len(fhat.values) != np.count_nonzero(mask):
+        raise ValueError(
+            f"{len(fhat.values)} spectrum samples for the "
+            f"{np.count_nonzero(mask)} lattice points of R={fhat.R}, "
+            f"m={fhat.m}")
     pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    phases = np.exp(-2j * np.pi * (fhat.zs @ pts.T))
-    vals = (fhat.values @ phases) * fhat.spacing ** 2
+    F = np.zeros((fhat.m, fhat.m), dtype=complex)
+    F[mask] = fhat.values
+    phase = -2j * np.pi * axis[:, None]
+    E1 = np.exp(phase * pts[:, 0])
+    E2 = np.exp(phase * pts[:, 1])
+    vals = (E1 * (F @ E2)).sum(axis=0) * fhat.spacing ** 2
     scale = max(np.abs(vals.real).max(), 1e-300)
     return vals.real, float(np.abs(vals.imag).max() / scale)
 
@@ -181,7 +208,7 @@ def assemble_tensor(a: np.ndarray, A0: np.ndarray) -> np.ndarray:
 def save_fhat(fhat: FhatGrid, json_path, bin_path) -> None:
     """JSON metadata + binary complex spectrum samples (row-major over the
     masked lattice, in the order of ``zs``)."""
-    with open(bin_path, "wb") as f:
+    with atomic_open(bin_path, "wb") as f:
         f.write(np.ascontiguousarray(fhat.values, dtype=np.complex128).tobytes())
     doc = {
         "format": "anisoeit-fhat",
@@ -195,7 +222,7 @@ def save_fhat(fhat: FhatGrid, json_path, bin_path) -> None:
         "values_file": Path(bin_path).name,
         "config_sha256": fhat.config_sha256,
     }
-    with open(json_path, "w") as f:
+    with atomic_open(json_path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -301,7 +328,7 @@ def reconstruct_field(dn: DNMatrix, qcmap: Optional[QCMap], A0: np.ndarray,
 
 def save_field(fieldobj: ReconstructedField, json_path, bin_path) -> None:
     """JSON metadata + row-major float64 grid (NaN outside the domain)."""
-    with open(bin_path, "wb") as f:
+    with atomic_open(bin_path, "wb") as f:
         f.write(np.ascontiguousarray(fieldobj.a, dtype=np.float64).tobytes())
     doc = {
         "format": "anisoeit-recon",
@@ -318,7 +345,7 @@ def save_field(fieldobj: ReconstructedField, json_path, bin_path) -> None:
         "grid_file": Path(bin_path).name,
         "config_sha256": fieldobj.config_sha256,
     }
-    with open(json_path, "w") as f:
+    with atomic_open(json_path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
 

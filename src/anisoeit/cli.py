@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calderon, forward
+from .atomic import atomic_open
 from .beltrami import (BeltramiConvergenceError, evaluate_map, extend_mu,
                        load_qcmap, save_qcmap, solve_beltrami)
 from .config import ConfigError, RunConfig, load_config
@@ -34,6 +35,16 @@ def _outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _read(loader, path):
+    """``loader(path)``, with a file it cannot parse reported as malformed
+    input (exit 2) rather than as a numerical failure or a traceback."""
+    try:
+        return loader(path)
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise ConfigError(f"{path}: unreadable ({type(exc).__name__}: "
+                          f"{exc})") from exc
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -71,7 +82,7 @@ def cmd_map(cfg: RunConfig) -> int:
     theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
     circle = cfg.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     image = evaluate_map(qc, circle)
-    with open(out / "boundary_image.csv", "w", newline="") as f:
+    with atomic_open(out / "boundary_image.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["theta", "x", "y"])
         for t, (x, y) in zip(theta, image):
@@ -86,12 +97,12 @@ def cmd_reconstruct(cfg: RunConfig, dn_path=None, map_path=None) -> int:
     out = _outdir(cfg)
     dn_path = Path(dn_path) if dn_path else out / "dn.json"
     map_path = Path(map_path) if map_path else out / "map.bin"
-    dn = forward.load_dn(dn_path)
+    dn = _read(forward.load_dn, dn_path)
     want = cfg.sha256()
     if dn.config_sha256 and dn.config_sha256 != want:
         raise ConfigError(f"{dn_path} was produced under a different config "
                           f"({dn.config_sha256[:12]}... != {want[:12]}...)")
-    qc = load_qcmap(map_path)
+    qc = _read(load_qcmap, map_path)
     if qc.config_sha256 and qc.config_sha256 != want:
         raise ConfigError(f"{map_path} was produced under a different config "
                           f"({qc.config_sha256[:12]}... != {want[:12]}...)")
@@ -109,7 +120,8 @@ def cmd_reconstruct(cfg: RunConfig, dn_path=None, map_path=None) -> int:
         target = ph.true_scalar(
             np.stack([fieldobj.cross_section_x,
                       np.zeros_like(fieldobj.cross_section_x)], axis=1))
-        with open(out / f"cross_section_R{tag}.csv", "w", newline="") as f:
+        with atomic_open(out / f"cross_section_R{tag}.csv", "w",
+                         newline="") as f:
             w = csv.writer(f)
             w.writerow(["x", "a", "a_true"])
             for x, a, at in zip(fieldobj.cross_section_x,
@@ -126,7 +138,7 @@ def cmd_evaluate(cfg: RunConfig, recon_path, phantom_name=None) -> int:
             and phantom_name != cfg.phantom:
         raise ConfigError(f"phantom {phantom_name!r} does not match the "
                           f"config's {cfg.phantom!r}")
-    fieldobj = calderon.load_field(recon_path)
+    fieldobj = _read(calderon.load_field, recon_path)
     want = cfg.sha256()
     if fieldobj.config_sha256 and fieldobj.config_sha256 != want:
         raise ConfigError(f"{recon_path} was produced under a different config")
@@ -154,7 +166,7 @@ def cmd_evaluate(cfg: RunConfig, recon_path, phantom_name=None) -> int:
                "slope": slope}
     out = _outdir(cfg)
     stem = Path(recon_path).stem
-    with open(out / f"metrics_{stem}.json", "w") as f:
+    with atomic_open(out / f"metrics_{stem}.json", "w") as f:
         json.dump(metrics, f, indent=2, sort_keys=True)
         f.write("\n")
     print(json.dumps(metrics, sort_keys=True))

@@ -15,6 +15,8 @@ from typing import Union, get_args, get_type_hints
 
 import numpy as np
 
+from .atomic import atomic_open
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration (CLI exit code 2)."""
@@ -141,6 +143,6 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w") as f:
+    with atomic_open(path, "w") as f:
         json.dump(asdict(cfg), f, indent=2, sort_keys=True)
         f.write("\n")

@@ -28,6 +28,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from .atomic import atomic_open
 from .mesh import (ConductivityTensorField, ElectrodeLayout, Mesh,
                    boundary_edge_electrodes)
 
@@ -334,7 +335,7 @@ def save_voltages(data: VoltageData, path) -> None:
         "rng": "philox",
         "config_sha256": data.config_sha256,
     }
-    with open(path, "w") as f:
+    with atomic_open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -366,7 +367,7 @@ def save_dn(dn: DNMatrix, path) -> None:
         "asymmetry": dn.asymmetry,
         "config_sha256": dn.config_sha256,
     }
-    with open(path, "w") as f:
+    with atomic_open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
 

@@ -24,6 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.spatial import Delaunay
 
+from .atomic import atomic_open
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -337,7 +339,7 @@ def tensor_from_factored(a: Callable[[np.ndarray], np.ndarray],
 
 def save_mesh(mesh: Mesh, path) -> None:
     """Write a mesh in the plain-text format documented in this module."""
-    with open(path, "w") as f:
+    with atomic_open(path, "w") as f:
         f.write("anisoeit-mesh 1\n")
         f.write("%.17g\n" % mesh.radius)
         f.write("%d\n" % mesh.n_nodes)

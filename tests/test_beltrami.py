@@ -450,6 +450,22 @@ def test_qcmap_serialization_roundtrip(tmp_path, catalog_maps):
         save_qcmap(qc, tmp_path / "phi.json")
 
 
+def test_qcmap_failed_save_keeps_old_file(tmp_path, catalog_maps):
+    # the header is written before the samples fail to convert, so the
+    # write fails partway; the existing map and sidecar keep their bytes
+    # and no temporary file is left beside them
+    from types import SimpleNamespace
+    qc = catalog_maps["A2"]
+    path = tmp_path / "map.bin"
+    save_qcmap(qc, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    broken = SimpleNamespace(mu=qc.mu, phi=np.array(["x"]), residual=0.0,
+                             iterations=1, config_sha256="")
+    with pytest.raises(ValueError, match="complex"):
+        save_qcmap(broken, path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_qcmap_loads_without_sidecar(tmp_path, catalog_maps):
     # the sidecar normally supplies residual, iterations and config hash;
     # without one the residual is recomputed from Phi

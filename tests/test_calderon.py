@@ -202,6 +202,30 @@ def test_fhat_lattice_centre_excluded(dn_identity32, R, m):
     assert imres <= 1e-6
 
 
+def test_lattice_point_symmetric_and_hermitian_defect():
+    # the mirror -z of the k-th masked lattice point is the k-th from the
+    # end, which hermitian_defect relies on
+    for R in (1.6, 1.7, 1.8, 1.9, 2.0, 2.3, 3.1):
+        for m in range(3, 98, 2):
+            zs, _ = masked_lattice(R, m)
+            assert np.abs(zs[::-1] + zs).max() <= 1e-12, (R, m)
+    rng = np.random.default_rng(11)
+    zs, spacing = masked_lattice(2.3, 33)
+    values = rng.standard_normal(len(zs)) + 1j * rng.standard_normal(len(zs))
+    fh = FhatGrid(R=2.3, m=33, zs=zs, values=values, spacing=spacing,
+                  det_background=1.0)
+    lookup = {(round(z[0], 12), round(z[1], 12)): v
+              for z, v in zip(zs, values)}
+    worst = 0.0
+    for z, v in zip(zs, values):
+        mirror = lookup.get((round(-z[0], 12), round(-z[1], 12)))
+        if mirror is not None:
+            worst = max(worst, abs(mirror - np.conj(v)))
+    expected = worst / np.abs(values).max()
+    assert expected > 0.1
+    assert fh.hermitian_defect() == pytest.approx(expected, rel=1e-15)
+
+
 def test_fhat_rejects_bad_lattice(dn_identity32):
     with pytest.raises(ValueError):
         fhat_grid(dn_identity32, None, R=-1.0)
@@ -262,6 +286,55 @@ def test_inverse_imag_residual_small():
     fh = _indicator_lattice(1.5, 25)
     _, imres = inverse_fourier(fh, np.array([[0.2, -0.4], [0.0, 0.1]]))
     assert imres < 1e-12
+
+
+def _direct_inverse(fh, pts):
+    # the (lattice x points) phase-matrix sum the separable form replaces
+    phases = np.exp(-2j * np.pi * (fh.zs @ pts.T))
+    return (fh.values @ phases) * fh.spacing ** 2
+
+
+@pytest.mark.parametrize("m", [3, 33, 65])
+def test_inverse_separable_matches_direct_sum(m):
+    rng = np.random.default_rng(m)
+    zs, spacing = masked_lattice(2.3, m)
+    values = rng.standard_normal(len(zs)) + 1j * rng.standard_normal(len(zs))
+    fh = FhatGrid(R=2.3, m=m, zs=zs, values=values, spacing=spacing,
+                  det_background=1.0)
+    pts = rng.uniform(-1.3, 1.3, size=(257, 2))
+    direct = _direct_inverse(fh, pts)
+    vals, imres = inverse_fourier(fh, pts)
+    scale = np.abs(direct.real).max()
+    assert np.abs(vals - direct.real).max() <= 1e-13 * scale
+    assert imres == pytest.approx(np.abs(direct.imag).max() / scale,
+                                  rel=1e-13)
+
+
+def test_inverse_rejects_wrong_sample_count():
+    fh = _indicator_lattice(2.0, 33)
+    fh.values = fh.values[:-1]
+    with pytest.raises(ValueError, match="spectrum samples"):
+        inverse_fourier(fh, np.array([[0.0, 0.0]]))
+
+
+def test_inverse_memory_bounded():
+    # lattice 65 over the 7,845 points of a 101 x 101 grid inside the
+    # disk: a full phase matrix would hold 3,208 x 7,845 complex values
+    # (403 MB); the two phase factors are 8.2 MB each
+    import tracemalloc
+    fh = _indicator_lattice(2.0, 65)
+    axis = np.linspace(-1.0, 1.0, 101)
+    GX, GY = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.stack([GX.ravel(), GY.ravel()], axis=1)
+    pts = pts[np.hypot(pts[:, 0], pts[:, 1]) <= 1.0]
+    assert len(pts) == 7845
+    tracemalloc.start()
+    try:
+        inverse_fourier(fh, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 def test_inverse_rejects_empty():

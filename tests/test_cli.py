@@ -253,6 +253,62 @@ def test_numerical_failure_exit_3(workdir):
     assert main(["map", "--config", "cfg.json"]) == 3
 
 
+def test_nonfinite_fhat_exit_3(workdir, capsys):
+    # at R = 300 the probing traces overflow and every F-hat sample that
+    # touches them is NaN; no reconstruction may be written from it
+    write_config(workdir / "cfg.json", phantom="A1", target_h=0.1, qc_n=64,
+                 truncation_radii=[300])
+    for cmd in ("simulate", "map"):
+        assert main([cmd, "--config", "cfg.json"]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", "cfg.json"]) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "numerical"
+    assert "Fhat" in record["message"] and "R=300" in record["message"]
+    assert not list((workdir / "out").glob("recon_R300.*"))
+
+
+def _simulate_and_map(workdir):
+    write_config(workdir / "cfg.json", phantom="A1", target_h=0.1, qc_n=128)
+    for cmd in ("simulate", "map"):
+        assert main([cmd, "--config", "cfg.json"]) == 0
+
+
+@pytest.mark.parametrize("size", [20, 100_000])
+def test_truncated_map_exit_2(workdir, capsys, size):
+    # 20 bytes cuts the header; 100,000 cuts the samples (262,204 bytes
+    # at n = 128) at a length that is no whole number of them
+    _simulate_and_map(workdir)
+    path = workdir / "out" / "map.bin"
+    path.write_bytes(path.read_bytes()[:size])
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", "cfg.json"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert "map.bin" in record["message"]
+    assert str(size) in record["message"]
+
+
+def test_malformed_dn_exit_2(workdir, capsys):
+    _simulate_and_map(workdir)
+    (workdir / "out" / "dn.json").write_text('{"format": "anisoeit-dn"}')
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", "cfg.json"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert "dn.json" in record["message"]
+
+
+def test_malformed_recon_exit_2(workdir, capsys):
+    write_config(workdir / "cfg.json", phantom="A1", target_h=0.1)
+    (workdir / "recon.json").write_text('{"format": "anisoeit-recon"}')
+    assert main(["evaluate", "--config", "cfg.json",
+                 "--recon", "recon.json"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert "recon.json" in record["message"]
+
+
 def test_config_rejects_unknown_phantom(workdir):
     (workdir / "cfg.json").write_text('{"phantom": "B7"}')
     with pytest.raises(ConfigError):
