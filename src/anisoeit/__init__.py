@@ -10,9 +10,8 @@ from .forward import (CurrentPatternSet, CEMSystem, VoltageData, DNMatrix,
                       solve_forward, simulate_voltages, dn_matrix,
                       save_voltages, load_voltages, save_dn, load_dn)
 from .beltrami import (MuGrid, QCMap, BeltramiConvergenceError,
-                       MapInversionError, beltrami_coefficient, extend_mu,
-                       hilbert_transform, cauchy_transform, solve_beltrami,
-                       evaluate_map, invert_map,
+                       beltrami_coefficient, extend_mu, hilbert_transform,
+                       cauchy_transform, solve_beltrami, evaluate_map,
                        pushforward_tensor, save_qcmap, load_qcmap)
 from .calderon import (FhatGrid, ReconstructedField,
                        cgo_traces, bilinear_form, fhat_grid,

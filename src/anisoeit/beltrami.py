@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .atomic import atomic_open
 
@@ -264,7 +263,7 @@ class BeltramiConvergenceError(RuntimeError):
 
 @dataclass
 class QCMap:
-    """Grid-sampled quasi-conformal map and its inverse evaluation."""
+    """Grid-sampled quasi-conformal map Phi and its Beltrami solve record."""
 
     phi: np.ndarray            # (n, n) complex samples of Phi
     mu: MuGrid
@@ -272,16 +271,6 @@ class QCMap:
     iterations: int
     increments: np.ndarray     # sup-norm increment per iteration
     config_sha256: str = ""
-
-    def __post_init__(self):
-        ax = self.mu.axis()
-        self._interp = RegularGridInterpolator((ax, ax), self.phi,
-                                               method="linear", bounds_error=True)
-        dx, dy = _centred_gradient(self.phi, self.mu.spacing)
-        self._grad_x = RegularGridInterpolator((ax, ax), dx, method="linear",
-                                               bounds_error=False, fill_value=None)
-        self._grad_y = RegularGridInterpolator((ax, ax), dy, method="linear",
-                                               bounds_error=False, fill_value=None)
 
     @property
     def window(self) -> float:
@@ -292,14 +281,31 @@ class QCMap:
         """(N, 2, 2) Jacobian of Phi = (Re f, Im f) at interior points,
         from centered finite differences interpolated off the grid."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        fx = self._grad_x(pts)
-        fy = self._grad_y(pts)
+        ax = self.mu.axis()
+        fx, fy = (_bilinear(ax, g, pts)
+                  for g in _centred_gradient(self.phi, self.mu.spacing))
         J = np.empty((len(pts), 2, 2))
         J[:, 0, 0] = fx.real
         J[:, 0, 1] = fy.real
         J[:, 1, 0] = fx.imag
         J[:, 1, 1] = fy.imag
         return J
+
+
+def _bilinear(ax: np.ndarray, vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of ``vals`` on the grid ``ax`` x ``ax`` at the
+    (P, 2) points, extrapolated linearly past the grid edges.
+
+    The cell search, the normalized offsets and the left-to-right sum of
+    the four corner terms repeat the arithmetic of scipy's linear
+    regular-grid interpolator, so the result is the same bit for bit.
+    """
+    i, j = (np.clip(np.searchsorted(ax, c, side="right") - 1, 0, len(ax) - 2)
+            for c in pts.T)
+    t = (pts[:, 0] - ax[i]) / (ax[i + 1] - ax[i])
+    u = (pts[:, 1] - ax[j]) / (ax[j + 1] - ax[j])
+    return (0.0 + vals[i, j] * (1 - t) * (1 - u) + vals[i, j + 1] * (1 - t) * u
+            + vals[i + 1, j] * t * (1 - u) + vals[i + 1, j + 1] * t * u)
 
 
 def _centred_gradient(phi: np.ndarray, d: float
@@ -393,62 +399,12 @@ def evaluate_map(qcmap: QCMap, points: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of Phi at points inside [-s/2, s/2]^2."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     w = qcmap.window
-    if (np.abs(pts) > w + 1e-12).any():
-        bad = pts[np.abs(pts).max(axis=1) > w + 1e-12][0]
+    outside = ~(np.abs(pts) <= w + 1e-12).all(axis=1)
+    if outside.any():
+        bad = pts[outside][0]
         raise ValueError(f"point {tuple(bad)} outside evaluation window |x|<= {w:g}")
-    vals = qcmap._interp(pts)
+    vals = _bilinear(qcmap.mu.axis(), qcmap.phi, pts)
     return np.stack([vals.real, vals.imag], axis=1)
-
-
-class MapInversionError(RuntimeError):
-    def __init__(self, point, residual):
-        super().__init__(
-            f"Newton inversion diverged at target {tuple(point)} "
-            f"(residual {residual:.3e})")
-        self.point = point
-
-
-def invert_map(qcmap: QCMap, points: np.ndarray, tol: float = 1e-8,
-               max_iter: int = 50) -> np.ndarray:
-    """Solve Phi(x) = y for each target y by damped Newton iteration.
-
-    Seeds at the grid preimage whose image is nearest to the target and
-    stops when |Phi(x) - y| <= tol; divergence after ``max_iter`` steps
-    raises MapInversionError naming the point.
-    """
-    targets = np.atleast_2d(np.asarray(points, dtype=float))
-    n, w = qcmap.mu.n, qcmap.window
-    ax = qcmap.mu.axis()
-    sel = np.abs(ax) <= w
-    sub = qcmap.phi[np.ix_(sel, sel)]
-    gx, gy = np.meshgrid(ax[sel], ax[sel], indexing="ij")
-    grid_pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    grid_img = np.stack([sub.real.ravel(), sub.imag.ravel()], axis=1)
-    from scipy.spatial import cKDTree
-    tree = cKDTree(grid_img)
-
-    _, idx = tree.query(targets)
-    out = np.empty_like(targets)
-    for i, y in enumerate(targets):
-        x = grid_pts[idx[i]].copy()
-        ok = False
-        for _ in range(max_iter):
-            fx = evaluate_map(qcmap, x[None, :])[0]
-            res = fx - y
-            if np.hypot(*res) <= tol:
-                ok = True
-                break
-            J = qcmap.jacobian(x[None, :])[0]
-            try:
-                step = np.linalg.solve(J, res)
-            except np.linalg.LinAlgError:
-                break
-            x = np.clip(x - step, -w, w)
-        if not ok:
-            fx = evaluate_map(qcmap, x[None, :])[0]
-            raise MapInversionError(y, float(np.hypot(*(fx - y))))
-        out[i] = x
-    return out
 
 
 def pushforward_tensor(A, qcmap: QCMap, points: np.ndarray) -> np.ndarray:

@@ -38,10 +38,13 @@ def _outdir(cfg: RunConfig) -> Path:
 
 
 def _read(loader, path):
-    """``loader(path)``, with a file it cannot parse reported as malformed
-    input (exit 2) rather than as a numerical failure or a traceback."""
+    """``loader(path)``, with a file that is missing, or that it cannot
+    parse, reported as malformed input (exit 2) rather than as a numerical
+    failure or a traceback."""
     try:
         return loader(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     except (ValueError, KeyError, TypeError, IndexError) as exc:
         raise ConfigError(f"{path}: unreadable ({type(exc).__name__}: "
                           f"{exc})") from exc
@@ -107,10 +110,12 @@ def cmd_reconstruct(cfg: RunConfig, dn_path=None, map_path=None) -> int:
         raise ConfigError(f"{map_path} was produced under a different config "
                           f"({qc.config_sha256[:12]}... != {want[:12]}...)")
     ph = _phantom(cfg)
-    for R in cfg.truncation_radii:
-        fieldobj = calderon.reconstruct_field(
-            dn, qc, ph.A0, R=R, lattice=cfg.lattice, grid=cfg.output_grid,
-            config_sha256=want)
+    # every radius is computed before any is written, so a radius that
+    # fails leaves no partial set of outputs behind
+    fields = [calderon.reconstruct_field(
+        dn, qc, ph.A0, R=R, lattice=cfg.lattice, grid=cfg.output_grid,
+        config_sha256=want) for R in cfg.truncation_radii]
+    for R, fieldobj in zip(cfg.truncation_radii, fields):
         tag = "%g" % R
         calderon.save_field(fieldobj, out / f"recon_R{tag}.json",
                             out / f"recon_R{tag}.bin")

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
+import scipy          # scipy.sparse loads on first use, in simulate only
 
 from .atomic import atomic_open
 from .mesh import (ConductivityTensorField, ElectrodeLayout, Mesh,
@@ -68,10 +67,10 @@ def trig_current_patterns(L: int, amplitude: float = 1.0) -> CurrentPatternSet:
     return CurrentPatternSet(L=L, amplitude=float(amplitude), T=amplitude * T)
 
 
-def _ground_matrix(L: int) -> sparse.csr_matrix:
+def _ground_matrix(L: int) -> scipy.sparse.csr_matrix:
     """Sparse L x (L-1) ground basis G: U = G beta sums to zero."""
-    return sparse.vstack([np.ones((1, L - 1)), -sparse.identity(L - 1)],
-                         format="csr")
+    return scipy.sparse.vstack(
+        [np.ones((1, L - 1)), -scipy.sparse.identity(L - 1)], format="csr")
 
 
 @dataclass
@@ -80,12 +79,12 @@ class CEMSystem:
 
     mesh: Mesh
     layout: ElectrodeLayout
-    matrix: sparse.csc_matrix       # (N+L-1) x (N+L-1), symmetric
+    matrix: scipy.sparse.csc_matrix  # (N+L-1) x (N+L-1), symmetric
     _factor: Optional[object] = None
 
     def factor(self):
         if self._factor is None:
-            self._factor = splu(self.matrix)
+            self._factor = scipy.sparse.linalg.splu(self.matrix)
         return self._factor
 
 
@@ -128,7 +127,7 @@ def assemble_cem_system(mesh: Mesh, A: ConductivityTensorField,
 
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
-    K = sparse.coo_matrix((Ke.ravel(), (rows, cols)), shape=(N, N))
+    K = scipy.sparse.coo_matrix((Ke.ravel(), (rows, cols)), shape=(N, N))
 
     # electrode terms on the boundary edges (i, j) each electrode l covers
     z = layout.contact_impedances
@@ -137,19 +136,21 @@ def assemble_cem_system(mesh: Mesh, A: ConductivityTensorField,
     d = nodes[ij[:, 1]] - nodes[ij[:, 0]]
     s = np.sqrt(np.vecdot(d, d))                       # edge lengths |e|
     m = s / 6 / z[l]                 # segment mass s/(6 z) [[2, 1], [1, 2]]
-    Kz = sparse.coo_matrix((np.stack([2 * m, m, m, 2 * m], axis=1).ravel(),
-                            (np.repeat(ij, 2, axis=1).ravel(),
-                             np.tile(ij, 2).ravel())), shape=(N, N))
+    Kz = scipy.sparse.coo_matrix(
+        (np.stack([2 * m, m, m, 2 * m], axis=1).ravel(),
+         (np.repeat(ij, 2, axis=1).ravel(), np.tile(ij, 2).ravel())),
+        shape=(N, N))
     # W[l, k] = integral of phi_k over e_l, summed before dividing by z_l
-    W = sparse.coo_matrix((np.repeat(s / 2, 2), (np.repeat(l, 2), ij.ravel())),
-                          shape=(L, N))
+    W = scipy.sparse.coo_matrix(
+        (np.repeat(s / 2, 2), (np.repeat(l, 2), ij.ravel())), shape=(L, N))
     W.sum_duplicates()
     W.data /= z[W.row]
     G = _ground_matrix(L)
     C = -(W.T @ G)                                     # (N, L-1)
-    D = G.T @ sparse.diags(np.bincount(l, weights=s, minlength=L) / z) @ G
+    arcs = np.bincount(l, weights=s, minlength=L)    # electrode lengths
+    D = G.T @ scipy.sparse.diags(arcs / z) @ G
 
-    M = sparse.bmat([[K + Kz, C], [C.T, D]], format="csc")
+    M = scipy.sparse.bmat([[K + Kz, C], [C.T, D]], format="csc")
     return CEMSystem(mesh=mesh, layout=layout, matrix=M)
 
 
@@ -281,7 +282,9 @@ def dn_matrix(data: VoltageData) -> DNMatrix:
     """Condense voltage data into ND / DN matrices.
 
     Raises if the ND matrix is numerically singular (condition number
-    above 1e12), which signals degenerate data.
+    above 1e12) or the DN asymmetry is not finite (voltages so large,
+    e.g. from noise of 1e300, that the DN norm underflows), which signal
+    degenerate data.
     """
     T = data.patterns.T
     norms = data.patterns.norms
@@ -290,7 +293,10 @@ def dn_matrix(data: VoltageData) -> DNMatrix:
     if cond > 1e12:
         raise ValueError(f"ND matrix is ill-conditioned (cond {cond:.3e})")
     dn_raw = np.linalg.inv(R)
-    asym = np.linalg.norm(dn_raw - dn_raw.T) / np.linalg.norm(dn_raw)
+    with np.errstate(invalid="ignore"):              # checked just below
+        asym = np.linalg.norm(dn_raw - dn_raw.T) / np.linalg.norm(dn_raw)
+    if not np.isfinite(asym):
+        raise ValueError(f"DN asymmetry is {asym}: degenerate voltage data")
     dn = 0.5 * (dn_raw + dn_raw.T)
     return DNMatrix(dn=dn, nd=R, asymmetry=float(asym),
                     patterns=data.patterns, layout=data.layout,

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from .atomic import atomic_open
 
@@ -225,6 +224,7 @@ def build_disk_mesh(radius: float, target_h: float,
         pts.append(r_i * np.stack([np.cos(ang), np.sin(ang)], axis=1))
     nodes = np.concatenate(pts, axis=0)
 
+    from scipy.spatial import Delaunay    # only the mesher needs it
     tri = Delaunay(nodes)
     triangles = tri.simplices.copy()
     # orient counterclockwise

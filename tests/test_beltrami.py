@@ -3,8 +3,8 @@ import pytest
 
 from anisoeit import (beltrami_coefficient, extend_mu, hilbert_transform,
                       cauchy_transform, solve_beltrami, evaluate_map,
-                      invert_map, pushforward_tensor, save_qcmap, load_qcmap,
-                      a0_catalog, BeltramiConvergenceError, MapInversionError)
+                      pushforward_tensor, save_qcmap, load_qcmap,
+                      a0_catalog, BeltramiConvergenceError)
 from anisoeit.beltrami import (MuGrid, QCMap, _cauchy_kernel, _cauchy_kernel_hat,
                                _centred_gradient, _hilbert_symbol)
 
@@ -308,6 +308,39 @@ def test_evaluate_grid_nodes_exact(catalog_maps):
 def test_evaluate_rejects_outside_window(catalog_maps):
     with pytest.raises(ValueError):
         evaluate_map(catalog_maps["A1"], np.array([[3.0, 0.0]]))
+    with pytest.raises(ValueError):
+        evaluate_map(catalog_maps["A1"], np.array([[0.0, np.nan]]))
+
+
+@pytest.mark.parametrize("name", ["A1", "A3", "A4"])
+def test_bilinear_matches_scipy_interpolator(catalog_maps, name):
+    # scipy is only the reference here: the map and its gradients must
+    # interpolate bit for bit as scipy's linear RegularGridInterpolator does
+    from scipy.interpolate import RegularGridInterpolator
+    qc = catalog_maps[name]
+    ax, w = qc.mu.axis(), qc.window
+    nodes = ax[np.abs(ax) <= w]
+    gx, gy = np.meshgrid(nodes, nodes, indexing="ij")
+    rng = np.random.default_rng(7)
+    pts = np.concatenate([
+        np.stack([gx.ravel(), gy.ravel()], axis=1),
+        rng.uniform(-w, w, size=(20_000, 2)),
+        w * np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]),
+    ])
+    ref = RegularGridInterpolator((ax, ax), qc.phi, method="linear")(pts)
+    out = evaluate_map(qc, pts)
+    assert np.array_equal(out, np.stack([ref.real, ref.imag], axis=1))
+    # the Jacobian also extrapolates past the grid edges, as scipy does
+    s = qc.mu.s
+    pts = np.concatenate([pts, [[-s - 0.3, 0.2], [s, s], [0.1, s - 0.01]]])
+    fx, fy = (RegularGridInterpolator((ax, ax), g, method="linear",
+                                      bounds_error=False, fill_value=None)(pts)
+              for g in _centred_gradient(qc.phi, qc.mu.spacing))
+    J = qc.jacobian(pts)
+    assert np.array_equal(J[:, 0, 0], fx.real)
+    assert np.array_equal(J[:, 0, 1], fy.real)
+    assert np.array_equal(J[:, 1, 0], fx.imag)
+    assert np.array_equal(J[:, 1, 1], fy.imag)
 
 
 def test_far_field_decay(catalog_maps):
@@ -336,37 +369,6 @@ def test_grid_injectivity(catalog_maps):
             ij = np.stack(np.divmod(pairs, m), axis=-1)   # (P, 2, 2)
             cheb = np.abs(ij[:, 0] - ij[:, 1]).max(axis=(1,))
             assert cheb.max() <= 2, f"{name}: fold detected"
-
-
-def test_invert_identity(identity_qcmap):
-    pts = np.array([[0.2, 0.1], [-0.5, 0.4]])
-    back = invert_map(identity_qcmap, pts)
-    assert np.abs(back - pts).max() < 1e-10
-
-
-def test_invert_round_trip(catalog_maps):
-    rng = np.random.default_rng(5)
-    r = np.sqrt(rng.random(1000))
-    t = 2 * np.pi * rng.random(1000)
-    pts = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
-    for name in ("A1", "A3"):
-        qc = catalog_maps[name]
-        fwd = evaluate_map(qc, pts)
-        back = invert_map(qc, fwd)
-        assert np.abs(back - pts).max() < 1e-7, name
-
-
-def test_invert_boundary_circle(catalog_maps):
-    qc = catalog_maps["A4"]
-    t = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    circle = np.stack([np.cos(t), np.sin(t)], axis=1)
-    back = invert_map(qc, evaluate_map(qc, circle))
-    assert np.abs(np.hypot(back[:, 0], back[:, 1]) - 1.0).max() < 1e-6
-
-
-def test_invert_unreachable_point_raises(catalog_maps):
-    with pytest.raises(MapInversionError):
-        invert_map(catalog_maps["A1"], np.array([[50.0, 50.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,20 @@
 import hashlib
 import json
 import csv
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import anisoeit
 from anisoeit.cli import main
 from anisoeit.config import RunConfig, load_config, save_config, ConfigError
-from anisoeit import calderon, load_dn, phantom_by_name
+from anisoeit import calderon, load_dn, load_fhat, load_qcmap, phantom_by_name
 
 
 def write_config(path, **overrides):
@@ -248,24 +255,48 @@ def test_exported_dataclass_type_hints_resolve():
         assert typing.get_type_hints(cls), cls.__name__
 
 
-def test_numerical_failure_exit_3(workdir):
+def test_numerical_failure_exit_3(workdir, capsys):
     write_config(workdir / "cfg.json", phantom="A3", qc_max_iter=1)
     assert main(["map", "--config", "cfg.json"]) == 3
+    # noise of 1e300 swamps the voltages, and the DN norm underflows
+    write_config(workdir / "cfg.json", target_h=0.3, L=8, noise=1e300)
+    capsys.readouterr()
+    assert main(["simulate", "--config", "cfg.json"]) == 3
+    assert "asymmetry" in json.loads(capsys.readouterr().err)["message"]
+    assert not (workdir / "out" / "dn.json").exists()
 
 
 def test_nonfinite_fhat_exit_3(workdir, capsys):
     # at R = 300 the probing traces overflow and every F-hat sample that
-    # touches them is NaN; no reconstruction may be written from it
-    write_config(workdir / "cfg.json", phantom="A1", target_h=0.1, qc_n=64,
-                 truncation_radii=[300])
-    for cmd in ("simulate", "map"):
-        assert main([cmd, "--config", "cfg.json"]) == 0
-    capsys.readouterr()
-    assert main(["reconstruct", "--config", "cfg.json"]) == 3
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "numerical"
-    assert "Fhat" in record["message"] and "R=300" in record["message"]
-    assert not list((workdir / "out").glob("recon_R300.*"))
+    # touches them is NaN; no reconstruction may be written from it, nor
+    # from a radius before it in the same run
+    for radii in ([300], [2.0, 300]):
+        write_config(workdir / "cfg.json", phantom="A1", target_h=0.1,
+                     qc_n=64, truncation_radii=radii)
+        for cmd in ("simulate", "map"):
+            assert main([cmd, "--config", "cfg.json"]) == 0
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", "cfg.json"]) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "numerical"
+        assert "Fhat" in record["message"] and "R=300" in record["message"]
+        for stem in ("recon_R", "fhat_R", "cross_section_R"):
+            assert not list((workdir / "out").glob(stem + "*")), radii
+
+
+def test_missing_input_exit_2(workdir, capsys):
+    # a missing input file is malformed input, not a numerical failure
+    write_config(workdir / "cfg.json", phantom="A1", target_h=0.1, qc_n=64)
+
+    def rejected(argv, name):
+        assert main([*argv, "--config", "cfg.json"]) == 2, argv
+        record = json.loads(capsys.readouterr().err)
+        return record["error"] == "config" and name in record["message"]
+
+    assert rejected(["reconstruct"], "dn.json")
+    assert rejected(["evaluate", "--recon", "none.json"], "none.json")
+    assert main(["simulate", "--config", "cfg.json"]) == 0
+    assert rejected(["reconstruct"], "map.bin")
 
 
 def _simulate_and_map(workdir):
@@ -313,3 +344,140 @@ def test_config_rejects_unknown_phantom(workdir):
     (workdir / "cfg.json").write_text('{"phantom": "B7"}')
     with pytest.raises(ConfigError):
         load_config(workdir / "cfg.json")
+
+
+# a fresh process runs one CLI command and reports the modules it loaded
+_MODULES_AFTER_CLI = """\
+import json, runpy, sys
+sys.argv = ["anisoeit", *sys.argv[1:]]
+try:
+    runpy.run_module("anisoeit.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def test_pipeline_commands_skip_sparse_and_mesh_stack(workdir):
+    # only simulate needs scipy's sparse solver and the mesher; map,
+    # reconstruct and evaluate must not pay for importing them
+    write_config(workdir / "cfg.json", phantom="A3", target_h=0.2, L=8,
+                 qc_n=64, lattice=9, output_grid=21)
+    assert main(["simulate", "--config", "cfg.json"]) == 0
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(anisoeit.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+    for argv in (["map"], ["reconstruct"],
+                 ["evaluate", "--recon", "out/recon_R2.json"]):
+        run = subprocess.run(
+            [sys.executable, "-c", _MODULES_AFTER_CLI, *argv,
+             "--config", "cfg.json"],
+            capture_output=True, text=True, env=env, check=True)
+        code, modules = json.loads(run.stdout.splitlines()[-1])
+        assert code == 0, (argv, run.stderr)
+        heavy = [m for m in modules if m.startswith(
+            ("scipy.sparse", "scipy.spatial", "scipy.interpolate"))]
+        assert heavy == [], (argv[0], heavy[:5])
+
+
+# ---------------------------------------------------------------------------
+# property: any JSON config, good or malformed, ends in exit 0, 2 or 3
+
+# small valid values, so that every command stays fast
+_VALID = {
+    "phantom": st.one_of(
+        st.sampled_from(["A1", "A2", "A3", "A4"]),
+        st.fixed_dictionaries({
+            "M": st.floats(0.5, 3.0),
+            "A0": st.tuples(st.floats(0.5, 2.0), st.floats(-0.3, 0.3),
+                            st.floats(0.5, 2.0)).map(
+                lambda t: [[t[0], t[1]], [t[1], t[2]]])})),
+    "radius": st.floats(0.8, 1.2),
+    "target_h": st.floats(0.2, 0.4),
+    "L": st.sampled_from([4, 6, 8]),
+    "coverage": st.floats(0.2, 0.8),
+    "contact_impedance": st.floats(0.005, 0.1),
+    "current_amplitude": st.floats(0.1, 10.0),
+    "qc_n": st.just(64),
+    "qc_s": st.floats(4.0, 6.0),
+    "qc_blend": st.floats(0.2, 0.8),
+    "qc_tol": st.sampled_from([1e-10, 1e-6]),
+    "qc_max_iter": st.integers(1, 60),
+    "qc_pad": st.integers(1, 2),
+    "qc_initial_guess": st.sampled_from(["tmu", "mu0"]),
+    "truncation_radii": st.lists(st.floats(0.5, 4.0), min_size=1, max_size=2),
+    "lattice": st.sampled_from([3, 5, 7, 9]),
+    "output_grid": st.sampled_from([11, 15, 21]),
+    "noise": st.floats(0.0, 0.1),
+    "seed": st.integers(0, 2 ** 31),
+}
+# the keys that keep a run small are always present unless made malformed
+_ALWAYS = ("target_h", "L", "qc_n", "lattice", "output_grid")
+# values no config key accepts, or accepts only to reject in validation
+_MALFORMED = st.one_of(
+    st.none(), st.booleans(), st.sampled_from(["", "A9", "64"]),
+    st.lists(st.integers(-2, 2), max_size=2), st.just({"M": 1}),
+    st.sampled_from([float("nan"), float("inf"), -1.0, 0, -3, 1e300, 2.5]))
+_NOT_A_CONFIG = ["", "{", "[]", "null", '"A1"', "{\"qc_n\": NaN"]
+
+
+@st.composite
+def _config_texts(draw):
+    if draw(st.integers(0, 9)) == 9:
+        return draw(st.sampled_from(_NOT_A_CONFIG))
+    doc = draw(st.fixed_dictionaries(
+        {k: _VALID[k] for k in _ALWAYS},
+        optional={k: v for k, v in _VALID.items() if k not in _ALWAYS}))
+    bad = draw(st.lists(st.sampled_from([*_VALID, "outdir", "no_such_key"]),
+                        max_size=2, unique=True))
+    for key in bad:
+        doc[key] = draw(_MALFORMED)
+    return doc
+
+
+def _check_finite_outputs(command, out):
+    if command == "simulate":
+        dn = load_dn(out / "dn.json")
+        assert np.isfinite([*dn.dn.flat, *dn.nd.flat, dn.asymmetry]).all()
+    elif command == "map":
+        assert np.isfinite(load_qcmap(out / "map.bin").phi).all()
+    elif command == "reconstruct":
+        for path in out.glob("recon_R*.json"):
+            f = calderon.load_field(path)
+            assert np.isfinite(f.a[f.mask]).all(), path.name
+            assert np.isfinite(f.cross_section).all(), path.name
+        for path in out.glob("fhat_R*.json"):
+            assert np.isfinite(load_fhat(path).values).all(), path.name
+    else:
+        for path in out.glob("metrics_*.json"):
+            assert np.isfinite(list(json.loads(path.read_text()).values())).all()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_config_texts())
+def test_any_config_exits_cleanly(doc):
+    # exit 0, 2 or 3 only, never an exception out of main, and no
+    # non-finite number in what an exit-0 command wrote; the run happens
+    # in a scratch directory, since a malformed outdir may be any string
+    outdir = doc.get("outdir", "out") if isinstance(doc, dict) else "out"
+    out = Path(outdir if isinstance(outdir, str) else "out")
+    if isinstance(doc, dict):
+        doc = json.dumps(doc)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("cfg.json").write_text(doc)
+            for command in ("simulate", "map", "reconstruct", "evaluate"):
+                argv = [command, "--config", "cfg.json"]
+                if command == "evaluate":
+                    recons = sorted(out.glob("recon_R*.json"))
+                    argv += ["--recon", str(recons[0] if recons
+                                            else "none.json")]
+                code = main(argv)
+                assert code in (0, 2, 3), (command, code)
+                if code == 0:
+                    _check_finite_outputs(command, out)
+        finally:
+            os.chdir(cwd)
