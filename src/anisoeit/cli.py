@@ -2,8 +2,8 @@
 
 Every command takes ``--config <path>``; outputs land in the config's
 ``outdir`` and embed the config hash.  Exit codes: 0 success, 2 config
-error, 3 numerical failure; failures also emit a JSON error record on
-stderr.
+error, 3 numerical failure; a failure writes exactly one JSON error
+record to stderr, holding any warnings raised while the command ran.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import calderon, forward
 from .atomic import atomic_open
 from .beltrami import (BeltramiConvergenceError, evaluate_map, extend_mu,
                        load_qcmap, save_qcmap, solve_beltrami)
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, radius_tag
 from .mesh import build_disk_mesh, place_electrodes
 from .phantoms import PhantomSpec, make_phantom, phantom_by_name
 
@@ -116,7 +117,7 @@ def cmd_reconstruct(cfg: RunConfig, dn_path=None, map_path=None) -> int:
         dn, qc, ph.A0, R=R, lattice=cfg.lattice, grid=cfg.output_grid,
         config_sha256=want) for R in cfg.truncation_radii]
     for R, fieldobj in zip(cfg.truncation_radii, fields):
-        tag = "%g" % R
+        tag = radius_tag(R)
         calderon.save_field(fieldobj, out / f"recon_R{tag}.json",
                             out / f"recon_R{tag}.bin")
         fieldobj.fhat.config_sha256 = want
@@ -202,6 +203,19 @@ config keys (JSON object; every key optional, defaults in parentheses):
 """
 
 
+def _dispatch(args) -> int:
+    cfg = load_config(args.config)
+    if args.command == "simulate":
+        return cmd_simulate(cfg)
+    if args.command == "map":
+        return cmd_map(cfg)
+    if args.command == "reconstruct":
+        return cmd_reconstruct(cfg, args.dn, args.map_file)
+    if args.command == "evaluate":
+        return cmd_evaluate(cfg, args.recon, args.phantom)
+    raise ConfigError(f"unknown command {args.command}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="anisoeit",
@@ -238,27 +252,27 @@ def main(argv=None) -> int:
                         help="phantom name override (must match the config)")
 
     args = parser.parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "map":
-            return cmd_map(cfg)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, args.dn, args.map_file)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.recon, args.phantom)
-        raise ConfigError(f"unknown command {args.command}")
-    except ConfigError as exc:
-        json.dump({"error": "config", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
-    except (BeltramiConvergenceError, np.linalg.LinAlgError, ValueError,
-            RuntimeError, OSError) as exc:
-        json.dump({"error": "numerical", "type": type(exc).__name__,
-                   "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+    # warnings raised while the command runs go into its error record, so
+    # that stderr of a failed run is exactly one JSON line
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return_code, record = _dispatch(args), None
+        except ConfigError as exc:
+            return_code, record = 2, {"error": "config", "message": str(exc)}
+        except (BeltramiConvergenceError, np.linalg.LinAlgError, ValueError,
+                RuntimeError, OSError) as exc:
+            return_code, record = 3, {"error": "numerical",
+                                      "type": type(exc).__name__,
+                                      "message": str(exc)}
+    if record is None:
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        return return_code
+    record["warnings"] = [f"{w.category.__name__}: {w.message}"
+                          for w in caught]
+    json.dump(record, sys.stderr)
+    sys.stderr.write("\n")
+    return return_code
 
 
 if __name__ == "__main__":

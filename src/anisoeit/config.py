@@ -22,6 +22,11 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration (CLI exit code 2)."""
 
 
+def radius_tag(R: float) -> str:
+    """The tag that names a truncation radius's output files."""
+    return "%g" % R
+
+
 def _finite_number(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
@@ -106,9 +111,15 @@ class RunConfig:
             raise ConfigError("qc_initial_guess must be 'tmu' or 'mu0'")
         if not self.truncation_radii:
             raise ConfigError("truncation_radii must be non-empty")
+        tags = {}
         for R in self.truncation_radii:
             if not (_finite_number(R) and R > 0):
                 raise ConfigError("truncation radii must be positive numbers")
+            tag = radius_tag(R)
+            if tag in tags:
+                raise ConfigError(f"truncation radii {tags[tag]!r} and {R!r} "
+                                  f"share the output tag {tag!r}")
+            tags[tag] = R
         if self.lattice < 3 or self.lattice % 2 == 0:
             raise ConfigError("lattice must be odd and >= 3")
         if self.output_grid < 11 or self.output_grid % 2 == 0:

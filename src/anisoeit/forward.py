@@ -6,16 +6,24 @@ applies trigonometric current patterns, and condenses the simulated
 voltages into discrete Neumann-to-Dirichlet / Dirichlet-to-Neumann
 matrices in the normalized trigonometric basis.
 
-Electrode voltages are written U = G beta in the ground basis
-G = [1; -I] (L x (L-1)), whose columns sum to zero.  The block system
-solved for current patterns I is
+With node potentials u and electrode voltages U, the model for a current
+pattern I is
 
-    [[B, C], [C^T, D]] (alpha, beta) = (0, G^T I)
+    [[B, -Wz^T], [-Wz, diag(|e_l| / z_l)]] (u, U) = (0, I)
 
-with B the conductivity stiffness plus electrode mass terms,
-C = -(W / z) G and D = G^T diag(|e_l| / z_l) G, where W[l, k] is the
-integral of the basis function phi_k over electrode e_l.  The form is
-symmetric for real coefficients.
+where B = K + Kz is the conductivity stiffness plus the electrode mass
+terms, and Wz[l, k] is the integral of the basis function phi_k over
+electrode e_l divided by its contact impedance z_l.  B is symmetric
+positive definite (Kz is positive on constants), so it is factored on its
+own with a symmetric fill-reducing ordering and diagonal pivots.
+Eliminating u leaves the electrode Schur complement
+
+    S = diag(|e_l| / z_l) - Wz B^-1 Wz^T,
+
+an L x L symmetric positive semidefinite matrix whose null space is the
+constants.  Writing U = G beta in the ground basis G = [1; -I]
+(L x (L-1)), whose columns sum to zero, every pattern is one dense solve
+(G^T S G) beta = G^T I.
 """
 
 from __future__ import annotations
@@ -67,25 +75,62 @@ def trig_current_patterns(L: int, amplitude: float = 1.0) -> CurrentPatternSet:
     return CurrentPatternSet(L=L, amplitude=float(amplitude), T=amplitude * T)
 
 
-def _ground_matrix(L: int) -> scipy.sparse.csr_matrix:
-    """Sparse L x (L-1) ground basis G: U = G beta sums to zero."""
-    return scipy.sparse.vstack(
-        [np.ones((1, L - 1)), -scipy.sparse.identity(L - 1)], format="csr")
+def _ground_matrix(L: int) -> np.ndarray:
+    """Dense L x (L-1) ground basis G: U = G beta sums to zero."""
+    return np.vstack([np.ones((1, L - 1)), -np.eye(L - 1)])
+
+
+# the electrode matrix solves its L right-hand sides in column blocks; a
+# K-column solve holds 3 N x K arrays in SuperLU (RHS, copy, work)
+_BLOCK = 32
 
 
 @dataclass
 class CEMSystem:
-    """Assembled sparse CEM block system, ready to factor and solve."""
+    """Assembled CEM system, ready to factor and condense to the electrodes.
+
+    ``matrix`` is the node block B = K + Kz, ``wz`` the sparse coupling
+    W / z and ``ez`` the electrode lengths over the contact impedances.
+    """
 
     mesh: Mesh
     layout: ElectrodeLayout
-    matrix: scipy.sparse.csc_matrix  # (N+L-1) x (N+L-1), symmetric
+    matrix: scipy.sparse.csc_matrix  # N x N, symmetric positive definite
+    wz: scipy.sparse.csr_matrix      # L x N
+    ez: np.ndarray                   # (L,) |e_l| / z_l
     _factor: Optional[object] = None
+    _electrode: Optional[np.ndarray] = None
 
     def factor(self):
+        """Cached LU of B with a symmetric ordering and diagonal pivots."""
         if self._factor is None:
-            self._factor = scipy.sparse.linalg.splu(self.matrix)
+            self._factor = scipy.sparse.linalg.splu(
+                self.matrix, permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         return self._factor
+
+    def electrode_matrix(self) -> np.ndarray:
+        """Cached L x L Schur complement S = diag(ez) - Wz B^-1 Wz^T.
+
+        B^-1 Wz^T is solved in column blocks of ``_BLOCK``; every column
+        must meet the 1e-10 relative residual bound on B, and an error
+        names the failing electrode column.
+        """
+        if self._electrode is None:
+            lu, S = self.factor(), np.diag(self.ez)
+            for k in range(0, self.layout.L, _BLOCK):
+                rhs = self.wz[k:k + _BLOCK].T.toarray()
+                X = lu.solve(rhs)
+                resid = (np.linalg.norm(self.matrix @ X - rhs, axis=0)
+                         / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300))
+                if not (resid <= 1e-10).all():
+                    j = int(np.argmin(resid <= 1e-10))
+                    raise RuntimeError(
+                        f"node solve residual {resid[j]:.3e} of electrode "
+                        f"column {k + j} exceeds 1e-10")
+                S[:, k:k + _BLOCK] -= self.wz @ X
+            self._electrode = S
+        return self._electrode
 
 
 def element_stiffness(p: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -107,12 +152,12 @@ def element_stiffness(p: np.ndarray, A: np.ndarray) -> np.ndarray:
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
     G = np.stack([b, c], axis=1) / area2[:, None, None]   # (M, 2, 3)
-    return 0.5 * area2[:, None, None] * np.einsum("mki,mkl,mlj->mij", G, A, G)
+    return 0.5 * area2[:, None, None] * (G.transpose(0, 2, 1) @ A @ G)
 
 
 def assemble_cem_system(mesh: Mesh, A: ConductivityTensorField,
                         layout: ElectrodeLayout) -> CEMSystem:
-    """Assemble the CEM block matrix for tensor conductivity A.
+    """Assemble the CEM node block and electrode coupling for tensor A.
 
     The tensor is sampled once per triangle at the centroid (exact
     integration of the piecewise-constant coefficient against the constant
@@ -145,25 +190,22 @@ def assemble_cem_system(mesh: Mesh, A: ConductivityTensorField,
         (np.repeat(s / 2, 2), (np.repeat(l, 2), ij.ravel())), shape=(L, N))
     W.sum_duplicates()
     W.data /= z[W.row]
-    G = _ground_matrix(L)
-    C = -(W.T @ G)                                     # (N, L-1)
     arcs = np.bincount(l, weights=s, minlength=L)    # electrode lengths
-    D = G.T @ scipy.sparse.diags(arcs / z) @ G
-
-    M = scipy.sparse.bmat([[K + Kz, C], [C.T, D]], format="csc")
-    return CEMSystem(mesh=mesh, layout=layout, matrix=M)
+    return CEMSystem(mesh=mesh, layout=layout, matrix=(K + Kz).tocsc(),
+                     wz=W.tocsr(), ez=arcs / z)
 
 
 def solve_forward(system: CEMSystem, patterns: np.ndarray) -> np.ndarray:
     """Electrode voltages for an (L,) pattern or an (L, K) block of them.
 
     Every column must conserve current (entries summing to zero).  All
-    columns share one solve on the cached factor, each must meet the 1e-10
-    relative residual bound, and an error names the failing column.  The
-    voltages U = G beta sum to zero by construction of the ground basis G.
+    columns share one dense solve (G^T S G) beta = G^T I on the cached
+    electrode matrix S, each must meet the 1e-10 relative residual bound,
+    and an error names the failing column.  The voltages U = G beta sum
+    to zero by construction of the ground basis G.
     """
     P = np.asarray(patterns, dtype=float)
-    L, N = system.layout.L, system.mesh.n_nodes
+    L = system.layout.L
     if P.ndim not in (1, 2) or P.shape[0] != L:
         raise ValueError(f"patterns must have shape ({L},) or ({L}, K), "
                          f"got {P.shape}")
@@ -175,16 +217,16 @@ def solve_forward(system: CEMSystem, patterns: np.ndarray) -> np.ndarray:
         raise ValueError(f"pattern column {k} violates current conservation "
                          f"(sum {tot[k]:g})")
     G = _ground_matrix(L)
-    rhs = np.zeros((N + L - 1, block.shape[1]))
-    rhs[N:] = G.T @ block
-    sol = system.factor().solve(rhs)
-    resid = (np.linalg.norm(system.matrix @ sol - rhs, axis=0)
+    SG = G.T @ system.electrode_matrix() @ G
+    rhs = G.T @ block
+    beta = np.linalg.solve(SG, rhs)
+    resid = (np.linalg.norm(SG @ beta - rhs, axis=0)
              / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300))
     if not (resid <= 1e-10).all():
         k = int(np.argmin(resid <= 1e-10))
         raise RuntimeError(f"forward solve residual {resid[k]:.3e} of "
                            f"pattern column {k} exceeds 1e-10")
-    return (G @ sol[N:]).reshape(P.shape)
+    return (G @ beta).reshape(P.shape)
 
 
 @dataclass
@@ -209,10 +251,6 @@ class VoltageData:
         return self.patterns.L
 
 
-# a K-column solve holds 3 (N+L-1) x K arrays in SuperLU (RHS, copy, work)
-_BLOCK = 32
-
-
 def simulate_voltages(mesh: Mesh, A: ConductivityTensorField,
                       layout: ElectrodeLayout,
                       patterns: Optional[CurrentPatternSet] = None,
@@ -226,9 +264,7 @@ def simulate_voltages(mesh: Mesh, A: ConductivityTensorField,
     """
     if patterns is None:
         patterns = trig_current_patterns(layout.L)
-    system = assemble_cem_system(mesh, A, layout)
-    U = np.concatenate([solve_forward(system, patterns.T[:, k:k + _BLOCK])
-                        for k in range(0, layout.L - 1, _BLOCK)], axis=1)
+    U = solve_forward(assemble_cem_system(mesh, A, layout), patterns.T)
     if noise > 0.0:
         rng = np.random.Generator(np.random.Philox(seed))
         U = U + noise * np.abs(U).max() * rng.standard_normal(U.shape)

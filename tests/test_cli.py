@@ -28,6 +28,13 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _env_with_package():
+    """Environment in which a fresh interpreter imports this anisoeit."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(anisoeit.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+
+
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -234,6 +241,7 @@ def test_config_errors_exit_2(workdir):
     '{"qc_max_iter": 0}',
     '{"qc_pad": 0}',
     '{"qc_pad": -3}',
+    '{"truncation_radii": [1.8, 1.8000001]}',
 ])
 def test_config_validation_exit_2(workdir, capsys, text):
     (workdir / "bad.json").write_text(text)
@@ -242,6 +250,14 @@ def test_config_validation_exit_2(workdir, capsys, text):
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "config"
     assert not (workdir / "out").exists()
+
+
+def test_config_rejects_colliding_radius_tags():
+    # both radii would write recon_R1.8.*, the second over the first
+    for radii in ([1.8, 1.8000001], [2.0, 2]):
+        with pytest.raises(ConfigError, match=(f"{radii[0]!r} and "
+                                               f"{radii[1]!r}")):
+            RunConfig(truncation_radii=radii).validate()
 
 
 def test_exported_dataclass_type_hints_resolve():
@@ -263,6 +279,22 @@ def test_numerical_failure_exit_3(workdir, capsys):
     capsys.readouterr()
     assert main(["simulate", "--config", "cfg.json"]) == 3
     assert "asymmetry" in json.loads(capsys.readouterr().err)["message"]
+    assert not (workdir / "out" / "dn.json").exists()
+
+
+def test_failure_stderr_is_one_json_record(workdir):
+    # a current amplitude of 1e300 overflows inside numpy; its warnings go
+    # into the error record, not onto stderr ahead of it
+    write_config(workdir / "cfg.json", target_h=0.3, L=8,
+                 current_amplitude=1e300)
+    env = _env_with_package()
+    run = subprocess.run(
+        [sys.executable, "-m", "anisoeit.cli", "simulate", "--config",
+         "cfg.json"], capture_output=True, text=True, env=env)
+    assert run.returncode == 3
+    record = json.loads(run.stderr)
+    assert record["error"] == "numerical"
+    assert any(w.startswith("RuntimeWarning") for w in record["warnings"])
     assert not (workdir / "out" / "dn.json").exists()
 
 
@@ -364,9 +396,7 @@ def test_pipeline_commands_skip_sparse_and_mesh_stack(workdir):
     write_config(workdir / "cfg.json", phantom="A3", target_h=0.2, L=8,
                  qc_n=64, lattice=9, output_grid=21)
     assert main(["simulate", "--config", "cfg.json"]) == 0
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(anisoeit.__file__)),
-         os.environ.get("PYTHONPATH", "")]))
+    env = _env_with_package()
     for argv in (["map"], ["reconstruct"],
                  ["evaluate", "--recon", "out/recon_R2.json"]):
         run = subprocess.run(

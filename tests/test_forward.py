@@ -56,43 +56,154 @@ def test_element_stiffness_anisotropic():
     assert np.allclose(K, expected, atol=1e-14)
 
 
-def test_d_block_structure(mesh16, layout16):
-    system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
-    N, L = mesh16.n_nodes, layout16.L
-    D = system.matrix[N:, N:].toarray()
-    # polygonal arc lengths per electrode
-    edges = mesh16.boundary_edges()
-    owner = boundary_edge_electrodes(mesh16, layout16)
-    s = np.zeros(L)
+def test_element_stiffness_matches_three_operand_product():
+    rng = np.random.default_rng(4)
+    p = rng.uniform(-1.0, 1.0, (200, 3, 2))
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    cw = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    p[cw] = p[cw][:, ::-1]                       # counterclockwise vertices
+    F = rng.normal(size=(200, 2, 2))
+    A = F @ F.transpose(0, 2, 1) + 0.1 * np.eye(2)
+    K = element_stiffness(p, A)
+    x, y = p[..., 0], p[..., 1]
+    area2 = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], 1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], 1)
+    G = np.stack([b, c], axis=1) / area2[:, None, None]
+    ref = 0.5 * area2[:, None, None] * np.einsum("mki,mkl,mlj->mij", G, A, G)
+    scale = np.abs(ref).max(axis=(1, 2))[:, None, None]
+    assert (np.abs(K - ref) <= 1e-14 * scale).all()
+
+
+def _bordered_matrix(system):
+    """The bordered (N + L - 1) CEM matrix
+    [[B, -Wz^T G], [-G^T Wz, G^T diag(|e|/z) G]] in the ground basis
+    G = [1; -I], built densely from the condensed system's pieces."""
+    L = system.layout.L
+    G = np.vstack([np.ones((1, L - 1)), -np.eye(L - 1)])
+    C = -system.wz.toarray().T @ G
+    return np.block([[system.matrix.toarray(), C],
+                     [C.T, G.T @ np.diag(system.ez) @ G]]), G
+
+
+def _edge_integrals(mesh, layout):
+    """w[l, k] = integral of phi_k over electrode l (half of each edge
+    length); arc[l] = polygonal length of electrode l."""
+    N, L = mesh.n_nodes, layout.L
+    edges = mesh.boundary_edges()
+    owner = boundary_edge_electrodes(mesh, layout)
+    w, arc = np.zeros((L, N)), np.zeros(L)
     for (i, j), l in zip(edges, owner):
         if l >= 0:
-            s[l] += np.linalg.norm(mesh16.nodes[j] - mesh16.nodes[i])
-    z = layout16.contact_impedances
-    expected = s[0] / z[0] * np.ones((L - 1, L - 1)) + np.diag(s[1:] / z[1:])
-    assert np.allclose(D, expected, rtol=1e-12)
+            s = np.linalg.norm(mesh.nodes[j] - mesh.nodes[i])
+            w[l, i] += s / 2
+            w[l, j] += s / 2
+            arc[l] += s
+    return w, arc
 
 
 def test_c_block_structure(mesh16, layout16):
+    # impedances that differ per electrode, so a wrong z index shows
     layout = dataclasses.replace(layout16,
                                  contact_impedances=np.linspace(0.01, 0.04, 16))
     system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout)
     N, L = mesh16.n_nodes, layout.L
-    C = system.matrix[:N, N:].toarray()
-    # w[l, k] = integral of phi_k over electrode l (half of each edge length)
-    edges = mesh16.boundary_edges()
-    owner = boundary_edge_electrodes(mesh16, layout)
-    w = np.zeros((L, N))
-    for (i, j), l in zip(edges, owner):
-        if l >= 0:
-            s = np.linalg.norm(mesh16.nodes[j] - mesh16.nodes[i])
-            w[l, i] += s / 2
-            w[l, j] += s / 2
+    w, _ = _edge_integrals(mesh16, layout)
     wz = w / layout.contact_impedances[:, None]
+    assert system.wz.shape == (L, N)
+    assert np.allclose(system.wz.toarray(), wz, rtol=1e-12, atol=0.0)
+    M, _ = _bordered_matrix(system)
     # C[k, j] = -w_1[k] / z_1 + w_{j+1}[k] / z_{j+1}
     expected = -wz[0][:, None] + wz[1:].T
-    assert np.allclose(C, expected, rtol=1e-12, atol=0.0)
-    assert np.allclose(system.matrix[N:, :N].toarray(), expected.T,
-                       rtol=1e-12, atol=0.0)
+    assert np.allclose(M[:N, N:], expected, rtol=1e-12, atol=0.0)
+    assert np.allclose(M[N:, :N], expected.T, rtol=1e-12, atol=0.0)
+
+
+def test_d_block_structure(mesh16, layout16):
+    layout = dataclasses.replace(layout16,
+                                 contact_impedances=np.linspace(0.01, 0.04, 16))
+    system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout)
+    N, L = mesh16.n_nodes, layout.L
+    _, arc = _edge_integrals(mesh16, layout)
+    z = layout.contact_impedances
+    assert np.allclose(system.ez, arc / z, rtol=1e-12, atol=0.0)
+    M, _ = _bordered_matrix(system)
+    expected = arc[0] / z[0] * np.ones((L - 1, L - 1)) + np.diag(arc[1:] / z[1:])
+    assert np.allclose(M[N:, N:], expected, rtol=1e-12)
+
+
+def _bordered_voltages(system, P):
+    """U from a dense solve of the bordered CEM system."""
+    N, L = system.mesh.n_nodes, system.layout.L
+    M, G = _bordered_matrix(system)
+    rhs = np.zeros((N + L - 1, P.shape[1]))
+    rhs[N:] = G.T @ P
+    return G @ np.linalg.solve(M, rhs)[N:]
+
+
+@pytest.mark.parametrize("A0", [np.eye(2), np.diag([1.0, 1.3])])
+def test_condensed_solve_matches_bordered_system(mesh16, layout16, A0):
+    system = assemble_cem_system(mesh16, constant_tensor(A0), layout16)
+    T = trig_current_patterns(16).T
+    U = solve_forward(system, T)
+    ref = _bordered_voltages(system, T)
+    assert np.abs(U - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_electrode_matrix_symmetric_semidefinite(mesh16, layout16):
+    layout = dataclasses.replace(layout16,
+                                 contact_impedances=np.linspace(0.01, 0.04, 16))
+    system = assemble_cem_system(mesh16, constant_tensor(np.diag([1.0, 1.3])),
+                                 layout)
+    S = system.electrode_matrix()
+    assert S.shape == (16, 16)
+    scale = np.abs(S).max()
+    assert np.abs(S - S.T).max() <= 1e-12 * scale
+    assert np.abs(S @ np.ones(16)).max() <= 1e-12 * scale
+    lam, vec = np.linalg.eigh(0.5 * (S + S.T))
+    # one zero eigenvalue, on the constants; the rest positive
+    assert abs(lam[0]) <= 1e-12 * lam[-1]
+    assert lam[1] > 1e-6 * lam[-1]
+    assert np.allclose(np.abs(vec[:, 0]), 0.25, atol=1e-10)
+    assert system.electrode_matrix() is S                 # cached
+
+
+class _CorruptColumn:
+    """Factor stand-in whose solves spoil one column, counted across the
+    successive blocks of right-hand sides it is given."""
+
+    def __init__(self, lu, column, value):
+        self.lu, self.column, self.value, self.seen = lu, column, value, 0
+
+    def solve(self, rhs):
+        X = self.lu.solve(rhs)
+        j = self.column - self.seen
+        if 0 <= j < X.shape[1]:
+            X[:, j] += self.value
+        self.seen += X.shape[1]
+        return X
+
+
+@pytest.mark.parametrize("value", [1.0, np.nan])
+def test_node_solve_residual_names_electrode_column(mesh16, layout16, value,
+                                                    monkeypatch):
+    # in blocks of 8, electrode 13 is column 5 of the second block
+    import anisoeit.forward as forward
+    monkeypatch.setattr(forward, "_BLOCK", 8)
+    system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
+    system._factor = _CorruptColumn(system.factor(), 13, value)
+    with pytest.raises(RuntimeError, match="electrode column 13 "):
+        system.electrode_matrix()
+
+
+def test_forward_residual_names_pattern_column(mesh16, layout16):
+    system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
+    T = trig_current_patterns(16).T
+    # an electrode matrix with a NaN entry fails the residual check
+    system._electrode = system.electrode_matrix().copy()
+    system._electrode[1, 1] = np.nan
+    with pytest.raises(RuntimeError, match="pattern column 0 "):
+        solve_forward(system, T)
 
 
 def test_system_symmetric_positive_definite(layout16):
