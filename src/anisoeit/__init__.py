@@ -2,9 +2,8 @@
 flattening, and linearized Fourier reconstruction of the conductivity
 multiplier."""
 
-from .mesh import (Mesh, ElectrodeLayout, ConductivityTensorField,
-                   build_disk_mesh, place_electrodes, constant_tensor,
-                   tensor_from_factored, save_mesh, load_mesh)
+from .mesh import (Mesh, ElectrodeLayout, build_disk_mesh, place_electrodes,
+                   save_mesh, load_mesh)
 from .forward import (CurrentPatternSet, CEMSystem, VoltageData, DNMatrix,
                       trig_current_patterns, assemble_cem_system,
                       solve_forward, simulate_voltages, dn_matrix,
@@ -18,8 +17,8 @@ from .calderon import (FhatGrid, ReconstructedField,
                        inverse_fourier, reconstruct_scalar, assemble_tensor,
                        reconstruct_field, save_field, load_field,
                        save_fhat, load_fhat)
-from .phantoms import (PhantomSpec, sigma_profile, a0_catalog, make_phantom,
-                       phantom_by_name, analytic_disk_dn)
+from .phantoms import (PhantomSpec, constant_tensor, sigma_profile, a0_catalog,
+                       make_phantom, phantom_by_name, analytic_disk_dn)
 from .config import RunConfig, ConfigError, load_config, save_config
 
 __version__ = "0.1.0"

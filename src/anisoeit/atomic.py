@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 from pathlib import Path
 
@@ -26,3 +27,11 @@ def atomic_open(path, mode: str = "w", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` atomically as key-sorted JSON, indented by two
+    spaces, with a trailing newline."""
+    with atomic_open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")

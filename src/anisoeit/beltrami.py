@@ -31,27 +31,21 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, write_json
+from .phantoms import check_spd
 
 
 def beltrami_coefficient(A: np.ndarray) -> complex:
     """Complex dilatation mu of a symmetric positive-definite 2x2 matrix.
 
     Scale-invariant (mu(c*A) = mu(A) for c > 0) and |mu| < 1 exactly
-    when A is SPD.  Rejects non-symmetric or non-positive-definite input.
+    when A is SPD.  Rejects what ``phantoms.check_spd`` rejects.
     """
-    A = np.asarray(A, dtype=float)
-    if A.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {A.shape}")
-    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(A).max())):
-        raise ValueError("matrix is not symmetric")
+    A = check_spd(A)
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if det <= 0 or A[0, 0] <= 0:
-        raise ValueError("matrix is not positive definite")
     return complex(A[1, 1] - A[0, 0] - 2j * A[0, 1]) / (A[0, 0] + A[1, 1] + 2.0 * np.sqrt(det))
 
 
@@ -327,7 +321,6 @@ def _beltrami_residual(phi: np.ndarray, mu: MuGrid) -> float:
 
 
 def solve_beltrami(mu: MuGrid, tol: float = 1e-10, max_iter: int = 200,
-                   h0: Optional[Union[complex, np.ndarray]] = None,
                    pad: int = 2) -> QCMap:
     """Solve dbar Phi = mu d Phi by the contraction iteration.
 
@@ -340,9 +333,6 @@ def solve_beltrami(mu: MuGrid, tol: float = 1e-10, max_iter: int = 200,
     max_iter : int
         Iteration budget, at least 1; exceeding it raises
         BeltramiConvergenceError carrying the last increment.
-    h0 : complex or array, optional
-        Initial iterate.  Default is T[mu]; passing the constant mu0
-        value reproduces the constant-coefficient starting guess.
     pad : int
         Zero-padding factor for the Hilbert transform inside the
         iteration; the input is compactly supported, so padding only
@@ -359,13 +349,7 @@ def solve_beltrami(mu: MuGrid, tol: float = 1e-10, max_iter: int = 200,
         raise ValueError(f"sup |mu| = {sup_mu:g} >= 1: not quasi-conformal")
     s, n = mu.s, mu.n
     T = lambda g: hilbert_transform(g, s, pad=pad)
-    tmu = T(mu.mu)
-    if h0 is None:
-        h = tmu.copy()
-    elif np.isscalar(h0):
-        h = np.full((n, n), complex(h0))
-    else:
-        h = np.asarray(h0, dtype=complex).copy()
+    h = tmu = T(mu.mu)
 
     increments = []
     converged = sup_mu == 0.0
@@ -446,17 +430,15 @@ def save_qcmap(qcmap: QCMap, path) -> None:
                             qcmap.mu.blend))
         f.write(struct.pack("<dd", qcmap.mu.mu0.real, qcmap.mu.mu0.imag))
         f.write(np.ascontiguousarray(qcmap.phi, dtype=np.complex128).tobytes())
-    with atomic_open(sidecar, "w") as f:
-        json.dump({
-            "format": "anisoeit-qcmap",
-            "n": qcmap.mu.n, "s": qcmap.mu.s, "r": qcmap.mu.r,
-            "blend": qcmap.mu.blend,
-            "mu0": [qcmap.mu.mu0.real, qcmap.mu.mu0.imag],
-            "residual": qcmap.residual,
-            "iterations": qcmap.iterations,
-            "config_sha256": qcmap.config_sha256,
-        }, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(sidecar, {
+        "format": "anisoeit-qcmap",
+        "n": qcmap.mu.n, "s": qcmap.mu.s, "r": qcmap.mu.r,
+        "blend": qcmap.mu.blend,
+        "mu0": [qcmap.mu.mu0.real, qcmap.mu.mu0.imag],
+        "residual": qcmap.residual,
+        "iterations": qcmap.iterations,
+        "config_sha256": qcmap.config_sha256,
+    })
 
 
 def load_qcmap(path) -> QCMap:

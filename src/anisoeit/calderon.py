@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, write_json
 from .beltrami import QCMap, evaluate_map
 from .forward import DNMatrix
 
@@ -222,9 +222,7 @@ def save_fhat(fhat: FhatGrid, json_path, bin_path) -> None:
         "values_file": Path(bin_path).name,
         "config_sha256": fhat.config_sha256,
     }
-    with atomic_open(json_path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(json_path, doc)
 
 
 def _beside(json_path, name) -> Path:
@@ -345,9 +343,7 @@ def save_field(fieldobj: ReconstructedField, json_path, bin_path) -> None:
         "grid_file": Path(bin_path).name,
         "config_sha256": fieldobj.config_sha256,
     }
-    with atomic_open(json_path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(json_path, doc)
 
 
 def load_field(json_path) -> ReconstructedField:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calderon, forward
-from .atomic import atomic_open
+from .atomic import atomic_open, write_json
 from .beltrami import (BeltramiConvergenceError, evaluate_map, extend_mu,
                        load_qcmap, save_qcmap, solve_beltrami)
 from .config import ConfigError, RunConfig, load_config, radius_tag
@@ -51,6 +51,14 @@ def _read(loader, path):
                           f"{exc})") from exc
 
 
+def _same_config(stamp: str, want: str, path) -> None:
+    """Reject an input file stamped with another config's hash (exit 2);
+    a file with no stamp is accepted."""
+    if stamp and stamp != want:
+        raise ConfigError(f"{path} was produced under a different config "
+                          f"({stamp[:12]}... != {want[:12]}...)")
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
     """Forward-simulate voltages and condense them to a DN matrix."""
     ph = _phantom(cfg)
@@ -76,9 +84,8 @@ def cmd_map(cfg: RunConfig) -> int:
     ph = _phantom(cfg)
     mu = extend_mu(ph.A0, r=cfg.qc_r, blend=cfg.qc_blend, n=cfg.qc_n,
                    s=cfg.qc_s)
-    h0 = mu.mu0 if cfg.qc_initial_guess == "mu0" else None
     qc = solve_beltrami(mu, tol=cfg.qc_tol, max_iter=cfg.qc_max_iter,
-                        h0=h0, pad=cfg.qc_pad)
+                        pad=cfg.qc_pad)
     qc.config_sha256 = cfg.sha256()
     out = _outdir(cfg)
     save_qcmap(qc, out / "map.bin")
@@ -101,15 +108,11 @@ def cmd_reconstruct(cfg: RunConfig, dn_path=None, map_path=None) -> int:
     out = _outdir(cfg)
     dn_path = Path(dn_path) if dn_path else out / "dn.json"
     map_path = Path(map_path) if map_path else out / "map.bin"
-    dn = _read(forward.load_dn, dn_path)
     want = cfg.sha256()
-    if dn.config_sha256 and dn.config_sha256 != want:
-        raise ConfigError(f"{dn_path} was produced under a different config "
-                          f"({dn.config_sha256[:12]}... != {want[:12]}...)")
+    dn = _read(forward.load_dn, dn_path)
+    _same_config(dn.config_sha256, want, dn_path)
     qc = _read(load_qcmap, map_path)
-    if qc.config_sha256 and qc.config_sha256 != want:
-        raise ConfigError(f"{map_path} was produced under a different config "
-                          f"({qc.config_sha256[:12]}... != {want[:12]}...)")
+    _same_config(qc.config_sha256, want, map_path)
     ph = _phantom(cfg)
     # every radius is computed before any is written, so a radius that
     # fails leaves no partial set of outputs behind
@@ -145,9 +148,7 @@ def cmd_evaluate(cfg: RunConfig, recon_path, phantom_name=None) -> int:
         raise ConfigError(f"phantom {phantom_name!r} does not match the "
                           f"config's {cfg.phantom!r}")
     fieldobj = _read(calderon.load_field, recon_path)
-    want = cfg.sha256()
-    if fieldobj.config_sha256 and fieldobj.config_sha256 != want:
-        raise ConfigError(f"{recon_path} was produced under a different config")
+    _same_config(fieldobj.config_sha256, cfg.sha256(), recon_path)
     ph = phantom_by_name(phantom_name) if phantom_name else _phantom(cfg)
     axis = fieldobj.grid_axis
     if len(axis) != cfg.output_grid:
@@ -172,9 +173,7 @@ def cmd_evaluate(cfg: RunConfig, recon_path, phantom_name=None) -> int:
                "slope": slope}
     out = _outdir(cfg)
     stem = Path(recon_path).stem
-    with atomic_open(out / f"metrics_{stem}.json", "w") as f:
-        json.dump(metrics, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out / f"metrics_{stem}.json", metrics)
     print(json.dumps(metrics, sort_keys=True))
     return 0
 
@@ -193,7 +192,6 @@ config keys (JSON object; every key optional, defaults in parentheses):
   qc_tol             fixed-point increment tolerance (1e-10)
   qc_max_iter        iteration budget (200)
   qc_pad             transform padding factor inside the solve (2)
-  qc_initial_guess   "tmu" = T[mu] start, "mu0" = constant start ("tmu")
   truncation_radii   list of spectrum cutoffs to reconstruct at ([2.0])
   lattice            frequency lattice points per axis, odd (33)
   output_grid        reconstruction grid points per axis, odd (101)
@@ -203,7 +201,16 @@ config keys (JSON object; every key optional, defaults in parentheses):
 """
 
 
-def _dispatch(args) -> int:
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line error as malformed input (exit 2, one JSON
+    record) instead of printing usage text."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _dispatch(parser, argv) -> int:
+    args = parser.parse_args(argv)
     cfg = load_config(args.config)
     if args.command == "simulate":
         return cmd_simulate(cfg)
@@ -211,13 +218,11 @@ def _dispatch(args) -> int:
         return cmd_map(cfg)
     if args.command == "reconstruct":
         return cmd_reconstruct(cfg, args.dn, args.map_file)
-    if args.command == "evaluate":
-        return cmd_evaluate(cfg, args.recon, args.phantom)
-    raise ConfigError(f"unknown command {args.command}")
+    return cmd_evaluate(cfg, args.recon, args.phantom)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anisoeit",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Anisotropic EIT: simulate electrode data, compute the "
@@ -251,12 +256,11 @@ def main(argv=None) -> int:
     p_eval.add_argument("--phantom", default=None,
                         help="phantom name override (must match the config)")
 
-    args = parser.parse_args(argv)
     # warnings raised while the command runs go into its error record, so
     # that stderr of a failed run is exactly one JSON line
     with warnings.catch_warnings(record=True) as caught:
         try:
-            return_code, record = _dispatch(args), None
+            return_code, record = _dispatch(parser, argv), None
         except ConfigError as exc:
             return_code, record = 2, {"error": "config", "message": str(exc)}
         except (BeltramiConvergenceError, np.linalg.LinAlgError, ValueError,

@@ -15,7 +15,8 @@ from typing import Union, get_args, get_type_hints
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import write_json
+from .phantoms import STOCK, check_spd
 
 
 class ConfigError(ValueError):
@@ -52,7 +53,6 @@ class RunConfig:
     qc_tol: float = 1e-10
     qc_max_iter: int = 200
     qc_pad: int = 2
-    qc_initial_guess: str = "tmu"     # "tmu" (T[mu]) or "mu0" (constant)
     # reconstruction
     truncation_radii: list = field(default_factory=lambda: [2.0])
     lattice: int = 33
@@ -72,7 +72,7 @@ class RunConfig:
                     isinstance(value, kinds) and not isinstance(value, bool)):
                 raise ConfigError(f"{name} must be {want}, got {value!r}")
         if isinstance(self.phantom, str):
-            if self.phantom not in ("A1", "A2", "A3", "A4"):
+            if self.phantom not in STOCK:
                 raise ConfigError(f"unknown phantom name {self.phantom!r}")
         else:
             if "M" not in self.phantom or "A0" not in self.phantom:
@@ -83,9 +83,11 @@ class RunConfig:
                     or not all(map(_finite_number, A0.flat)):
                 raise ConfigError("custom phantom needs a positive number M "
                                   "and a 2x2 matrix of numbers A0")
-            A0 = A0.astype(float)
-            if not np.allclose(A0, A0.T) or np.linalg.eigvalsh(A0)[0] <= 0:
-                raise ConfigError("phantom A0 must be symmetric positive definite")
+            try:
+                check_spd(A0)
+            except ValueError as exc:
+                raise ConfigError("phantom A0 must be symmetric positive "
+                                  f"definite: {exc}") from exc
         if self.radius <= 0 or not (0 < self.target_h < self.radius):
             raise ConfigError("need 0 < target_h < radius")
         if self.L < 4 or self.L % 2:
@@ -107,8 +109,6 @@ class RunConfig:
             raise ConfigError("qc_max_iter must be at least 1")
         if self.qc_pad < 1:
             raise ConfigError("qc_pad must be at least 1")
-        if self.qc_initial_guess not in ("tmu", "mu0"):
-            raise ConfigError("qc_initial_guess must be 'tmu' or 'mu0'")
         if not self.truncation_radii:
             raise ConfigError("truncation_radii must be non-empty")
         tags = {}
@@ -154,6 +154,4 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path) -> None:
-    with atomic_open(path, "w") as f:
-        json.dump(asdict(cfg), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, asdict(cfg))

@@ -30,14 +30,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy          # scipy.sparse loads on first use, in simulate only
 
-from .atomic import atomic_open
-from .mesh import (ConductivityTensorField, ElectrodeLayout, Mesh,
-                   boundary_edge_electrodes)
+from .atomic import write_json
+from .mesh import ElectrodeLayout, Mesh, boundary_edge_electrodes
+
+# a conductivity: points (N, 2) -> symmetric positive-definite tensors (N, 2, 2)
+Conductivity = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,7 @@ def element_stiffness(p: np.ndarray, A: np.ndarray) -> np.ndarray:
     return 0.5 * area2[:, None, None] * (G.transpose(0, 2, 1) @ A @ G)
 
 
-def assemble_cem_system(mesh: Mesh, A: ConductivityTensorField,
+def assemble_cem_system(mesh: Mesh, A: Conductivity,
                         layout: ElectrodeLayout) -> CEMSystem:
     """Assemble the CEM node block and electrode coupling for tensor A.
 
@@ -251,7 +253,7 @@ class VoltageData:
         return self.patterns.L
 
 
-def simulate_voltages(mesh: Mesh, A: ConductivityTensorField,
+def simulate_voltages(mesh: Mesh, A: Conductivity,
                       layout: ElectrodeLayout,
                       patterns: Optional[CurrentPatternSet] = None,
                       noise: float = 0.0, seed: int = 0) -> VoltageData:
@@ -377,9 +379,7 @@ def save_voltages(data: VoltageData, path) -> None:
         "rng": "philox",
         "config_sha256": data.config_sha256,
     }
-    with atomic_open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, doc)
 
 
 def load_voltages(path) -> VoltageData:
@@ -409,9 +409,7 @@ def save_dn(dn: DNMatrix, path) -> None:
         "asymmetry": dn.asymmetry,
         "config_sha256": dn.config_sha256,
     }
-    with atomic_open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, doc)
 
 
 def load_dn(path) -> DNMatrix:

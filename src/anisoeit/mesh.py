@@ -1,8 +1,8 @@
 """Triangulated disk domains with boundary electrodes.
 
 Builds conforming triangular meshes of a disk whose boundary nodes include
-every electrode arc endpoint, and provides the conductivity-tensor fields
-that the forward solver integrates element by element.
+every electrode arc endpoint.  This module holds geometry only; the
+conductivities the forward solver integrates over it are in ``phantoms``.
 
 Mesh text format (``save_mesh`` / ``load_mesh``)::
 
@@ -19,7 +19,6 @@ Mesh text format (``save_mesh`` / ``load_mesh``)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -247,90 +246,6 @@ def boundary_edge_electrodes(mesh: Mesh, layout: ElectrodeLayout) -> np.ndarray:
     mid = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
     ang = _wrap_angle(np.arctan2(mid[:, 1], mid[:, 0]))
     return layout.electrode_of_angle(ang)
-
-
-# ---------------------------------------------------------------------------
-# conductivity tensor fields
-
-
-class ConductivityTensorField:
-    """Symmetric positive-definite 2x2 tensor field on the disk.
-
-    Wraps a vectorized evaluator mapping points (N, 2) to tensors
-    (N, 2, 2) and carries an ellipticity floor (a lower bound for the
-    smallest eigenvalue over the domain).  When built from a factored form
-    ``a(x) * A0`` the factors are kept for downstream use.
-    """
-
-    def __init__(self, evaluator: Callable[[np.ndarray], np.ndarray],
-                 ellipticity: float,
-                 scalar: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 background: Optional[np.ndarray] = None):
-        self._evaluator = evaluator
-        self.ellipticity = float(ellipticity)
-        self.scalar = scalar
-        self.background = None if background is None else np.array(background, dtype=float)
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = self._evaluator(pts)
-        return np.asarray(out, dtype=float).reshape(len(pts), 2, 2)
-
-
-def _check_spd(A0: np.ndarray) -> np.ndarray:
-    A0 = np.asarray(A0, dtype=float)
-    if A0.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {A0.shape}")
-    if not np.allclose(A0, A0.T, rtol=0.0, atol=1e-14 * max(1.0, np.abs(A0).max())):
-        raise ValueError("matrix is not symmetric")
-    eig = np.linalg.eigvalsh(A0)
-    if eig[0] <= 0:
-        raise ValueError(f"matrix is not positive definite (eigenvalues {eig})")
-    return A0
-
-
-def constant_tensor(A0: np.ndarray) -> ConductivityTensorField:
-    """Tensor field that is the constant SPD matrix ``A0`` everywhere."""
-    A0 = _check_spd(A0)
-    lam = float(np.linalg.eigvalsh(A0)[0])
-
-    def evaluate(pts):
-        return np.broadcast_to(A0, (len(pts), 2, 2))
-
-    return ConductivityTensorField(evaluate, lam, scalar=None, background=A0)
-
-
-def tensor_from_factored(a: Callable[[np.ndarray], np.ndarray],
-                         A0: np.ndarray,
-                         a_min: Optional[float] = None) -> ConductivityTensorField:
-    """Tensor field ``a(x) * A0`` from a positive scalar field and SPD A0.
-
-    Parameters
-    ----------
-    a : callable
-        Vectorized scalar field, (N, 2) points -> (N,) positive values.
-    A0 : (2, 2) array
-        Constant symmetric positive-definite background tensor.
-    a_min : float, optional
-        Known infimum of ``a`` over the domain.  When omitted it is
-        estimated from 10^4 deterministic sample points on the unit disk;
-        pass the exact value for piecewise-constant fields.
-    """
-    A0 = _check_spd(A0)
-    if a_min is None:
-        k = np.arange(1, 10_001, dtype=float)
-        rr = np.sqrt(k / k[-1])
-        ang = k * np.pi * (3.0 - np.sqrt(5.0))
-        probe = np.stack([rr * np.cos(ang), rr * np.sin(ang)], axis=1)
-        a_min = float(np.min(a(probe)))
-    if a_min <= 0:
-        raise ValueError(f"scalar field must be positive; inf a = {a_min:g}")
-    lam = a_min * float(np.linalg.eigvalsh(A0)[0])
-
-    def evaluate(pts):
-        return np.asarray(a(pts), dtype=float)[:, None, None] * A0
-
-    return ConductivityTensorField(evaluate, lam, scalar=a, background=A0)
 
 
 # ---------------------------------------------------------------------------

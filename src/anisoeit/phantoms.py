@@ -1,4 +1,10 @@
-"""Test conductivities: radial contrast profiles and background tensors.
+"""Conductivities: the SPD rule, constant tensors and the stock phantoms.
+
+A conductivity is any callable mapping points (N, 2) to tensors
+(N, 2, 2); the forward solver samples it once per element.  The paper's
+model is ``a(x) * A0`` with a known constant SPD background ``A0`` and a
+positive scalar ``a``, and ``check_spd`` is the one definition of
+"symmetric positive definite" that every input tensor is held to.
 
 The stock phantoms are discontinuous radially symmetric scalars times a
 constant diagonal anisotropy tensor.  They intentionally violate the C^1
@@ -13,9 +19,41 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from .mesh import ConductivityTensorField, tensor_from_factored, _check_spd
-
 INCLUSION_RADIUS = 0.5
+
+# stock phantoms: name -> (contrast M, background tensor A0)
+STOCK = {
+    "A1": (1.3, np.diag([1.0, 1.3])),
+    "A2": (1.3, np.diag([1.3, 1.0])),
+    "A3": (4.0, np.diag([1.0, 4.0])),
+    "A4": (4.0, np.diag([4.0, 1.0])),
+}
+
+
+def check_spd(A) -> np.ndarray:
+    """A copy of the 2x2 matrix ``A`` as floats, if it is symmetric
+    positive definite; raises ValueError otherwise.
+
+    Symmetric means |A - A^T| <= 1e-12 * max(1, max|A|) entrywise;
+    positive definite means A11 > 0 and det A > 0.
+    """
+    A = np.array(A, dtype=float)
+    if A.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has a non-finite entry")
+    if not np.allclose(A, A.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(A).max())):
+        raise ValueError("matrix is not symmetric")
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    if det <= 0 or A[0, 0] <= 0:
+        raise ValueError("matrix is not positive definite")
+    return A
+
+
+def constant_tensor(A0) -> Callable[[np.ndarray], np.ndarray]:
+    """Conductivity that is the constant SPD matrix ``A0`` everywhere."""
+    A0 = check_spd(A0)
+    return lambda points: np.broadcast_to(A0, (len(points), 2, 2))
 
 
 def sigma_profile(M: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -38,15 +76,7 @@ def sigma_profile(M: float) -> Callable[[np.ndarray], np.ndarray]:
 
 def a0_catalog() -> Dict[str, np.ndarray]:
     """The four stock background tensors, keyed by phantom name."""
-    return {
-        "A1": np.diag([1.0, 1.3]),
-        "A2": np.diag([1.3, 1.0]),
-        "A3": np.diag([1.0, 4.0]),
-        "A4": np.diag([4.0, 1.0]),
-    }
-
-
-_CONTRASTS = {"A1": 1.3, "A2": 1.3, "A3": 4.0, "A4": 4.0}
+    return {name: A0.copy() for name, (_, A0) in STOCK.items()}
 
 
 @dataclass(frozen=True)
@@ -56,30 +86,24 @@ class PhantomSpec:
     name: str
     M: float
     A0: np.ndarray
-    tensor: ConductivityTensorField
+    true_scalar: Callable[[np.ndarray], np.ndarray]   # ground-truth a(x)
 
-    @property
-    def scalar(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self.tensor.scalar
-
-    def true_scalar(self, points: np.ndarray) -> np.ndarray:
-        """Ground-truth multiplier a(x) on arbitrary points."""
-        return self.scalar(points)
+    def tensor(self, points: np.ndarray) -> np.ndarray:
+        """Conductivity a(x) * A0 on points (N, 2): (N, 2, 2)."""
+        return self.true_scalar(points)[:, None, None] * self.A0
 
 
 def make_phantom(M: float, A0: np.ndarray, name: str = "custom") -> PhantomSpec:
-    A0 = _check_spd(A0)
-    sig = sigma_profile(M)
-    tensor = tensor_from_factored(sig, A0, a_min=min(1.0, float(M)))
-    return PhantomSpec(name=name, M=float(M), A0=A0, tensor=tensor)
+    return PhantomSpec(name=name, M=float(M), A0=check_spd(A0),
+                       true_scalar=sigma_profile(M))
 
 
 def phantom_by_name(name: str) -> PhantomSpec:
     """Stock phantoms 'A1'..'A4' (contrast 1.3, 1.3, 4, 4)."""
-    catalog = a0_catalog()
-    if name not in catalog:
-        raise KeyError(f"unknown phantom {name!r}; expected one of {sorted(catalog)}")
-    return make_phantom(_CONTRASTS[name], catalog[name], name=name)
+    if name not in STOCK:
+        raise KeyError(f"unknown phantom {name!r}; expected one of {sorted(STOCK)}")
+    M, A0 = STOCK[name]
+    return make_phantom(M, A0, name=name)
 
 
 def analytic_disk_dn(sigma: float, k: int) -> float:

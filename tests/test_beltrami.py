@@ -253,13 +253,6 @@ def test_solve_increments_geometric(catalog_maps):
         assert ratios.max() <= sup + 0.05, f"{name}: ratio {ratios.max():.3f}"
 
 
-def test_solve_initial_guess_constant_same_fixed_point():
-    mu = extend_mu(np.diag([1.0, 4.0]), n=256)
-    qa = solve_beltrami(mu)
-    qb = solve_beltrami(mu, h0=mu.mu0)
-    assert np.abs(qa.phi - qb.phi).max() < 1e-8
-
-
 def test_solve_nonconvergence_error():
     mu = extend_mu(np.diag([1.0, 4.0]), n=128)
     with pytest.raises(BeltramiConvergenceError) as err:

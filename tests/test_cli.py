@@ -200,6 +200,27 @@ def test_evaluate_rejects_phantom_mismatch(workdir):
                  "--recon", "out/recon_R2.json", "--phantom", "A3"]) == 2
 
 
+def test_evaluate_rejects_other_config(workdir, capsys):
+    cfg = write_config(workdir / "cfg.json", phantom="A1", target_h=0.1)
+    other = RunConfig(phantom="A1", target_h=0.1, seed=1)
+    axis = np.linspace(-1.0, 1.0, 101)
+    field = calderon.ReconstructedField(
+        grid_axis=axis, a=np.ones((101, 101)),
+        mask=np.ones((101, 101), dtype=bool), cross_section_x=axis,
+        cross_section=np.ones(101), background_offset=0.0,
+        imag_residual=0.0, R=2.0, lattice=33, A0=np.eye(2),
+        config_sha256=other.sha256())
+    out = workdir / "out"
+    out.mkdir()
+    calderon.save_field(field, out / "other.json", out / "other.bin")
+    assert main(["evaluate", "--config", "cfg.json",
+                 "--recon", str(out / "other.json")]) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "other.json" in message
+    assert other.sha256()[:12] in message and cfg.sha256()[:12] in message
+    assert not list(out.glob("metrics_*"))
+
+
 def test_evaluate_rejects_grid_mismatch(workdir):
     cfg = write_config(workdir / "cfg.json", phantom="A1", target_h=0.1)
     axis = np.linspace(-1.0, 1.0, 61)
@@ -242,6 +263,8 @@ def test_config_errors_exit_2(workdir):
     '{"qc_pad": 0}',
     '{"qc_pad": -3}',
     '{"truncation_radii": [1.8, 1.8000001]}',
+    '{"phantom": {"M": 1.3, "A0": [[1.0, 1e-10], [0.0, 1.3]]}}',
+    '{"qc_initial_guess": "tmu"}',
 ])
 def test_config_validation_exit_2(workdir, capsys, text):
     (workdir / "bad.json").write_text(text)
@@ -250,6 +273,32 @@ def test_config_validation_exit_2(workdir, capsys, text):
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "config"
     assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"],                                  # no --config
+    ["simulate", "--config", "cfg.json", "--bogus"],
+    ["transmogrify", "--config", "cfg.json"],      # unknown command
+    [],
+])
+def test_argument_errors_exit_2(workdir, capsys, argv):
+    # a command line argparse rejects is malformed input: exit 2 with one
+    # JSON record on stderr, not usage text
+    write_config(workdir / "cfg.json", target_h=0.3, L=8)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    record = json.loads(captured.err)
+    assert record["error"] == "config" and record["message"]
+    assert captured.out == ""
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: anisoeit" in capsys.readouterr().out
 
 
 def test_config_rejects_colliding_radius_tags():
@@ -434,7 +483,6 @@ _VALID = {
     "qc_tol": st.sampled_from([1e-10, 1e-6]),
     "qc_max_iter": st.integers(1, 60),
     "qc_pad": st.integers(1, 2),
-    "qc_initial_guess": st.sampled_from(["tmu", "mu0"]),
     "truncation_radii": st.lists(st.floats(0.5, 4.0), min_size=1, max_size=2),
     "lattice": st.sampled_from([3, 5, 7, 9]),
     "output_grid": st.sampled_from([11, 15, 21]),

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from anisoeit import (build_disk_mesh, place_electrodes, constant_tensor,
-                      tensor_from_factored, save_mesh, load_mesh)
+                      phantom_by_name, save_mesh, load_mesh)
 from anisoeit.mesh import Mesh, boundary_edge_electrodes
-from anisoeit.phantoms import sigma_profile
 
 
 def test_place_electrodes_arc_length():
@@ -118,39 +117,32 @@ def test_build_rejects_bad_h():
 
 
 def test_tensor_identity():
-    field = tensor_from_factored(lambda p: np.ones(len(p)), np.eye(2),
-                                 a_min=1.0)
+    field = constant_tensor(np.eye(2))
     A = field(np.array([[0.3, 0.1], [0.0, 0.0]]))
     assert np.allclose(A, np.eye(2))
-    assert field.ellipticity == pytest.approx(1.0)
 
 
 def test_tensor_factored_low_contrast():
-    field = tensor_from_factored(sigma_profile(1.3), np.diag([1.0, 1.3]),
-                                 a_min=1.0)
+    field = phantom_by_name("A1").tensor
     A0val = field(np.array([[0.0, 0.0]]))[0]
     assert np.allclose(A0val, np.diag([1.3, 1.69]))
 
 
 def test_tensor_factored_high_contrast_outside():
-    field = tensor_from_factored(sigma_profile(4.0), np.diag([4.0, 1.0]),
-                                 a_min=1.0)
+    field = phantom_by_name("A4").tensor
     val = field(np.array([[0.75, 0.0]]))[0]
     assert np.allclose(val, np.diag([4.0, 1.0]))
 
 
 def test_tensor_rejects_bad_background():
     with pytest.raises(ValueError):
-        tensor_from_factored(lambda p: np.ones(len(p)),
-                             np.array([[1.0, 0.5], [0.4, 1.0]]))
+        constant_tensor(np.array([[1.0, 0.5], [0.4, 1.0]]))
     with pytest.raises(ValueError):
-        tensor_from_factored(lambda p: np.ones(len(p)),
-                             np.diag([1.0, -2.0]))
+        constant_tensor(np.diag([1.0, -2.0]))
 
 
 def test_tensor_symmetry_and_floor_random_points():
-    field = tensor_from_factored(sigma_profile(1.3), np.diag([1.0, 1.3]),
-                                 a_min=1.0)
+    field = phantom_by_name("A1").tensor
     rng = np.random.default_rng(7)
     r = np.sqrt(rng.random(10_000))
     t = 2 * np.pi * rng.random(10_000)
@@ -158,7 +150,7 @@ def test_tensor_symmetry_and_floor_random_points():
     A = field(pts)
     assert np.allclose(A, np.swapaxes(A, 1, 2))
     eigs = np.linalg.eigvalsh(A)
-    assert (eigs[:, 0] >= field.ellipticity - 1e-14).all()
+    assert (eigs[:, 0] >= 1.0 - 1e-14).all()   # inf a * min eig A0 = 1
 
 
 def test_mesh_serialization_roundtrip(tmp_path):

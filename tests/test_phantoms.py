@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from anisoeit import (sigma_profile, a0_catalog, make_phantom,
-                      phantom_by_name, analytic_disk_dn, beltrami_coefficient)
+                      phantom_by_name, analytic_disk_dn, beltrami_coefficient,
+                      constant_tensor)
+from anisoeit.config import ConfigError, RunConfig
 
 
 def test_sigma_values():
@@ -94,3 +96,34 @@ def test_analytic_dn_rejects_zero_mode():
         analytic_disk_dn(1.0, 0)
     with pytest.raises(ValueError):
         analytic_disk_dn(-1.0, 2)
+
+
+def _accepts(check, A0):
+    try:
+        check(A0)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("A0, spd", [
+    ([[1.0, 0.0], [0.0, 1.3]], True),
+    ([[1.0, 1e-13], [0.0, 1.3]], True),      # within 1e-12 * max|A|
+    ([[1.0, 1e-10], [0.0, 1.3]], False),
+    ([[1.0, 1e-6], [0.0, 1.3]], False),
+    ([[1.0, 2.0], [2.0, 1.0]], False),       # symmetric, indefinite
+])
+def test_one_spd_rule(A0, spd):
+    # the config, the phantom, the constant tensor and the dilatation all
+    # accept exactly the same background tensors
+    checks = {
+        "config": lambda A: RunConfig(phantom={"M": 1.3, "A0": A}).validate(),
+        "make_phantom": lambda A: make_phantom(1.3, np.array(A)),
+        "constant_tensor": lambda A: constant_tensor(np.array(A)),
+        "beltrami_coefficient": lambda A: beltrami_coefficient(np.array(A)),
+    }
+    assert {name: _accepts(check, A0) for name, check in checks.items()} \
+        == dict.fromkeys(checks, spd)
+    if not spd:
+        with pytest.raises(ConfigError):
+            checks["config"](A0)
