@@ -406,8 +406,7 @@ def pushforward_tensor(A, qcmap: QCMap, points: np.ndarray) -> np.ndarray:
         raise ValueError(f"map Jacobian not orientation-preserving at {tuple(bad)}")
     Avals = A(pts) if callable(A) else np.broadcast_to(np.asarray(A, dtype=float),
                                                        (len(pts), 2, 2))
-    out = np.einsum("nij,njk,nlk->nil", J, Avals, J)
-    return out / det[:, None, None]
+    return (J @ Avals) @ J.transpose(0, 2, 1) / det[:, None, None]
 
 
 # ---------------------------------------------------------------------------

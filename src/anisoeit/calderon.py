@@ -47,9 +47,9 @@ def cgo_traces(zs, points) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("frequency z must be nonzero")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     bs = np.stack([-zs[:, 1], zs[:, 0]], axis=1)
-    expo_i = 1j * np.pi * (pts @ zs.T)
-    expo_r = np.pi * (pts @ bs.T)
-    return np.exp(expo_i + expo_r), np.exp(expo_i - expo_r)
+    phase = np.exp(1j * np.pi * (pts @ zs.T))
+    growth = np.exp(np.pi * (pts @ bs.T))
+    return phase * growth, phase / growth
 
 
 def bilinear_form(dn: DNMatrix, phi1: np.ndarray, phi2: np.ndarray):
@@ -59,8 +59,15 @@ def bilinear_form(dn: DNMatrix, phi1: np.ndarray, phi2: np.ndarray):
 
     Each trace is projected onto the normalized trig pattern basis with
     midpoint arc-length weights, <phi, t_m>_w / <t_m, t_m>_w, and the
-    coefficient vectors are contracted through the DN matrix.  On a
-    homogeneous unit disk this gives pi * k for phi1 = phi2 = cos(k theta).
+    coefficient vectors c1, c2 are contracted through the DN matrix D.  On
+    a homogeneous unit disk this gives pi * k for phi1 = phi2 = cos(k theta).
+
+    D is symmetric, so c1^T D c2 is evaluated in the symmetric form
+    (c1^T D c2 + c2^T D c1) / 2: two matrix products and two column sums.
+    The growing traces make the sum cancel heavily, and the average of the
+    two one-sided products rounds less than either alone.  The form is
+    exactly symmetric in its arguments, so the traces of -z, which are
+    conj(phi2) and conj(phi1), pair to exactly conj(B).
     """
     phi1, phi2 = np.asarray(phi1), np.asarray(phi2)
     if phi1.shape != phi2.shape or phi1.shape[:1] != (dn.L,) \
@@ -71,9 +78,11 @@ def bilinear_form(dn: DNMatrix, phi1: np.ndarray, phi2: np.ndarray):
     t_hat = dn.patterns.normalized.T
     w = np.full(dn.L, 2.0 * np.pi * dn.layout.radius / dn.L)
     den = (t_hat * w * t_hat).sum(axis=1)
-    c1 = ((t_hat * w) @ phi1.reshape(dn.L, -1)) / den[:, None]
-    c2 = ((t_hat * w) @ phi2.reshape(dn.L, -1)) / den[:, None]
-    B = np.einsum("kp,kj,jp->p", c1, dn.dn, c2)
+    project = (t_hat * w) / den[:, None]
+    c1 = project @ phi1.reshape(dn.L, -1)
+    c2 = project @ phi2.reshape(dn.L, -1)
+    B = 0.5 * ((c1 * (dn.dn @ c2)).sum(axis=0)
+               + (c2 * (dn.dn @ c1)).sum(axis=0))
     return B if phi1.ndim == 2 else complex(B[0])
 
 

@@ -77,6 +77,10 @@ class RunConfig:
         else:
             if "M" not in self.phantom or "A0" not in self.phantom:
                 raise ConfigError("custom phantom needs keys 'M' and 'A0'")
+            unknown = set(self.phantom) - {"M", "A0"}
+            if unknown:
+                raise ConfigError(
+                    f"unknown custom phantom keys {sorted(unknown)}")
             M = self.phantom["M"]
             A0 = np.asarray(self.phantom["A0"], dtype=object)
             if not (_finite_number(M) and M > 0) or A0.shape != (2, 2) \

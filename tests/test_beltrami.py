@@ -374,6 +374,24 @@ def test_pushforward_identity(identity_qcmap):
     assert np.abs(out - np.eye(2)).max() < 1e-10
 
 
+def test_pushforward_matches_three_operand_product():
+    rng = np.random.default_rng(5)
+    J = rng.normal(size=(300, 2, 2))
+    flip = np.linalg.det(J) < 0
+    J[flip] = J[flip][:, ::-1]                     # rows swapped: det > 0
+    F = rng.normal(size=(300, 2, 2))
+    A = F @ F.transpose(0, 2, 1) + 0.1 * np.eye(2)
+
+    class FixedJacobian:
+        def jacobian(self, pts):
+            return J
+
+    out = pushforward_tensor(lambda pts: A, FixedJacobian(), np.zeros((300, 2)))
+    det = np.linalg.det(J)[:, None, None]
+    ref = np.einsum("nij,njk,nlk->nil", J, A, J) / det
+    assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_pushforward_isotropizes_catalog(catalog_maps):
     rng = np.random.default_rng(1)
     r = np.sqrt(rng.random(400)) * 0.95

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,6 +158,42 @@ def test_bilinear_rejects_wrong_length(dn_identity16):
         bilinear_form(dn_identity16, np.ones((16, 3)), np.ones((16, 2)))
     with pytest.raises(ValueError):
         bilinear_form(dn_identity16, np.ones((16, 2, 2)), np.ones((16, 2, 2)))
+
+
+def _flattened_a4_probe():
+    """L=128 disk DN plus a small symmetric perturbation, and the R=2.3
+    lattice traces at the electrode centers mapped onto the A4-flattened
+    ellipse (semi-axes 2/3 and 4/3), where the traces grow most."""
+    dn = analytic_disk_dn_matrix(128)
+    rng = np.random.default_rng(7)
+    E = 1e-3 * dn.dn[0, 0] * rng.standard_normal(dn.dn.shape)
+    dn = replace(dn, dn=dn.dn + E + E.T)
+    y = dn.electrode_centers() * [2.0 / 3.0, 4.0 / 3.0]
+    zs, _ = masked_lattice(2.3, 33)
+    return dn, cgo_traces(zs, y)
+
+
+def test_bilinear_matches_extended_precision():
+    dn, (phi1, phi2) = _flattened_a4_probe()
+    B = bilinear_form(dn, phi1, phi2)
+    # c1^T D c2 with the projection and the pairing in long double
+    t_hat = dn.patterns.normalized.T.astype(np.longdouble)
+    tw = t_hat * (2.0 * np.pi * dn.layout.radius / dn.L)
+    project = tw / (tw * t_hat).sum(axis=1)[:, None]
+    c1 = project @ phi1.astype(np.clongdouble)
+    c2 = project @ phi2.astype(np.clongdouble)
+    ref = (c1 * (dn.dn.astype(np.longdouble) @ c2)).sum(axis=0)
+    scale = np.abs(ref).max()
+    assert np.abs(B - ref).max() <= 1e-9 * scale
+
+
+def test_bilinear_conjugate_symmetric():
+    # the traces of -z are conj(phi2(z)) and conj(phi1(z)), so the
+    # pairing at -z must be conj(B(z))
+    dn, (phi1, phi2) = _flattened_a4_probe()
+    B = bilinear_form(dn, phi1, phi2)
+    B_mirror = bilinear_form(dn, np.conj(phi2), np.conj(phi1))
+    assert np.abs(B_mirror - np.conj(B)).max() <= 1e-14 * np.abs(B).max()
 
 
 # ---------------------------------------------------------------------------

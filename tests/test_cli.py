@@ -264,6 +264,7 @@ def test_config_errors_exit_2(workdir):
     '{"qc_pad": -3}',
     '{"truncation_radii": [1.8, 1.8000001]}',
     '{"phantom": {"M": 1.3, "A0": [[1.0, 1e-10], [0.0, 1.3]]}}',
+    '{"phantom": {"M": 1.3, "A0": [[1, 0], [0, 1.3]], "contrast": 4.0}}',
     '{"qc_initial_guess": "tmu"}',
 ])
 def test_config_validation_exit_2(workdir, capsys, text):
