@@ -7,7 +7,7 @@ from .mesh import (Mesh, ElectrodeLayout, build_disk_mesh, place_electrodes,
 from .forward import (CurrentPatternSet, CEMSystem, VoltageData, DNMatrix,
                       trig_current_patterns, assemble_cem_system,
                       solve_forward, simulate_voltages, dn_matrix,
-                      save_voltages, load_voltages, save_dn, load_dn)
+                      save_voltages, save_dn, load_dn)
 from .beltrami import (MuGrid, QCMap, BeltramiConvergenceError,
                        beltrami_coefficient, extend_mu, hilbert_transform,
                        cauchy_transform, solve_beltrami, evaluate_map,

@@ -2,13 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from anisoeit import (build_disk_mesh, place_electrodes, constant_tensor,
                       trig_current_patterns, assemble_cem_system,
                       solve_forward, simulate_voltages, dn_matrix,
-                      save_voltages, load_voltages, save_dn, load_dn,
-                      phantom_by_name)
-from anisoeit.forward import element_stiffness, VoltageData
+                      save_dn, load_dn, phantom_by_name)
+from anisoeit.forward import (element_stiffness, VoltageData,
+                              _elimination_reach)
 from anisoeit.mesh import boundary_edge_electrodes
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -168,31 +170,95 @@ def test_electrode_matrix_symmetric_semidefinite(mesh16, layout16):
     assert system.electrode_matrix() is S                 # cached
 
 
-class _CorruptColumn:
-    """Factor stand-in whose solves spoil one column, counted across the
-    successive blocks of right-hand sides it is given."""
+@pytest.mark.parametrize("name", ["A1", "A4"])
+def test_electrode_matrix_matches_dense_oracle(mesh16, layout16, name):
+    layout = dataclasses.replace(layout16,
+                                 contact_impedances=np.linspace(0.01, 0.04, 16))
+    system = assemble_cem_system(mesh16, phantom_by_name(name).tensor, layout)
+    S = system.electrode_matrix()
+    wz = system.wz.toarray()
+    ref = np.diag(system.ez) - wz @ np.linalg.solve(system.matrix.toarray(),
+                                                    wz.T)
+    assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    def __init__(self, lu, column, value):
-        self.lu, self.column, self.value, self.seen = lu, column, value, 0
 
-    def solve(self, rhs):
-        X = self.lu.solve(rhs)
-        j = self.column - self.seen
-        if 0 <= j < X.shape[1]:
-            X[:, j] += self.value
-        self.seen += X.shape[1]
-        return X
+def test_elimination_reach_closed_strict_subset(layout16):
+    mesh = build_disk_mesh(1.0, 0.05, layout16)
+    system = assemble_cem_system(mesh, phantom_by_name("A4").tensor, layout16)
+    lu = system.factor()
+    L = lu.L
+    seeds = lu.perm_r[system.wz.indices]
+    R = _elimination_reach(L, seeds)
+    # the closure of the seeds under L's pattern, by repeated expansion
+    pattern = (L != 0).astype(float) + scipy.sparse.eye_array(L.shape[0])
+    mark = np.zeros(L.shape[0])
+    mark[seeds] = 1.0
+    while True:
+        grown = (pattern @ mark > 0).astype(float)
+        if np.array_equal(grown, mark):
+            break
+        mark = grown
+    assert np.array_equal(R, np.flatnonzero(mark))
+    inside = np.zeros(L.shape[0], dtype=bool)
+    inside[R] = True
+    assert inside[L[:, R].indices].all()                  # closed
+    assert 0 < R.size < mesh.n_nodes                      # 691 of 1,597
+
+
+def test_electrode_matrix_l128_matches_full_solve():
+    layout = place_electrodes(128, 0.5, 2.5e-4)
+    mesh = build_disk_mesh(1.0, 0.012, layout)
+    system = assemble_cem_system(mesh, phantom_by_name("A4").tensor, layout)
+    S = system.electrode_matrix()
+    ref = (np.diag(system.ez)
+           - system.wz @ system.factor().solve(system.wz.T.toarray()))
+    assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("value", [1.0, np.nan])
 def test_node_solve_residual_names_electrode_column(mesh16, layout16, value,
                                                     monkeypatch):
-    # in blocks of 8, electrode 13 is column 5 of the second block
-    import anisoeit.forward as forward
-    monkeypatch.setattr(forward, "_BLOCK", 8)
+    solve = scipy.sparse.linalg.spsolve_triangular
+
+    def spoiled(*args, **kwargs):
+        Y = solve(*args, **kwargs)
+        Y[:, 13] += value
+        return Y
+
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve_triangular", spoiled)
     system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
-    system._factor = _CorruptColumn(system.factor(), 13, value)
     with pytest.raises(RuntimeError, match="electrode column 13 "):
+        system.electrode_matrix()
+
+
+class _Factor:
+    """Factor stand-in: the real factor with some attributes replaced."""
+
+    def __init__(self, lu, **replaced):
+        self._lu = lu
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def test_perturbed_factor_diagonal_fails_probe(mesh16, layout16):
+    system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
+    lu = system.factor()
+    U = lu.U.copy()
+    d = U.diagonal()
+    d[-1] *= 1.0 + 1e-6             # the root of the elimination tree
+    U.setdiag(d)
+    system._factor = _Factor(lu, U=U)
+    with pytest.raises(RuntimeError, match="electrode probe"):
+        system.electrode_matrix()
+
+
+def test_unsymmetric_permutation_raises(mesh16, layout16):
+    system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
+    lu = system.factor()
+    system._factor = _Factor(lu, perm_c=lu.perm_c[::-1].copy())
+    with pytest.raises(RuntimeError, match="permutations differ"):
         system.electrode_matrix()
 
 
@@ -349,7 +415,10 @@ def test_dn_eigenvalues_approach_continuum_with_more_electrodes():
         layout = place_electrodes(L, 0.5, 0.002)
         mesh = build_disk_mesh(1.0, 0.03, layout)
         dn = dn_matrix(simulate_voltages(mesh, A, layout))
-        freqs, est = dn.harmonic_eigenvalues()
+        # the diagonal rescaled by L / (2 pi R); cos modes 1..L/2 first,
+        # then sin modes 1..L/2-1
+        freqs = np.concatenate([np.arange(1, L // 2 + 1), np.arange(1, L // 2)])
+        est = np.diag(dn.dn) * L / (2.0 * np.pi * layout.radius)
         sel = freqs <= 2
         devs[L] = np.abs(est[sel] / freqs[sel] - 1.0).max()
     assert devs[32] < devs[16]
@@ -376,19 +445,6 @@ def test_dn_rejects_degenerate_data(mesh16, layout16):
                        layout=layout16)
     with pytest.raises(ValueError):
         dn_matrix(data)
-
-
-def test_voltage_json_roundtrip(tmp_path, mesh16, layout16):
-    data = simulate_voltages(mesh16, constant_tensor(np.eye(2)), layout16,
-                             noise=0.005, seed=11)
-    data.config_sha256 = "cafe"
-    path = tmp_path / "voltages.json"
-    save_voltages(data, path)
-    back = load_voltages(path)
-    assert np.array_equal(back.U, data.U)
-    assert np.array_equal(back.patterns.T, data.patterns.T)
-    assert back.noise == data.noise and back.seed == data.seed
-    assert back.config_sha256 == "cafe"
 
 
 def test_dn_json_roundtrip(tmp_path, dn_identity16):
