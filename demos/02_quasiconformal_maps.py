@@ -10,10 +10,11 @@ import csv
 
 import numpy as np
 
-from anisoeit import (a0_catalog, beltrami_coefficient, extend_mu,
-                      solve_beltrami, evaluate_map, pushforward_tensor)
+from anisoeit import (beltrami_coefficient, extend_mu, solve_beltrami,
+                      evaluate_map, pushforward_tensor)
+from anisoeit.phantoms import STOCK
 
-for name, A0 in a0_catalog().items():
+for name, (_, A0) in STOCK.items():
     mu0 = beltrami_coefficient(A0)
     print(f"\n=== {name}: diag({A0[0, 0]:g}, {A0[1, 1]:g}), "
           f"dilatation mu = {mu0.real:+.4f}")

@@ -207,13 +207,6 @@ def reconstruct_scalar(atilde: Callable[[np.ndarray], np.ndarray],
     return np.asarray(atilde(y))
 
 
-def assemble_tensor(a: np.ndarray, A0: np.ndarray) -> np.ndarray:
-    """Scalar samples times the constant background: (N, 2, 2) tensors."""
-    a = np.asarray(a, dtype=float)
-    A0 = np.asarray(A0, dtype=float)
-    return a[..., None, None] * A0
-
-
 def save_fhat(fhat: FhatGrid, json_path, bin_path) -> None:
     """JSON metadata + binary complex spectrum samples (row-major over the
     masked lattice, in the order of ``zs``)."""
@@ -277,9 +270,6 @@ class ReconstructedField:
     A0: np.ndarray
     config_sha256: str = ""
     fhat: Optional[FhatGrid] = None   # spectrum the field was built from
-
-    def tensor(self) -> np.ndarray:
-        return assemble_tensor(self.a, self.A0)
 
 
 def reconstruct_field(dn: DNMatrix, qcmap: Optional[QCMap], A0: np.ndarray,

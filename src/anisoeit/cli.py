@@ -141,15 +141,11 @@ def cmd_reconstruct(cfg: RunConfig, dn_path=None, map_path=None) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: RunConfig, recon_path, phantom_name=None) -> int:
+def cmd_evaluate(cfg: RunConfig, recon_path) -> int:
     """Error metrics of a reconstruction against the true phantom."""
-    if phantom_name is not None and isinstance(cfg.phantom, str) \
-            and phantom_name != cfg.phantom:
-        raise ConfigError(f"phantom {phantom_name!r} does not match the "
-                          f"config's {cfg.phantom!r}")
     fieldobj = _read(calderon.load_field, recon_path)
     _same_config(fieldobj.config_sha256, cfg.sha256(), recon_path)
-    ph = phantom_by_name(phantom_name) if phantom_name else _phantom(cfg)
+    ph = _phantom(cfg)
     axis = fieldobj.grid_axis
     if len(axis) != cfg.output_grid:
         raise ConfigError("reconstruction grid does not match the config")
@@ -218,7 +214,7 @@ def _dispatch(parser, argv) -> int:
         return cmd_map(cfg)
     if args.command == "reconstruct":
         return cmd_reconstruct(cfg, args.dn, args.map_file)
-    return cmd_evaluate(cfg, args.recon, args.phantom)
+    return cmd_evaluate(cfg, args.recon)
 
 
 def main(argv=None) -> int:
@@ -253,8 +249,6 @@ def main(argv=None) -> int:
                             "against the phantom", **subkw)
     p_eval.add_argument("--recon", required=True,
                         help="reconstruction JSON file")
-    p_eval.add_argument("--phantom", default=None,
-                        help="phantom name override (must match the config)")
 
     # warnings raised while the command runs go into its error record, so
     # that stderr of a failed run is exactly one JSON line

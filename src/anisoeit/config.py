@@ -15,7 +15,6 @@ from typing import Union, get_args, get_type_hints
 
 import numpy as np
 
-from .atomic import write_json
 from .phantoms import STOCK, check_spd
 
 
@@ -155,7 +154,3 @@ def load_config(path) -> RunConfig:
     cfg = RunConfig(**doc)
     cfg.validate()
     return cfg
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    write_json(path, asdict(cfg))

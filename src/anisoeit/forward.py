@@ -320,7 +320,6 @@ class VoltageData:
 
     U: np.ndarray                  # (L, L-1)
     patterns: CurrentPatternSet
-    contact_impedances: np.ndarray
     layout: ElectrodeLayout
     noise: float = 0.0
     seed: int = 0
@@ -349,9 +348,8 @@ def simulate_voltages(mesh: Mesh, A: Conductivity,
         rng = np.random.Generator(np.random.Philox(seed))
         U = U + noise * np.abs(U).max() * rng.standard_normal(U.shape)
         U = U - U.mean(axis=0, keepdims=True)
-    return VoltageData(U=U, patterns=patterns,
-                       contact_impedances=layout.contact_impedances.copy(),
-                       layout=layout, noise=float(noise), seed=int(seed))
+    return VoltageData(U=U, patterns=patterns, layout=layout,
+                       noise=float(noise), seed=int(seed))
 
 
 @dataclass

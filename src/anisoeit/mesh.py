@@ -3,17 +3,6 @@
 Builds conforming triangular meshes of a disk whose boundary nodes include
 every electrode arc endpoint.  This module holds geometry only; the
 conductivities the forward solver integrates over it are in ``phantoms``.
-
-Mesh text format (``save_mesh`` / ``load_mesh``)::
-
-    anisoeit-mesh 1
-    <radius>
-    <n_nodes>
-    x y            # one line per node, %.17g
-    <n_triangles>
-    i j k          # zero-based node indices, counterclockwise
-    <n_boundary>
-    b              # boundary node indices, counterclockwise order
 """
 
 from __future__ import annotations
@@ -21,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .atomic import atomic_open
 
 TWO_PI = 2.0 * np.pi
 
@@ -46,11 +33,6 @@ class ElectrodeLayout:
     angular_width: float       # arc opening angle, identical for all arcs
     contact_impedances: np.ndarray  # (L,) positive, Ohm*m nominal
     radius: float = 1.0
-
-    @property
-    def arc_length(self) -> float:
-        """Arc length |e_l| of each electrode."""
-        return self.angular_width * self.radius
 
     def arc_bounds(self) -> np.ndarray:
         """(L, 2) start/end angles of each arc (end may exceed 2*pi)."""
@@ -127,13 +109,6 @@ class Mesh:
         e1 = p[:, 1] - p[:, 0]
         e2 = p[:, 2] - p[:, 0]
         return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-
-    def edge_lengths(self) -> np.ndarray:
-        p = self.nodes[self.triangles]
-        out = []
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            out.append(np.linalg.norm(p[:, a] - p[:, b], axis=1))
-        return np.concatenate(out)
 
     def boundary_edges(self) -> np.ndarray:
         """(Nb, 2) consecutive boundary node pairs, counterclockwise."""
@@ -251,41 +226,3 @@ def boundary_edge_electrodes(mesh: Mesh, layout: ElectrodeLayout) -> np.ndarray:
     mid = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
     ang = _wrap_angle(np.arctan2(mid[:, 1], mid[:, 0]))
     return layout.electrode_of_angle(ang)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def save_mesh(mesh: Mesh, path) -> None:
-    """Write a mesh in the plain-text format documented in this module."""
-    with atomic_open(path, "w") as f:
-        f.write("anisoeit-mesh 1\n")
-        f.write("%.17g\n" % mesh.radius)
-        f.write("%d\n" % mesh.n_nodes)
-        for x, y in mesh.nodes:
-            f.write("%.17g %.17g\n" % (x, y))
-        f.write("%d\n" % len(mesh.triangles))
-        for i, j, k in mesh.triangles:
-            f.write("%d %d %d\n" % (i, j, k))
-        f.write("%d\n" % len(mesh.boundary_nodes))
-        for b in mesh.boundary_nodes:
-            f.write("%d\n" % b)
-
-
-def load_mesh(path) -> Mesh:
-    with open(path) as f:
-        header = f.readline().split()
-        if header[:1] != ["anisoeit-mesh"]:
-            raise ValueError(f"{path}: not an anisoeit mesh file")
-        radius = float(f.readline())
-        n = int(f.readline())
-        nodes = np.array([[float(v) for v in f.readline().split()] for _ in range(n)])
-        m = int(f.readline())
-        tris = np.array([[int(v) for v in f.readline().split()] for _ in range(m)],
-                        dtype=int)
-        nb = int(f.readline())
-        bnd = np.array([int(f.readline()) for _ in range(nb)], dtype=int)
-    mesh = Mesh(nodes=nodes, triangles=tris, boundary_nodes=bnd, radius=radius)
-    mesh.validate()
-    return mesh

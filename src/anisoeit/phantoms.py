@@ -15,7 +15,7 @@ element so only element classification sees the jump.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable
 
 import numpy as np
 
@@ -74,11 +74,6 @@ def sigma_profile(M: float) -> Callable[[np.ndarray], np.ndarray]:
     return sigma
 
 
-def a0_catalog() -> Dict[str, np.ndarray]:
-    """The four stock background tensors, keyed by phantom name."""
-    return {name: A0.copy() for name, (_, A0) in STOCK.items()}
-
-
 @dataclass(frozen=True)
 class PhantomSpec:
     """A named phantom: scalar contrast profile times a constant tensor."""
@@ -104,17 +99,3 @@ def phantom_by_name(name: str) -> PhantomSpec:
         raise KeyError(f"unknown phantom {name!r}; expected one of {sorted(STOCK)}")
     M, A0 = STOCK[name]
     return make_phantom(M, A0, name=name)
-
-
-def analytic_disk_dn(sigma: float, k: int) -> float:
-    """Continuum boundary-map eigenvalue sigma*|k| of the homogeneous unit disk.
-
-    Voltage cos(k theta) on the boundary of a disk with constant scalar
-    conductivity sigma produces current density sigma*k*cos(k theta); this
-    is the oracle the electrode models are checked against.
-    """
-    if k == 0:
-        raise ValueError("k = 0 (constant mode) is not in the range of the map")
-    if sigma <= 0:
-        raise ValueError(f"conductivity must be positive, got {sigma}")
-    return float(sigma) * abs(int(k))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from anisoeit import (build_disk_mesh, place_electrodes, constant_tensor,
-                      simulate_voltages, dn_matrix, extend_mu, solve_beltrami,
-                      phantom_by_name, a0_catalog)
+                      simulate_voltages, dn_matrix, extend_mu, solve_beltrami)
+from anisoeit.phantoms import STOCK
 
 
 @pytest.fixture(scope="session")
@@ -43,7 +43,7 @@ def dn_identity32(mesh32_fine, layout32_fine):
 def catalog_maps():
     """Quasi-conformal maps for the four stock background tensors."""
     return {name: solve_beltrami(extend_mu(A0))
-            for name, A0 in a0_catalog().items()}
+            for name, (_, A0) in STOCK.items()}
 
 
 @pytest.fixture(scope="session")

@@ -11,19 +11,21 @@ stretched axis beyond what double-precision electrode data supports.
 import hashlib
 import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from scipy.special import j1
 
-from anisoeit import (a0_catalog, beltrami_coefficient, bilinear_form,
+from anisoeit import (beltrami_coefficient, bilinear_form,
                       build_disk_mesh, constant_tensor, dn_matrix,
                       evaluate_map, fhat_grid, inverse_fourier,
                       place_electrodes, phantom_by_name, pushforward_tensor,
                       reconstruct_field, simulate_voltages, solve_forward,
                       assemble_cem_system, trig_current_patterns)
 from anisoeit.cli import main
-from anisoeit.config import RunConfig, save_config
+from anisoeit.config import RunConfig
+from anisoeit.phantoms import STOCK
 
 MU_EXPECTED = {"A1": 0.0655, "A2": -0.0655, "A3": 0.3333, "A4": -0.3333}
 TRUNCATION_RADII = {"A1": (1.8, 2.0), "A2": (1.8, 2.0),
@@ -40,7 +42,7 @@ def _report(num, text):
 
 def test_criterion_1_mu_catalog():
     t0 = time.perf_counter()
-    for name, A0 in a0_catalog().items():
+    for name, (_, A0) in STOCK.items():
         mu = beltrami_coefficient(A0)
         assert mu.real == pytest.approx(MU_EXPECTED[name], abs=5e-5), name
         assert mu.imag == 0.0
@@ -71,7 +73,7 @@ def test_criterion_3_beltrami_residuals(catalog_maps):
     # one fresh solve of the strongest tensor checks the per-tensor budget
     from anisoeit import extend_mu, solve_beltrami
     t0 = time.perf_counter()
-    solve_beltrami(extend_mu(a0_catalog()["A3"]))
+    solve_beltrami(extend_mu(STOCK["A3"][1]))
     assert time.perf_counter() - t0 < 60.0
     worst_res, worst_ratio = 0.0, 0.0
     for name, qc in catalog_maps.items():
@@ -95,7 +97,7 @@ def test_criterion_4_pushforward_isotropy(catalog_maps):
     t = 2 * np.pi * rng.random(500)
     pts = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
     worst_off, worst_ratio = 0.0, 1.0
-    for name, A0 in a0_catalog().items():
+    for name, (_, A0) in STOCK.items():
         out = pushforward_tensor(A0, catalog_maps[name], pts)
         sq = np.sqrt(np.linalg.det(A0))
         off = np.abs(out[:, 0, 1]).max() / sq
@@ -241,7 +243,7 @@ def test_criterion_9_determinism(tmp_path, monkeypatch):
     cfg = RunConfig(phantom="A1", target_h=0.1, truncation_radii=[1.8],
                     noise=0.003, seed=17)
     cfg.validate()
-    save_config(cfg, "cfg.json")
+    (tmp_path / "cfg.json").write_text(json.dumps(asdict(cfg)))
     digests = []
     for _ in range(2):
         for cmd in ("simulate", "map", "reconstruct"):

@@ -4,9 +4,10 @@ import pytest
 from anisoeit import (beltrami_coefficient, extend_mu, hilbert_transform,
                       cauchy_transform, solve_beltrami, evaluate_map,
                       pushforward_tensor, save_qcmap, load_qcmap,
-                      a0_catalog, BeltramiConvergenceError)
+                      BeltramiConvergenceError)
 from anisoeit.beltrami import (MuGrid, QCMap, _cauchy_kernel, _cauchy_kernel_hat,
                                _centred_gradient, _hilbert_symbol)
+from anisoeit.phantoms import STOCK
 
 
 # ---------------------------------------------------------------------------
@@ -15,7 +16,7 @@ from anisoeit.beltrami import (MuGrid, QCMap, _cauchy_kernel, _cauchy_kernel_hat
 
 def test_mu_catalog_values():
     expected = {"A1": 0.0655, "A2": -0.0655, "A3": 0.3333, "A4": -0.3333}
-    for name, A0 in a0_catalog().items():
+    for name, (_, A0) in STOCK.items():
         mu = beltrami_coefficient(A0)
         assert mu.imag == 0.0
         assert mu.real == pytest.approx(expected[name], abs=5e-5)
@@ -267,7 +268,7 @@ def test_padding_converges_to_exact_affine_map():
     # inside the constant-coefficient disk the exact map is z + mu0 conj(z);
     # the FFT solve deviates from it by periodization error, which padding
     # suppresses (measured 2.2e-3, 1.4e-4, 9.9e-6 for pad 1, 2, 4)
-    mu = extend_mu(a0_catalog()["A4"], r=2.0, blend=0.5, n=128, s=4.0)
+    mu = extend_mu(STOCK["A4"][1], r=2.0, blend=0.5, n=128, s=4.0)
     X, Y = mu.meshgrid()
     Z = X + 1j * Y
     disk = np.abs(Z) <= 1.0
@@ -397,7 +398,7 @@ def test_pushforward_isotropizes_catalog(catalog_maps):
     r = np.sqrt(rng.random(400)) * 0.95
     t = 2 * np.pi * rng.random(400)
     pts = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
-    for name, A0 in a0_catalog().items():
+    for name, (_, A0) in STOCK.items():
         qc = catalog_maps[name]
         out = pushforward_tensor(A0, qc, pts)
         sq = np.sqrt(np.linalg.det(A0))

@@ -6,8 +6,8 @@ import pytest
 from scipy.special import j0, j1
 
 from anisoeit import (cgo_traces, bilinear_form, fhat_grid,
-                      inverse_fourier, reconstruct_scalar, assemble_tensor,
-                      reconstruct_field, save_field, load_field,
+                      inverse_fourier, reconstruct_scalar, reconstruct_field,
+                      save_field, load_field,
                       trig_current_patterns, place_electrodes)
 from anisoeit.calderon import FhatGrid, masked_lattice
 from anisoeit.forward import DNMatrix
@@ -396,19 +396,6 @@ def test_reconstruct_scalar_composes_with_map(identity_qcmap):
     pts = np.array([[0.2, 0.3], [-0.4, 0.1]])
     out = reconstruct_scalar(lambda y: y[:, 0], identity_qcmap, pts)
     assert np.allclose(out, pts[:, 0], atol=1e-12)
-
-
-def test_assemble_tensor_cases():
-    A0 = np.diag([1.0, 1.3])
-    out = assemble_tensor(np.ones(5), A0)
-    assert np.allclose(out, A0)
-    single = assemble_tensor(np.array([1.3]), A0)[0]
-    assert np.allclose(single, np.diag([1.3, 1.69]))
-    rng = np.random.default_rng(0)
-    a = rng.uniform(0.5, 3.0, size=20)
-    out = assemble_tensor(a, A0)
-    assert np.allclose(out, np.swapaxes(out, 1, 2))
-    assert (np.linalg.eigvalsh(out)[:, 0] > 0).all()
 
 
 # ---------------------------------------------------------------------------

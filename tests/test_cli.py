@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,14 +14,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import anisoeit
 from anisoeit.cli import main
-from anisoeit.config import RunConfig, load_config, save_config, ConfigError
+from anisoeit.config import RunConfig, load_config, ConfigError
 from anisoeit import calderon, load_dn, load_fhat, load_qcmap, phantom_by_name
 
 
 def write_config(path, **overrides):
     cfg = RunConfig(**overrides)
     cfg.validate()
-    save_config(cfg, path)
+    Path(path).write_text(json.dumps(asdict(cfg)))
     return cfg
 
 
@@ -191,13 +192,18 @@ def test_evaluate_detects_inclusion(workdir):
     assert metrics["center"] > metrics["bg_mean"]
 
 
-def test_evaluate_rejects_phantom_mismatch(workdir):
+def test_evaluate_rejects_phantom_option(workdir, capsys):
+    # the phantom comes from the config alone
     write_config(workdir / "cfg.json", phantom="A1", target_h=0.1,
                  truncation_radii=[2.0])
     for cmd in ("simulate", "map", "reconstruct"):
         assert main([cmd, "--config", "cfg.json"]) == 0
+    capsys.readouterr()
     assert main(["evaluate", "--config", "cfg.json",
                  "--recon", "out/recon_R2.json", "--phantom", "A3"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "config"
 
 
 def test_evaluate_rejects_other_config(workdir, capsys):

@@ -440,9 +440,7 @@ def test_nd_loewner_monotonicity(mesh16, layout16):
 
 def test_dn_rejects_degenerate_data(mesh16, layout16):
     pat = trig_current_patterns(16)
-    data = VoltageData(U=np.zeros((16, 15)), patterns=pat,
-                       contact_impedances=layout16.contact_impedances,
-                       layout=layout16)
+    data = VoltageData(U=np.zeros((16, 15)), patterns=pat, layout=layout16)
     with pytest.raises(ValueError):
         dn_matrix(data)
 

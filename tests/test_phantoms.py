@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from anisoeit import (sigma_profile, a0_catalog, make_phantom,
-                      phantom_by_name, analytic_disk_dn, beltrami_coefficient,
-                      constant_tensor)
+from anisoeit import (sigma_profile, make_phantom, phantom_by_name,
+                      beltrami_coefficient, constant_tensor)
 from anisoeit.config import ConfigError, RunConfig
+from anisoeit.phantoms import STOCK
+
+CATALOG = {name: A0 for name, (_, A0) in STOCK.items()}
 
 
 def test_sigma_values():
@@ -31,27 +33,26 @@ def test_sigma_rejects_nonpositive():
 
 
 def test_catalog_matrices():
-    cat = a0_catalog()
-    assert set(cat) == {"A1", "A2", "A3", "A4"}
-    assert np.allclose(cat["A1"], np.diag([1.0, 1.3]))
-    assert np.allclose(cat["A2"], np.diag([1.3, 1.0]))
-    assert np.allclose(cat["A3"], np.diag([1.0, 4.0]))
-    assert np.allclose(cat["A4"], np.diag([4.0, 1.0]))
-    dets = [np.linalg.det(cat[k]) for k in ("A1", "A2", "A3", "A4")]
+    assert set(CATALOG) == {"A1", "A2", "A3", "A4"}
+    assert np.allclose(CATALOG["A1"], np.diag([1.0, 1.3]))
+    assert np.allclose(CATALOG["A2"], np.diag([1.3, 1.0]))
+    assert np.allclose(CATALOG["A3"], np.diag([1.0, 4.0]))
+    assert np.allclose(CATALOG["A4"], np.diag([4.0, 1.0]))
+    dets = [np.linalg.det(CATALOG[k]) for k in ("A1", "A2", "A3", "A4")]
     assert dets == pytest.approx([1.3, 1.3, 4.0, 4.0])
 
 
 def test_catalog_mu_values():
-    cat = a0_catalog()
-    mus = [beltrami_coefficient(cat[k]).real for k in ("A1", "A2", "A3", "A4")]
+    mus = [beltrami_coefficient(CATALOG[k]).real
+           for k in ("A1", "A2", "A3", "A4")]
     assert mus == pytest.approx([0.0655, -0.0655, 0.3333, -0.3333], abs=5e-5)
 
 
 def test_catalog_axis_swap_flips_mu():
-    cat = a0_catalog()
-    assert np.allclose(cat["A2"], cat["A1"][::-1, ::-1])
-    assert beltrami_coefficient(cat["A2"]) == -beltrami_coefficient(cat["A1"])
-    assert beltrami_coefficient(cat["A4"]) == -beltrami_coefficient(cat["A3"])
+    mu = {k: beltrami_coefficient(A0) for k, A0 in CATALOG.items()}
+    assert np.allclose(CATALOG["A2"], CATALOG["A1"][::-1, ::-1])
+    assert mu["A2"] == -mu["A1"]
+    assert mu["A4"] == -mu["A3"]
 
 
 def test_phantom_tensor_field():
@@ -83,19 +84,6 @@ def test_custom_phantom():
     ph = make_phantom(2.5, np.eye(2), name="iso")
     assert ph.true_scalar(np.array([[0.1, 0.1]]))[0] == 2.5
     assert ph.true_scalar(np.array([[0.9, 0.0]]))[0] == 1.0
-
-
-def test_analytic_dn_values():
-    assert analytic_disk_dn(1.0, 3) == 3.0
-    assert analytic_disk_dn(2.0, 1) == 2.0
-    assert analytic_disk_dn(0.5, -4) == 2.0
-
-
-def test_analytic_dn_rejects_zero_mode():
-    with pytest.raises(ValueError):
-        analytic_disk_dn(1.0, 0)
-    with pytest.raises(ValueError):
-        analytic_disk_dn(-1.0, 2)
 
 
 def _accepts(check, A0):
