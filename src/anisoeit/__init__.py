@@ -14,7 +14,7 @@ from .beltrami import (MuGrid, QCMap, BeltramiConvergenceError,
 from .calderon import (FhatGrid, ReconstructedField,
                        cgo_traces, bilinear_form, fhat_grid,
                        inverse_fourier, reconstruct_scalar, reconstruct_field,
-                       save_field, load_field, save_fhat, load_fhat)
+                       save_field, load_field, save_fhat)
 from .phantoms import (PhantomSpec, constant_tensor, sigma_profile,
                        make_phantom, phantom_by_name)
 from .config import RunConfig, ConfigError, load_config

@@ -12,13 +12,17 @@ classical fixed-point iteration
     h^{n+1} = T[mu h^n] + T[mu],      Phi(z) = P[mu (h* + 1)](z) + z,
 
 where T is the two-dimensional Hilbert (Beurling) transform, realized as
-the Fourier multiplier conj(zeta)/zeta, and P is the solid Cauchy
-transform (the dbar inverse), realized by zero-padded FFT convolution
-with the 1/(pi z) kernel and normalized so that P[g](0) = 0.  Both
-transforms embed their input in a larger zero grid; their FFTs skip the
-all-zero rows of the embedded input and the columns the crop discards,
-and return bit-for-bit what full-grid fft2/ifft2 would.  The Hilbert
-symbol and the Cauchy kernel transform are cached per grid.
+the Fourier multiplier conj(zeta)/zeta of the zero-padded grid, and P is
+the solid Cauchy transform (the dbar inverse), realized by convolution
+with the 1/(pi z) kernel and normalized so that P[g](0) = 0.  The
+iterate is only read as mu h, so the iteration runs on the support box
+W of mu alone.  From W to W the padded multiplier is a convolution whose
+kernel is read only at displacements shorter than W, and P maps W to the
+whole grid; each is applied exactly as a circular convolution with its
+kernel sampled at the displacements it reads, on the smallest 5-smooth
+FFT grid without wrap-around (512 for T and 768 for P on the stock
+512-point grid, where W is 255 points wide, against the 1024 of the
+padded grid).  The kernel transforms are cached per grid and box.
 
 All grid functions live on a uniform n x n lattice over [-s, s)^2 with
 the support of mu inside |z| <= r (s >= 2r).
@@ -107,136 +111,163 @@ def _ramped_mu(mu0: complex, n: int, s: float, r: float,
 # singular integral transforms
 
 
-def hilbert_transform(g: np.ndarray, s: float, pad: int = 1) -> np.ndarray:
-    """Two-dimensional Hilbert (Beurling) transform on the periodic grid.
+def hilbert_transform(g: np.ndarray, s: float, pad: int = 1,
+                      n: int | None = None) -> np.ndarray:
+    """Two-dimensional Hilbert (Beurling) transform on a block of the
+    periodic grid.
 
-    Fourier multiplier conj(zeta)/zeta on the discrete frequency lattice,
-    with the zero frequency annihilated.  This is the unique unimodular
-    multiplier satisfying T(dbar f) = d f, so the transform preserves the
-    discrete L2 norm of zero-mean data.
+    ``g`` is a w x w block of an n x n grid over [-s, s)^2, zero outside
+    the block (``n`` defaults to w: the block is the whole grid); the
+    result is the transform on the same block.  The transform is the
+    Fourier multiplier conj(zeta)/zeta on the discrete frequency lattice
+    of the grid embedded in a pad*n periodic grid, with the zero frequency
+    annihilated.  This is the unique unimodular multiplier satisfying
+    T(dbar f) = d f, so on the whole grid the transform preserves the
+    discrete L2 norm of zero-mean data.  ``pad > 1`` suppresses the
+    periodization error for compactly supported input.
 
-    ``pad > 1`` embeds the data centrally in a pad*n grid before applying
-    the multiplier and crops afterwards, which suppresses the
-    periodization error for compactly supported input.  The padded
-    transforms skip the all-zero rows of the embedded input and the
-    cropped-away columns of the output, and the symbol is built once per
-    grid (``_hilbert_symbol``); the result is bit-for-bit that of full
-    ``np.fft.fft2``/``ifft2`` on the embedded array.
+    Block to block, the multiplier is a circular convolution whose
+    pad*n-periodic kernel is read only at displacements |d| < w, so it
+    is applied exactly as a convolution on the smallest 5-smooth grid of
+    at least 2w - 1 points (``_hilbert_multiplier``, cached per grid and
+    block size).
     """
+    g = _square_block(g)
+    w = g.shape[0]
+    n = w if n is None else n
+    if pad < 1:
+        raise ValueError(f"pad must be at least 1, got {pad}")
+    if n < w:
+        raise ValueError(f"a {w} x {w} block does not fit an n={n} grid")
+    return _block_convolve(g, _hilbert_multiplier(n, s, pad, w), w)
+
+
+def _square_block(g: np.ndarray) -> np.ndarray:
+    """g as an array, rejected unless it is square and free of NaNs."""
     g = np.asarray(g)
     if np.isnan(g).any():
         raise ValueError("input contains NaNs")
-    n = g.shape[0]
-    if g.shape != (n, n):
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"expected a square grid, got shape {g.shape}")
-    if pad < 1:
-        raise ValueError(f"pad must be at least 1, got {pad}")
-    m = pad * n
-    lo = (m - n) // 2
-    # numpy's complex multiply is not bit-commutative, and it reuses a large
-    # temporary operand as the output, so keep the full-grid formula's
-    # ``symbol * fft`` form (``fft * kernel`` in cauchy_transform) as is
-    return _cropped_ifft2(_hilbert_symbol(m, pad * s) * _padded_fft2(g, m, lo),
-                          lo, n)
+    return g
+
+
+def _fft_size(k: int) -> int:
+    """Smallest 5-smooth integer >= k: a fast FFT length."""
+    while True:
+        r = k
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return k
+        k += 1
+
+
+def _block_multiplier(kernel, w: int, k: int) -> np.ndarray:
+    """Read-only 2-D FFT of a convolution kernel on the smallest 5-smooth
+    grid of m >= k + w - 1 points, for ``_block_convolve`` of a w x w
+    block to a k x k output.
+
+    ``kernel(d)`` gives the kernel at the displacements (d[i], d[j]) in
+    grid steps.  Entry q of each axis holds displacement q for q < k and
+    q - m otherwise, which covers the displacements -(w-1) .. k-1 that
+    the convolution reads without wrap-around.
+    """
+    m = _fft_size(k + w - 1)
+    q = np.arange(m)
+    Khat = np.fft.fft2(kernel(np.where(q < k, q, q - m)))
+    Khat.flags.writeable = False
+    return Khat
+
+
+def _block_convolve(g: np.ndarray, Khat: np.ndarray, k: int) -> np.ndarray:
+    """[0, k)^2 block of the circular convolution of the w x w block g,
+    zero-extended to the grid of ``Khat``, with the kernel whose FFT is
+    ``Khat``.  The forward pass runs its first 1-D transforms on g's w
+    columns only, and the inverse pass its last on the k kept columns."""
+    m = Khat.shape[0]
+    F = np.fft.fft(np.fft.fft(g, n=m, axis=0), n=m, axis=1)
+    F *= Khat
+    return np.fft.ifft(np.fft.ifft(F, axis=1, out=F)[:, :k], axis=0)[:k]
 
 
 @functools.lru_cache(maxsize=4)
-def _hilbert_symbol(m: int, s: float) -> np.ndarray:
-    """Read-only multiplier conj(zeta)/zeta of the m x m grid over
-    [-s, s)^2, zero at the zero frequency."""
-    freq = np.fft.fftfreq(m, d=2.0 * s / m)
-    FX, FY = np.meshgrid(freq, freq, indexing="ij")
-    zeta = FX + 1j * FY
+def _hilbert_multiplier(n: int, s: float, pad: int, w: int) -> np.ndarray:
+    """``_block_multiplier`` of T on w x w blocks of the n x n grid over
+    [-s, s)^2.  The kernel is the inverse FFT of conj(zeta)/zeta (zero
+    at the zero frequency) on the pad*n grid, read periodically; its
+    second 1-D pass runs only on the columns read."""
+    m = pad * n
+    freq = np.fft.fftfreq(m, d=2.0 * s / n)
+    zeta = freq[:, None] + 1j * freq[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         symbol = np.conj(zeta) / zeta
     symbol[0, 0] = 0.0
-    symbol.flags.writeable = False
-    return symbol
+
+    def kernel(d):
+        d = d % m
+        return np.fft.ifft(np.fft.ifft(symbol, axis=1)[:, d], axis=0)[d]
+
+    return _block_multiplier(kernel, w, w)
 
 
-def _padded_fft2(g: np.ndarray, m: int, lo: int) -> np.ndarray:
-    """``np.fft.fft2`` of the n x n array g embedded at [lo, lo+n)^2 in an
-    m x m zero grid.
-
-    Same 1-D transforms in the same order as fft2 (axis 1, then axis 0),
-    but the axis-1 pass runs only on the rows of g's non-zero bounding
-    box: the other rows transform to zero.
-    """
-    n = g.shape[0]
-    F = np.zeros((m, m), dtype=complex)
-    rows = np.flatnonzero(g.any(axis=1))
-    if rows.size:
-        r0, r1 = rows[0], rows[-1] + 1
-        block = np.zeros((r1 - r0, m), dtype=complex)
-        block[:, lo:lo + n] = g[r0:r1]
-        F[lo + r0:lo + r1] = np.fft.fft(block, axis=1)
-    return np.fft.fft(F, axis=0, out=F)
-
-
-def _cropped_ifft2(F: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """The [lo, lo+n)^2 block of ``np.fft.ifft2(F)``: the axis-1 pass on
-    every row, then the axis-0 pass on the kept columns only.  F is
-    overwritten."""
-    rows = np.fft.ifft(F, axis=1, out=F)[:, lo:lo + n]
-    return np.fft.ifft(rows, axis=0)[lo:lo + n]
-
-
-def _cauchy_kernel(n: int, s: float, refine: int = 4) -> np.ndarray:
-    """1/(pi z) kernel on the padded 2n x 2n displacement lattice.
+def _cauchy_kernel(idx: np.ndarray, d: float, refine: int = 4) -> np.ndarray:
+    """1/(pi z) kernel at the displacements z = (idx[i] + 1j idx[j]) * d.
 
     Cells within ``refine`` spacings of the singularity carry exact cell
     averages (Gauss-Legendre); the singular cell itself integrates to
-    zero by symmetry.  Returned in FFT (wrapped) index order.
+    zero by symmetry.
     """
-    d = 2.0 * s / n
-    m = 2 * n
-    idx = np.arange(m)
-    idx = np.where(idx < m // 2, idx, idx - m)
     DX, DY = np.meshgrid(idx * d, idx * d, indexing="ij")
     Z = DX + 1j * DY
     with np.errstate(divide="ignore", invalid="ignore"):
         K = 1.0 / (np.pi * Z)
-    K[0, 0] = 0.0
     nodes, weights = np.polynomial.legendre.leggauss(12)
     nodes = nodes * d / 2.0
     weights = weights * d / 2.0
     GX, GY = np.meshgrid(nodes, nodes, indexing="ij")
     GW = np.outer(weights, weights)
-    for i in range(-refine, refine + 1):
-        for j in range(-refine, refine + 1):
+    near = {int(v): p for p, v in enumerate(idx) if abs(v) <= refine}
+    for i, p in near.items():
+        for j, q in near.items():
             if i == 0 and j == 0:
+                K[p, q] = 0.0
                 continue
             cell = (i * d + GX) + 1j * (j * d + GY)
-            K[i, j] = np.sum(GW / (np.pi * cell)) / (d * d)
+            K[p, q] = np.sum(GW / (np.pi * cell)) / (d * d)
     return K
 
 
 @functools.lru_cache(maxsize=4)
-def _cauchy_kernel_hat(n: int, s: float) -> np.ndarray:
-    """Read-only 2-D FFT of the padded Cauchy kernel for the n x n grid."""
-    Khat = np.fft.fft2(_cauchy_kernel(n, s))
-    Khat.flags.writeable = False
-    return Khat
+def _cauchy_multiplier(n: int, s: float, w: int, lo: int) -> np.ndarray:
+    """``_block_multiplier`` of the Cauchy kernel from the w x w block at
+    [lo, lo + w)^2 of the n x n grid over [-s, s)^2 to the whole grid."""
+    return _block_multiplier(lambda d: _cauchy_kernel(d - lo, 2.0 * s / n),
+                             w, n)
 
 
-def cauchy_transform(g: np.ndarray, s: float) -> np.ndarray:
+def cauchy_transform(g: np.ndarray, s: float, n: int | None = None,
+                     lo: int = 0) -> np.ndarray:
     """Solid Cauchy transform P with dbar P[g] = g and P[g](0) = 0.
 
-    FFT convolution of the compactly supported input with the 1/(pi z)
-    kernel on a zero-padded 2n x 2n grid (true linear convolution over the
-    window, no wrap-around), followed by subtraction of the value at the
-    origin.  The kernel transform is built once per grid
-    (``_cauchy_kernel_hat``).
+    ``g`` is the w x w block at rows and columns [lo, lo + w) of an
+    n x n grid over [-s, s)^2, zero outside the block (``n`` defaults to
+    w: the block is the whole grid); the result is P[g] on the whole
+    grid.  It is the linear convolution of g with the 1/(pi z) kernel,
+    computed as a circular convolution on the smallest 5-smooth grid of
+    at least n + w - 1 points, which has no wrap-around onto the grid,
+    followed by subtraction of the value at the origin.  The kernel
+    transform is built once per grid and block (``_cauchy_multiplier``).
     """
-    g = np.asarray(g, dtype=complex)
-    if np.isnan(g).any():
-        raise ValueError("input contains NaNs")
-    n = g.shape[0]
-    if g.shape != (n, n):
-        raise ValueError(f"expected a square grid, got shape {g.shape}")
+    g = _square_block(g)
+    w = g.shape[0]
+    n = w if n is None else n
+    if lo < 0 or lo + w > n:
+        raise ValueError(f"a {w} x {w} block at {lo} does not fit an "
+                         f"n={n} grid")
     d = 2.0 * s / n
-    conv = _cropped_ifft2(_padded_fft2(g, 2 * n, 0) * _cauchy_kernel_hat(n, s),
-                          0, n) * (d * d)
+    conv = _block_convolve(g, _cauchy_multiplier(n, s, w, lo), n) * (d * d)
     return conv - conv[n // 2, n // 2]
 
 
@@ -320,6 +351,16 @@ def _beltrami_residual(phi: np.ndarray, mu: MuGrid) -> float:
     return float(np.abs(dbar - mu.mu * dphi)[q:-q, q:-q].max())
 
 
+def _support_box(a: np.ndarray) -> tuple[int, int] | None:
+    """(lo, hi) of the smallest box [lo, hi)^2 holding the non-zeros of
+    the square array a, or None when a is zero."""
+    rows = np.flatnonzero(a.any(axis=1))
+    cols = np.flatnonzero(a.any(axis=0))
+    if not rows.size:
+        return None
+    return int(min(rows[0], cols[0])), int(max(rows[-1], cols[-1])) + 1
+
+
 def solve_beltrami(mu: MuGrid, tol: float = 1e-10, max_iter: int = 200,
                    pad: int = 2) -> QCMap:
     """Solve dbar Phi = mu d Phi by the contraction iteration.
@@ -329,7 +370,8 @@ def solve_beltrami(mu: MuGrid, tol: float = 1e-10, max_iter: int = 200,
     mu : MuGrid
         Compactly supported coefficient with sup |mu| < 1.
     tol : float
-        Termination threshold on the sup-norm iterate increment.
+        Termination threshold on the sup-norm iterate increment, measured
+        on the support box of mu: the iterate h is only read as mu * h.
     max_iter : int
         Iteration budget, at least 1; exceeding it raises
         BeltramiConvergenceError carrying the last increment.
@@ -338,7 +380,10 @@ def solve_beltrami(mu: MuGrid, tol: float = 1e-10, max_iter: int = 200,
         iteration; the input is compactly supported, so padding only
         reduces periodization error.
 
-    The Beltrami residual stored on the result is the sup norm of
+    The iteration runs on the smallest box [lo, hi)^2 holding mu != 0,
+    and the Cauchy step maps that box to the whole grid.  A zero mu has
+    an empty box: Phi = z with one zero increment and no transform.  The
+    Beltrami residual stored on the result is the sup norm of
     dbar Phi - mu d Phi over the inner half-grid, with derivatives by
     centered finite differences.
     """
@@ -348,29 +393,27 @@ def solve_beltrami(mu: MuGrid, tol: float = 1e-10, max_iter: int = 200,
     if sup_mu >= 1.0:
         raise ValueError(f"sup |mu| = {sup_mu:g} >= 1: not quasi-conformal")
     s, n = mu.s, mu.n
-    T = lambda g: hilbert_transform(g, s, pad=pad)
-    h = tmu = T(mu.mu)
-
-    increments = []
-    converged = sup_mu == 0.0
-    if converged:
-        h = np.zeros((n, n), dtype=complex)
-        increments.append(0.0)
+    X, Y = mu.meshgrid()
+    phi = X + 1j * Y
+    box = _support_box(mu.mu)
+    if box is None:
+        increments = [0.0]
     else:
+        lo, hi = box
+        m = mu.mu[lo:hi, lo:hi]
+        T = lambda g: hilbert_transform(g, s, pad=pad, n=n)
+        h = tmu = T(m)
+        increments = []
         for _ in range(max_iter):
-            h_next = T(mu.mu * h) + tmu
+            h_next = T(m * h) + tmu
             inc = float(np.abs(h_next - h).max())
             increments.append(inc)
             h = h_next
             if inc <= tol:
-                converged = True
                 break
-    if not converged:
-        raise BeltramiConvergenceError(len(increments), increments[-1])
-
-    w = cauchy_transform(mu.mu * (h + 1.0), s)
-    X, Y = mu.meshgrid()
-    phi = (X + 1j * Y) + w
+        else:
+            raise BeltramiConvergenceError(len(increments), increments[-1])
+        phi += cauchy_transform(m * (h + 1.0), s, n=n, lo=lo)
     return QCMap(phi=phi, mu=mu, residual=_beltrami_residual(phi, mu),
                  iterations=len(increments), increments=np.array(increments))
 

@@ -233,23 +233,6 @@ def _beside(json_path, name) -> Path:
     return Path(json_path).parent / Path(name).name
 
 
-def load_fhat(json_path) -> FhatGrid:
-    with open(json_path) as f:
-        doc = json.load(f)
-    if doc.get("format") != "anisoeit-fhat":
-        raise ValueError(f"{json_path}: not a spectrum file")
-    R, m = float(doc["R"]), int(doc["m"])
-    zs, _ = masked_lattice(R, m)
-    with open(_beside(json_path, doc["values_file"]), "rb") as f:
-        values = np.frombuffer(f.read(), dtype=np.complex128).copy()
-    if len(values) != len(zs) or len(values) != doc["count"]:
-        raise ValueError(f"{json_path}: lattice size mismatch")
-    return FhatGrid(R=R, m=m, zs=zs, values=values,
-                    spacing=float(doc["spacing"]),
-                    det_background=float(doc["det_background"]),
-                    config_sha256=doc.get("config_sha256", ""))
-
-
 # ---------------------------------------------------------------------------
 # full pipeline
 

@@ -185,7 +185,7 @@ config keys (JSON object; every key optional, defaults in parentheses):
   current_amplitude  trig pattern amplitude (1.0)
   qc_n, qc_s         map grid: points per axis (512), half-width (4.0)
   qc_r, qc_blend     coefficient support radius (2.0), ramp width (0.5)
-  qc_tol             fixed-point increment tolerance (1e-10)
+  qc_tol             fixed-point increment tolerance on mu's support (1e-10)
   qc_max_iter        iteration budget (200)
   qc_pad             transform padding factor inside the solve (2)
   truncation_radii   list of spectrum cutoffs to reconstruct at ([2.0])

@@ -5,8 +5,9 @@ from anisoeit import (beltrami_coefficient, extend_mu, hilbert_transform,
                       cauchy_transform, solve_beltrami, evaluate_map,
                       pushforward_tensor, save_qcmap, load_qcmap,
                       BeltramiConvergenceError)
-from anisoeit.beltrami import (MuGrid, QCMap, _cauchy_kernel, _cauchy_kernel_hat,
-                               _centred_gradient, _hilbert_symbol)
+from anisoeit.beltrami import (MuGrid, QCMap, _cauchy_kernel,
+                               _cauchy_multiplier, _centred_gradient,
+                               _hilbert_multiplier)
 from anisoeit.phantoms import STOCK
 
 
@@ -184,48 +185,65 @@ def _full_grid_hilbert(g, s, pad):
 
 
 def _full_grid_cauchy(g, s):
+    # the transform as full-grid fft2/ifft2 on the 2n x 2n zero-padded grid
     n = g.shape[0]
     d = 2.0 * s / n
     gp = np.zeros((2 * n, 2 * n), dtype=complex)
     gp[:n, :n] = g
-    Khat = np.fft.fft2(_cauchy_kernel(n, s))
+    idx = np.arange(2 * n)
+    Khat = np.fft.fft2(_cauchy_kernel(np.where(idx < n, idx, idx - 2 * n), d))
     conv = np.fft.ifft2(np.fft.fft2(gp) * Khat)[:n, :n] * (d * d)
     return conv - conv[n // 2, n // 2]
 
 
-def _transform_inputs(n):
-    rng = np.random.default_rng(n)
-    inputs = {"zero": np.zeros((n, n), dtype=complex)}
-    for ij in ((0, 0), (0, n - 1), (n - 1, n - 1)):
-        g = np.zeros((n, n), dtype=complex)
+def _window_inputs(w):
+    rng = np.random.default_rng(w)
+    inputs = {"zero": np.zeros((w, w), dtype=complex)}
+    for ij in ((0, 0), (0, w - 1), (w - 1, 0), (w - 1, w - 1)):
+        g = np.zeros((w, w), dtype=complex)
         g[ij] = 0.7 - 1.3j
         inputs[f"pixel{ij}"] = g
-    g = np.zeros((n, n), dtype=complex)
-    g[5:n // 2, n // 3:n - 4] = 1.5 - 0.5j   # off-centre block
+    g = np.zeros((w, w), dtype=complex)
+    g[1:w // 2, w // 3:w - 1] = 1.5 - 0.5j   # off-centre block
     inputs["block"] = g
-    inputs["complex"] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    inputs["real"] = rng.standard_normal((n, n))
+    inputs["complex"] = rng.standard_normal((w, w)) + 1j * rng.standard_normal((w, w))
+    inputs["real"] = rng.standard_normal((w, w))
     return inputs
 
 
 @pytest.mark.parametrize("n", [32, 33, 64])
-def test_transforms_bit_identical_to_full_grid(n):
-    # the pruned transforms run the same 1-D FFTs as the full grid, so the
-    # values agree exactly (signed zeros aside, hence array_equal); from
-    # n = 64 at pad 2 the padded spectrum is large enough (256 KiB) for
-    # numpy to multiply into the temporary in place
-    for name, g in _transform_inputs(n).items():
-        for pad in (1, 2, 3):
-            got = hilbert_transform(g, 4.0, pad=pad)
-            assert np.array_equal(got, _full_grid_hilbert(g, 4.0, pad)), (name, pad)
-        assert np.array_equal(cauchy_transform(g, 4.0),
-                              _full_grid_cauchy(g, 4.0)), name
+def test_transforms_match_full_grid(n):
+    # on a window [lo, lo + w)^2 the transforms convolve with the kernels'
+    # values at the displacements they read, so they equal the full-grid
+    # FFTs up to rounding; windows: the whole grid, off-centre, far corner
+    for lo, w in ((0, n), (3, n // 2 + 1), (n - n // 3, n // 3)):
+        for name, block in _window_inputs(w).items():
+            g = np.zeros((n, n), dtype=complex)
+            g[lo:lo + w, lo:lo + w] = block
+            for pad in (1, 2, 3):
+                ref = _full_grid_hilbert(g, 4.0, pad)[lo:lo + w, lo:lo + w]
+                got = hilbert_transform(block, 4.0, pad=pad, n=n)
+                err = np.abs(got - ref).max()
+                assert err <= 1e-14 * np.abs(ref).max(), (lo, w, name, pad, err)
+            ref = _full_grid_cauchy(g, 4.0)
+            got = cauchy_transform(block, 4.0, n=n, lo=lo)
+            err = np.abs(got - ref).max()
+            assert err <= 1e-14 * np.abs(ref).max(), (lo, w, name, err)
+
+
+def test_transforms_reject_block_outside_grid():
+    with pytest.raises(ValueError, match="does not fit"):
+        hilbert_transform(np.zeros((33, 33)), s=4.0, n=32)
+    for lo in (-1, 20):
+        with pytest.raises(ValueError, match="does not fit"):
+            cauchy_transform(np.zeros((16, 16)), s=4.0, n=32, lo=lo)
 
 
 def test_transform_caches_read_only_and_reused():
-    for build in (_hilbert_symbol, _cauchy_kernel_hat):
-        arr = build(64, 4.0)
-        assert build(64, 4.0) is arr
+    for build, key in ((_hilbert_multiplier, (64, 4.0, 2, 31)),
+                       (_cauchy_multiplier, (64, 4.0, 31, 17))):
+        arr = build(*key)
+        assert build(*key) is arr
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
 
@@ -234,11 +252,44 @@ def test_transform_caches_read_only_and_reused():
 # Beltrami solve
 
 
-def test_solve_zero_mu_is_identity(identity_qcmap):
+def test_solve_zero_mu_is_identity(identity_qcmap, monkeypatch):
     qc = identity_qcmap
     X, Y = qc.mu.meshgrid()
     assert np.abs(qc.phi - (X + 1j * Y)).max() == 0.0
     assert qc.iterations == 1
+
+    def no_transform(*args, **kwargs):
+        raise AssertionError("a zero mu needs no transform")
+
+    from anisoeit import beltrami
+    monkeypatch.setattr(beltrami, "hilbert_transform", no_transform)
+    monkeypatch.setattr(beltrami, "cauchy_transform", no_transform)
+    again = solve_beltrami(qc.mu)
+    assert np.array_equal(again.phi, qc.phi)
+    assert again.iterations == 1 and list(again.increments) == [0.0]
+
+
+@pytest.mark.parametrize("pad", [1, 2, 4])
+def test_solve_matches_full_grid_iteration(pad):
+    # the same iteration on the whole grid from full-grid FFTs, with the
+    # increment's sup over the whole grid: the windowed solve reproduces
+    # its iteration count, its increments to rounding (relative to the
+    # first, largest one; the last ones are differences near 1e-11) and Phi
+    mu = extend_mu(STOCK["A4"][1], n=128)
+    qc = solve_beltrami(mu, pad=pad)
+    h = tmu = _full_grid_hilbert(mu.mu, mu.s, pad)
+    increments = []
+    for _ in range(200):
+        h_next = _full_grid_hilbert(mu.mu * h, mu.s, pad) + tmu
+        increments.append(np.abs(h_next - h).max())
+        h = h_next
+        if increments[-1] <= 1e-10:
+            break
+    X, Y = mu.meshgrid()
+    phi = X + 1j * Y + _full_grid_cauchy(mu.mu * (h + 1.0), mu.s)
+    assert qc.iterations == len(increments)
+    assert np.abs(qc.increments - increments).max() <= 1e-12 * increments[0]
+    assert np.abs(qc.phi - phi).max() <= 1e-13
 
 
 def test_solve_residuals_catalog(catalog_maps):
