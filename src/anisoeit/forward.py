@@ -15,21 +15,30 @@ where B = K + Kz is the conductivity stiffness plus the electrode mass
 terms, and Wz[l, k] is the integral of the basis function phi_k over
 electrode e_l divided by its contact impedance z_l.  B is symmetric
 positive definite (Kz is positive on constants), so it is factored on its
-own with a symmetric fill-reducing ordering and diagonal pivots.
-Eliminating u leaves the electrode Schur complement
+own with diagonal pivots, in the mesh's node order: ``build_disk_mesh``
+numbers the nodes by nested dissection, with the electrode-arc nodes last
+as the indices t = [k, N).  Eliminating u leaves the electrode Schur
+complement
 
     S = diag(|e_l| / z_l) - Wz B^-1 Wz^T,
 
 an L x L symmetric positive semidefinite matrix whose null space is the
-constants.  The ordering is symmetric (perm_r == perm_c), so
-P B P^T = L D L^T with D = diag(U), and
+constants.  With B = L D L^T (D = diag(U)) and Wz zero outside the
+columns t, the forward substitution L^-1 Wz^T is zero on [0, k), and the
+backward one finds the rows t of B^-1 Wz^T, the only rows Wz reads,
+before any other.  So
 
-    Wz B^-1 Wz^T = Y^T D^-1 Y,    Y = L^-1 P Wz^T.
+    Wz B^-1 Wz^T = W_t^T X,    X = L_tt^-T D_t^-1 L_tt^-1 W_t,
 
-Y is non-zero only on the reach of the electrode nodes in the graph of
-L: their paths to the root of the elimination tree (Gilbert & Peierls
-1988).  So S takes one triangular solve on L restricted to that reach
-(691 of 1,597 rows at L=16, h=0.05) and no solve over the other nodes.
+where L_tt, D_t and W_t = Wz[:, t]^T are the blocks on t.  L_tt is
+dense, as any two electrode nodes are joined through the interior, so S
+takes two dense triangular solves of order N - k (80 at L=16, h=0.05;
+512 at L=128, h=0.012) and no solve over the other nodes.  The equal
+form Y^T D_t^-1 Y with Y = L_tt^-1 W_t sums N - k terms of the size of
+|e_l| / z_l per entry, and its cancellation against diag(|e_l| / z_l)
+loses three to five times more to rounding at L=128; W_t^T X sums only
+the few non-zeros of each column of W_t.
+
 Writing U = G beta in the ground basis G = [1; -I] (L x (L-1)), whose
 columns sum to zero, every pattern is one dense solve
 (G^T S G) beta = G^T I.
@@ -42,7 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy          # scipy.sparse loads on first use, in simulate only
+import scipy          # sparse and linalg load on first use, in simulate only
 
 from .atomic import write_json
 from .mesh import ElectrodeLayout, Mesh, boundary_edge_electrodes
@@ -97,43 +106,6 @@ def _residuals(A, X: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300))
 
 
-def _elimination_reach(L, seeds: np.ndarray) -> np.ndarray:
-    """Sorted rows reachable from ``seeds`` in the graph of the lower
-    factor L (CSC, diagonal stored): the union of the seeds' paths to
-    the root of the elimination tree.  The parent of column j is the
-    smallest row below j in it; L's row indices need not be sorted.
-    """
-    n = L.shape[0]
-    col = np.repeat(np.arange(n), np.diff(L.indptr))
-    parent = np.minimum.reduceat(np.where(L.indices > col, L.indices, n),
-                                 L.indptr[:-1])
-    seen = np.zeros(n + 1, dtype=bool)
-    seen[n] = True                                     # above every root
-    front = np.unique(seeds)
-    while front.size:
-        seen[front] = True
-        front = np.unique(parent[front])
-        front = front[~seen[front]]
-    return np.flatnonzero(seen[:n])
-
-
-def _restrict(L, R: np.ndarray):
-    """L[R, R] as CSC, raising unless every non-zero L[i, j] with j in R
-    has i in R: then L[R, R] y = w is the whole of L y = w for w and y
-    zero off R, and the restricted solve is exact."""
-    C = L[:, R]
-    pos = np.full(L.shape[0], -1, dtype=C.indices.dtype)
-    pos[R] = np.arange(R.size)
-    rows = pos[C.indices]
-    if (rows < 0).any():
-        k = int(np.argmax(rows < 0))
-        j = R[np.searchsorted(C.indptr, k, side="right") - 1]
-        raise RuntimeError(f"elimination reach is not closed: L[{C.indices[k]}, "
-                           f"{j}] lies outside it")
-    return scipy.sparse.csc_array((C.data, rows, C.indptr),
-                                  shape=(R.size, R.size))
-
-
 @dataclass
 class CEMSystem:
     """Assembled CEM system, ready to factor and condense to the electrodes.
@@ -151,23 +123,26 @@ class CEMSystem:
     _electrode: Optional[np.ndarray] = None
 
     def factor(self):
-        """Cached LU of B with a symmetric ordering and diagonal pivots."""
+        """Cached LU of B in the mesh's node order, with diagonal pivots."""
         if self._factor is None:
             self._factor = scipy.sparse.linalg.splu(
-                self.matrix, permc_spec="MMD_AT_PLUS_A",
+                self.matrix, permc_spec="NATURAL",
                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         return self._factor
 
     def electrode_matrix(self) -> np.ndarray:
-        """Cached L x L Schur complement S = diag(ez) - Y^T D^-1 Y.
+        """Cached L x L Schur complement S = diag(ez) - W_t^T X.
 
-        Y = L^-1 P Wz^T is solved on the elimination reach R of the
-        electrode rows only.  Four checks certify it, each raising with
-        the failing quantity named:
-        (a) every electrode column's triangular residual on L[R, R] is
-            within 1e-10 of its right-hand side;
-        (b) R is closed under L's pattern, so (a) is the residual of the
-            full N-row solve (raised while restricting);
+        The mesh must number its electrode nodes last, as [k, N) (a
+        ValueError otherwise), and the factor must keep them there.  Then
+        X = L_tt^-T D_t^-1 L_tt^-1 W_t is one dense forward and one dense
+        backward triangular solve on the trailing block of L.  A trailing
+        block is closed under any lower-triangular pattern, so these
+        solves are the whole of the substitutions that reach Wz: the
+        closure (b) holds by construction.  Three checks certify S, each
+        raising with the failing quantity named:
+        (a) both triangular residuals of every electrode column on L_tt
+            are within 1e-10 of their right-hand sides;
         (c) for the fixed probe c = 1 + l/L, the node solve x = B^-1 Wz^T c
             meets the 1e-10 relative residual bound on B, and S c matches
             ez*c - Wz x within 1e-10 of max|ez*c|: this covers the factor
@@ -176,23 +151,37 @@ class CEMSystem:
         (d) |S 1| <= 1e-12 max|S|, since B^-1 Wz^T 1 = 1 exactly.
         """
         if self._electrode is None:
+            N = self.mesh.n_nodes
+            k = N - np.unique(self.wz.indices).size
+            if self.wz.indices.min() != k:
+                raise ValueError(f"mesh does not number its {N - k} electrode "
+                                 f"nodes last: node {self.wz.indices.min()} "
+                                 f"lies on an electrode, below {k}")
             lu = self.factor()
             if not np.array_equal(lu.perm_r, lu.perm_c):
                 raise RuntimeError("factor is not symmetric: its row and "
                                    "column permutations differ")
-            Lf = lu.L
-            R = _elimination_reach(Lf, lu.perm_r[self.wz.indices])
-            LR = _restrict(Lf, R)
-            W = self.wz[:, np.argsort(lu.perm_r)[R]].T.toarray()  # (P Wz^T)[R]
-            Y = scipy.sparse.linalg.spsolve_triangular(LR, W, lower=True,
-                                                       unit_diagonal=True)
-            resid = _residuals(LR, Y, W)
+            moved = lu.perm_c[k:] != np.arange(k, N)
+            if moved.any():
+                i = k + int(np.argmax(moved))
+                raise RuntimeError(f"factor moves electrode node {i} to "
+                                   f"position {lu.perm_c[i]}")
+            Lt = lu.L[k:, k:].toarray()
+            W = self.wz[:, k:].T.toarray()
+            Y = scipy.linalg.solve_triangular(Lt, W, lower=True,
+                                              unit_diagonal=True,
+                                              check_finite=False)
+            Yd = Y / lu.U.diagonal()[k:, None]
+            X = scipy.linalg.solve_triangular(Lt, Yd, lower=True, trans="T",
+                                              unit_diagonal=True,
+                                              check_finite=False)
+            resid = np.maximum(_residuals(Lt, Y, W), _residuals(Lt.T, X, Yd))
             if not (resid <= 1e-10).all():
                 j = int(np.argmin(resid <= 1e-10))
                 raise RuntimeError(
                     f"triangular solve residual {resid[j]:.3e} of electrode "
                     f"column {j} exceeds 1e-10")
-            S = np.diag(self.ez) - Y.T @ (Y / lu.U.diagonal()[R, None])
+            S = np.diag(self.ez) - W.T @ X
 
             c = 1.0 + np.arange(self.layout.L) / self.layout.L
             r = self.wz.T @ c

@@ -1,7 +1,8 @@
 """Triangulated disk domains with boundary electrodes.
 
 Builds conforming triangular meshes of a disk whose boundary nodes include
-every electrode arc endpoint.  This module holds geometry only; the
+every electrode arc endpoint, with the nodes numbered for the forward
+solver's elimination.  This module holds geometry only; the
 conductivities the forward solver integrates over it are in ``phantoms``.
 """
 
@@ -88,7 +89,9 @@ class Mesh:
 
     ``boundary_nodes`` traverse the boundary circle counterclockwise; their
     angular positions strictly increase modulo 2*pi.  All triangles are
-    counterclockwise (positive signed area).
+    counterclockwise (positive signed area).  The forward solver factors
+    the node block in index order and needs the electrode-arc nodes
+    numbered last; ``build_disk_mesh`` numbers them so.
     """
 
     nodes: np.ndarray           # (N, 2)
@@ -145,6 +148,12 @@ def build_disk_mesh(radius: float, target_h: float,
     and gaps at spacing <= ``target_h``; the interior is filled with
     concentric rings of matching density and triangulated with Delaunay.
     Maximum edge length is bounded by ``1.5 * target_h``.
+
+    The nodes are numbered for elimination: the nodes off the electrode
+    arcs in nested-dissection order, then the electrode-arc nodes in
+    boundary order.  The numbering only relabels the Delaunay
+    triangulation of the points in the order they are generated, as qhull
+    breaks ties between cocircular points by input order.
 
     Raises
     ------
@@ -213,11 +222,83 @@ def build_disk_mesh(radius: float, target_h: float,
     flip = cross < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    boundary_nodes = np.arange(len(theta_b))
-    mesh = Mesh(nodes=nodes, triangles=triangles,
-                boundary_nodes=boundary_nodes, radius=float(radius))
+    # number the nodes for elimination: a relabeling of the triangulation
+    # above, with the electrode-arc nodes last
+    loop = np.arange(len(theta_b))               # the boundary nodes
+    on_arc = np.zeros(len(nodes), dtype=bool)
+    edge = np.flatnonzero(owners >= 0)
+    on_arc[edge] = on_arc[(edge + 1) % loop.size] = True
+    # counterclockwise triangles hold an interior edge in both directions,
+    # so keep it once, but a boundary edge in one only: add the loop
+    pairs = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    edges = np.concatenate([pairs[pairs[:, 0] < pairs[:, 1]],
+                            np.stack([loop, np.roll(loop, -1)], axis=1)])
+    order = _dissection_order(nodes, edges, on_arc)
+    label = np.empty_like(order)
+    label[order] = np.arange(order.size)
+    mesh = Mesh(nodes=nodes[order], triangles=label[triangles],
+                boundary_nodes=label[loop], radius=float(radius))
     mesh.validate()
     return mesh
+
+
+def _dissection_order(nodes: np.ndarray, edges: np.ndarray,
+                      last: np.ndarray) -> np.ndarray:
+    """Elimination order of a planar graph: the nodes outside the mask
+    ``last`` by nested dissection (George 1973), then those in ``last``
+    in index order.
+
+    Recursive coordinate bisection: every part of more than 8 nodes is
+    split at its median along the longer side of its box, and the nodes
+    of the upper half with a neighbour (``edges``, (E, 2)) in the lower half
+    form a one-sided vertex separator, numbered after both halves.  Each
+    pass splits every part of one level of the tree at once.  Returns the
+    node indices in elimination order.
+    """
+    n, leaf = len(nodes), 8
+    depth = n.bit_length()            # halving n nodes this often leaves <= 1
+    rank = np.empty((2, n), dtype=np.int64)    # distinct ranks break ties
+    for a in (0, 1):
+        rank[a, np.argsort(nodes[:, a], kind="stable")] = np.arange(n)
+    # post-order key: base-3 digit d is 0 (lower half at level d), 1 (upper
+    # half) or 2 (separator at level d, or a leaf before it)
+    key = np.full(n, 3 ** depth - 1, dtype=np.int64)
+    part = np.zeros(n, dtype=np.int64)         # children of q: 2q, 2q + 1
+    side = np.empty(n, dtype=np.int8)
+    idx = np.flatnonzero(~last)
+    box = np.stack([nodes[idx].min(axis=0), nodes[idx].max(axis=0)])[None]
+    i, j = edges.T
+    for d in range(depth):
+        if not idx.size:
+            break
+        p = part[idx]
+        w = box[:, 1] - box[:, 0]
+        ax = (w[:, 1] > w[:, 0]).astype(np.intp)[p]
+        o = np.argsort(p * n + rank[ax, idx])
+        idx, p, ax = idx[o], p[o], ax[o]
+        start = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+        cnt = np.diff(np.r_[start, idx.size])
+        half = cnt // 2
+        split = np.repeat(cnt > leaf, cnt)
+        side[:] = -1
+        side[idx[split]] = (np.arange(idx.size) - np.repeat(start + half, cnt)
+                            >= 0)[split]
+        box = np.repeat(box, 2, axis=0)
+        q, a = p[start], ax[start]
+        box[2 * q, 1, a] = box[2 * q + 1, 0, a] = nodes[idx[start + half], a]
+        si, sj = side[i], side[j]
+        cut = (si != sj) & (si >= 0) & (sj >= 0)
+        side[np.where(si[cut] == 1, i[cut], j[cut])] = -1
+        # keep the edges inside a child part; one at a separator node goes
+        # on the next pass, where the separator has no side
+        live = (si == sj) & (si >= 0)
+        i, j = i[live], j[live]
+        idx = np.flatnonzero(side >= 0)
+        s = side[idx].astype(np.int64)
+        key[idx] -= (2 - s) * 3 ** (depth - 1 - d)
+        part[idx] = 2 * part[idx] + s
+    key[last] = 3 ** depth
+    return np.argsort(key, kind="stable")
 
 
 def boundary_edge_electrodes(mesh: Mesh, layout: ElectrodeLayout) -> np.ndarray:

@@ -2,16 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy.linalg
 
 from anisoeit import (build_disk_mesh, place_electrodes, constant_tensor,
                       trig_current_patterns, assemble_cem_system,
                       solve_forward, simulate_voltages, dn_matrix,
                       save_dn, load_dn, phantom_by_name)
-from anisoeit.forward import (element_stiffness, VoltageData,
-                              _elimination_reach)
-from anisoeit.mesh import boundary_edge_electrodes
+from anisoeit.forward import element_stiffness, VoltageData
+from anisoeit.mesh import Mesh, boundary_edge_electrodes
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -182,27 +180,36 @@ def test_electrode_matrix_matches_dense_oracle(mesh16, layout16, name):
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_elimination_reach_closed_strict_subset(layout16):
+def _relabeled(mesh, order):
+    """The same mesh with node order[i] renamed i."""
+    label = np.empty_like(order)
+    label[order] = np.arange(order.size)
+    return Mesh(nodes=mesh.nodes[order], triangles=label[mesh.triangles],
+                boundary_nodes=label[mesh.boundary_nodes], radius=mesh.radius)
+
+
+def test_electrode_nodes_numbered_last(layout16):
     mesh = build_disk_mesh(1.0, 0.05, layout16)
-    system = assemble_cem_system(mesh, phantom_by_name("A4").tensor, layout16)
-    lu = system.factor()
-    L = lu.L
-    seeds = lu.perm_r[system.wz.indices]
-    R = _elimination_reach(L, seeds)
-    # the closure of the seeds under L's pattern, by repeated expansion
-    pattern = (L != 0).astype(float) + scipy.sparse.eye_array(L.shape[0])
-    mark = np.zeros(L.shape[0])
-    mark[seeds] = 1.0
-    while True:
-        grown = (pattern @ mark > 0).astype(float)
-        if np.array_equal(grown, mark):
-            break
-        mark = grown
-    assert np.array_equal(R, np.flatnonzero(mark))
-    inside = np.zeros(L.shape[0], dtype=bool)
-    inside[R] = True
-    assert inside[L[:, R].indices].all()                  # closed
-    assert 0 < R.size < mesh.n_nodes                      # 691 of 1,597
+    N = mesh.n_nodes
+    edges = mesh.boundary_edges()[boundary_edge_electrodes(mesh, layout16) >= 0]
+    arc = np.unique(edges)
+    assert np.array_equal(arc, np.arange(N - arc.size, N))     # 80 of 1,597
+    # any order of the other nodes gives the same DN map
+    rng = np.random.default_rng(15)
+    order = np.r_[rng.permutation(N - arc.size), arc]
+    A = phantom_by_name("A4").tensor
+    ref = dn_matrix(simulate_voltages(mesh, A, layout16)).dn
+    dn = dn_matrix(simulate_voltages(_relabeled(mesh, order), A, layout16)).dn
+    assert np.abs(dn - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_electrode_nodes_not_last_raises(mesh16, layout16):
+    order = np.roll(np.arange(mesh16.n_nodes), 1)    # last node becomes 0
+    system = assemble_cem_system(_relabeled(mesh16, order),
+                                 constant_tensor(np.eye(2)), layout16)
+    with pytest.raises(ValueError, match="electrode nodes last"):
+        system.electrode_matrix()
+    assert system._factor is None                     # raised before factoring
 
 
 def test_electrode_matrix_l128_matches_full_solve():
@@ -218,14 +225,14 @@ def test_electrode_matrix_l128_matches_full_solve():
 @pytest.mark.parametrize("value", [1.0, np.nan])
 def test_node_solve_residual_names_electrode_column(mesh16, layout16, value,
                                                     monkeypatch):
-    solve = scipy.sparse.linalg.spsolve_triangular
+    solve = scipy.linalg.solve_triangular
 
     def spoiled(*args, **kwargs):
         Y = solve(*args, **kwargs)
         Y[:, 13] += value
         return Y
 
-    monkeypatch.setattr(scipy.sparse.linalg, "spsolve_triangular", spoiled)
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", spoiled)
     system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
     with pytest.raises(RuntimeError, match="electrode column 13 "):
         system.electrode_matrix()
@@ -259,6 +266,17 @@ def test_unsymmetric_permutation_raises(mesh16, layout16):
     lu = system.factor()
     system._factor = _Factor(lu, perm_c=lu.perm_c[::-1].copy())
     with pytest.raises(RuntimeError, match="permutations differ"):
+        system.electrode_matrix()
+
+
+def test_factor_moving_electrode_node_raises(mesh16, layout16):
+    system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
+    lu = system.factor()
+    perm = np.arange(mesh16.n_nodes)
+    perm[[0, -1]] = perm[[-1, 0]]
+    system._factor = _Factor(lu, perm_r=perm, perm_c=perm)
+    with pytest.raises(RuntimeError,
+                       match=f"electrode node {mesh16.n_nodes - 1} "):
         system.electrode_matrix()
 
 

@@ -55,6 +55,36 @@ def test_mesh_quality_and_validity():
     assert np.linalg.norm(edges, axis=2).max() <= 0.15
 
 
+def _generation_order(mesh):
+    """Node indices in the order the mesher generates the points: the
+    boundary by angle, the centre, then ring by ring, each by angle."""
+    inner = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes)
+    x, y = mesh.nodes[inner].T
+    ring = np.round(np.hypot(x, y), 9)
+    theta = np.mod(np.arctan2(y, x), 2 * np.pi)
+    return np.r_[mesh.boundary_nodes, inner[np.lexsort((theta, ring))]]
+
+
+@pytest.mark.parametrize("L, h", [(16, 0.05), (128, 0.012)])
+def test_node_numbering_only_relabels_triangulation(L, h):
+    from scipy.spatial import Delaunay
+    layout = place_electrodes(L, 0.5, 0.01)
+    mesh = build_disk_mesh(1.0, h, layout)
+    mesh.validate()
+    gen = _generation_order(mesh)
+    assert np.array_equal(np.sort(gen), np.arange(mesh.n_nodes))
+    # qhull breaks ties between cocircular points by input order, so
+    # triangulate the same points in the order they were generated
+    old = np.sort(Delaunay(mesh.nodes[gen]).simplices, axis=1)
+    pos = np.empty_like(gen)
+    pos[gen] = np.arange(gen.size)
+    new = np.sort(pos[mesh.triangles], axis=1)
+    assert np.array_equal(old[np.lexsort(old.T)], new[np.lexsort(new.T)])
+    p = mesh.nodes[mesh.triangles]
+    edges = p - np.roll(p, -1, axis=1)
+    assert np.linalg.norm(edges, axis=2).max() <= 1.5 * h
+
+
 def test_mesh_interior_edges_shared_twice():
     layout = place_electrodes(8, 0.5, 0.01)
     mesh = build_disk_mesh(1.0, 0.2, layout)
