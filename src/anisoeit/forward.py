@@ -14,30 +14,34 @@ pattern I is
 where B = K + Kz is the conductivity stiffness plus the electrode mass
 terms, and Wz[l, k] is the integral of the basis function phi_k over
 electrode e_l divided by its contact impedance z_l.  B is symmetric
-positive definite (Kz is positive on constants), so it is factored on its
-own with diagonal pivots, in the mesh's node order: ``build_disk_mesh``
-numbers the nodes by nested dissection, with the electrode-arc nodes last
-as the indices t = [k, N).  Eliminating u leaves the electrode Schur
-complement
+positive definite (Kz is positive on constants).  ``build_disk_mesh``
+numbers the nodes by nested dissection, with the electrode-arc nodes
+last as the indices t = [k, N), and keeps the dissection tree as the
+mesh's fronts (``mesh.FrontTree``).  Eliminating u leaves the electrode
+Schur complement
 
     S = diag(|e_l| / z_l) - Wz B^-1 Wz^T,
 
 an L x L symmetric positive semidefinite matrix whose null space is the
-constants.  With B = L D L^T (D = diag(U)) and Wz zero outside the
-columns t, the forward substitution L^-1 Wz^T is zero on [0, k), and the
-backward one finds the rows t of B^-1 Wz^T, the only rows Wz reads,
-before any other.  So
+constants.  The multifrontal Cholesky (Duff & Reid 1983) eliminates the
+nodes before t without forming B.  Each front gathers its element
+matrix entries and its children's update matrices into a dense matrix.
+It factors the block of its own nodes, F_11 = L_11 L_11^T, solves
+L_21 = F_21 L_11^-T and passes F_22 - L_21 L_21^T on to its parent.
+The last front ends up with Q, the stiffness part of the Schur
+complement of B onto t, and C = Q + Kz_tt is the whole Schur complement.
+Wz is zero outside the columns t.  With E the incidence of the electrode
+nodes on the electrodes, W_t = Wz[:, t]^T = Kz_tt E and
+diag(|e_l| / z_l) = E^T Kz_tt E, so
 
-    Wz B^-1 Wz^T = W_t^T X,    X = L_tt^-T D_t^-1 L_tt^-1 W_t,
+    S = diag(|e_l| / z_l) - W_t^T C^-1 W_t = W_t^T X,    X = C^-1 Q E.
 
-where L_tt, D_t and W_t = Wz[:, t]^T are the blocks on t.  L_tt is
-dense, as any two electrode nodes are joined through the interior, so S
-takes two dense triangular solves of order N - k (80 at L=16, h=0.05;
-512 at L=128, h=0.012) and no solve over the other nodes.  The equal
-form Y^T D_t^-1 Y with Y = L_tt^-1 W_t sums N - k terms of the size of
-|e_l| / z_l per entry, and its cancellation against diag(|e_l| / z_l)
-loses three to five times more to rounding at L=128; W_t^T X sums only
-the few non-zeros of each column of W_t.
+X takes two dense triangular solves of order N - k on the Cholesky
+factor L_c of C (80 at L=16, h=0.05; 512 at L=128, h=0.012).  W_t^T X
+sums only the few non-zeros of each column of W_t.  It does not cancel
+against diag(|e_l| / z_l), which grows as 1/z.  Against a long-double
+reference at L=128, h=0.012, z=2.5e-4 it is accurate to 2.6e-15 of
+max|S|, against 3.5e-14 for diag(ez) - W_t^T C^-1 W_t.
 
 Writing U = G beta in the ground basis G = [1; -I] (L x (L-1)), whose
 columns sum to zero, every pattern is one dense solve
@@ -51,10 +55,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy          # sparse and linalg load on first use, in simulate only
+import scipy          # scipy.linalg loads on first use, in simulate only
 
 from .atomic import write_json
-from .mesh import ElectrodeLayout, Mesh, boundary_edge_electrodes
+from .mesh import ElectrodeLayout, FrontTree, Mesh, boundary_edge_electrodes
 
 # a conductivity: points (N, 2) -> symmetric positive-definite tensors (N, 2, 2)
 Conductivity = Callable[[np.ndarray], np.ndarray]
@@ -100,98 +104,193 @@ def _ground_matrix(L: int) -> np.ndarray:
     return np.vstack([np.ones((1, L - 1)), -np.eye(L - 1)])
 
 
-def _residuals(A, X: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Relative residual ||A x - r|| / ||r|| of each column."""
-    return (np.linalg.norm(A @ X - rhs, axis=0)
+def _residuals(AX: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Relative residual ||A x - r|| / ||r|| of each column, from A X."""
+    return (np.linalg.norm(AX - rhs, axis=0)
             / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300))
+
+
+def _front_matrix(tree: FrontTree, f: int, vals: np.ndarray) -> np.ndarray:
+    """Front f's dense matrix of element entries, lower triangle filled;
+    ``vals`` holds the element matrix entries ordered as ``elem_src``."""
+    n = tree.index[f].size
+    lo, hi = tree.elem_ptr[f], tree.elem_ptr[f + 1]
+    return np.bincount(tree.elem_dst[lo:hi], vals[lo:hi],
+                       minlength=n * n).reshape(n, n)
+
+
+@dataclass
+class FrontFactor:
+    """Cholesky factor B = L L^T, held as each front's columns of L.
+
+    ``blocks[f]`` is (L_11, L_21): the rows of front f's own nodes and of
+    its boundary.  The last front's L_11 is L_c, the factor of the Schur
+    complement C = Q + Kz_tt onto the electrode nodes, and ``q`` is Q,
+    the part of C that comes from the stiffness K (symmetric, Q 1 = 0).
+    ``nnz`` counts the stored entries of L.
+    """
+
+    tree: FrontTree
+    blocks: list
+    q: np.ndarray
+    nnz: int
+
+    def solve(self, rt: np.ndarray) -> np.ndarray:
+        """x = B^-1 r for the r that is ``rt`` on [k, N) and zero before.
+
+        The forward substitution leaves such an r zero before k and
+        ``rt`` unchanged, so x_t = L_c^-T L_c^-1 rt, and the backward one
+        runs through the fronts in reverse order.
+        """
+        t, trsv = self.tree, scipy.linalg.blas.dtrsv
+        x = np.empty(t.start[-1])
+        Lc = self.blocks[-1][0]
+        x[t.start[-2]:] = trsv(Lc, trsv(Lc, rt, lower=1), lower=1, trans=1)
+        for f in range(len(self.blocks) - 2, -1, -1):
+            L11, L21 = self.blocks[f]
+            m = L11.shape[0]
+            x[t.start[f]:t.start[f + 1]] = trsv(
+                L11, -(L21.T @ x[t.index[f][m:]]), lower=1, trans=1)
+        return x
+
+
+def _factor_fronts(tree: FrontTree, ke: np.ndarray,
+                   kz: np.ndarray) -> FrontFactor:
+    """Multifrontal Cholesky of B from the element matrices ``ke`` and the
+    electrode mass block ``kz`` on [k, N), front by front in post-order.
+    Raises RuntimeError naming the node whose pivot is not positive."""
+    potrf = scipy.linalg.lapack.dpotrf
+    trsm, syrk = scipy.linalg.blas.dtrsm, scipy.linalg.blas.dsyrk
+    vals = ke.ravel()[tree.elem_src]
+    last = len(tree.index) - 1
+    updates = [[] for _ in tree.index]
+    blocks, nnz = [], 0
+    for f, idx in enumerate(tree.index):
+        F = _front_matrix(tree, f, vals)
+        for pos, U in updates[f]:    # extend-add of a child's update
+            if pos[-1] - pos[0] == pos.size - 1:
+                F[pos[0]:pos[-1] + 1, pos[0]:pos[-1] + 1] += U
+            else:            # U is column-major; faster than F[ix_] += U
+                np.add.at(F.reshape(-1), (pos * F.shape[0] + pos[:, None])
+                          .ravel(), U.ravel(order="F"))
+        updates[f] = None
+        m = int(tree.start[f + 1] - tree.start[f])
+        if f == last:
+            q = np.tril(F) + np.tril(F, -1).T
+            F = q + kz
+        L11, info = potrf(F[:m, :m], lower=1)
+        if info:
+            raise RuntimeError(f"node block is not positive definite: the "
+                               f"front Cholesky fails at node "
+                               f"{tree.start[f] + info - 1}")
+        L21 = F[m:, :m]
+        if f < last:           # fronts below the last one have a boundary
+            L21 = trsm(1.0, L11, L21, side=1, lower=1, trans_a=1)
+            updates[tree.parent[f]].append(
+                (tree.extend[f], syrk(-1.0, L21, beta=1.0, c=F[m:, m:],
+                                      lower=1)))
+        blocks.append((L11, L21))
+        nnz += m * (m + 1) // 2 + L21.size
+    return FrontFactor(tree=tree, blocks=blocks, q=q, nnz=nnz)
 
 
 @dataclass
 class CEMSystem:
     """Assembled CEM system, ready to factor and condense to the electrodes.
 
-    ``matrix`` is the node block B = K + Kz, ``wz`` the sparse coupling
-    W / z and ``ez`` the electrode lengths over the contact impedances.
+    ``ke`` holds the (M, 3, 3) element stiffness matrices, ``arc`` the
+    electrode nodes in increasing order, ``kz`` the electrode mass terms
+    and ``wt`` the coupling W_t = Wz[:, arc]^T, both in the order of
+    ``arc``, and ``ez`` the electrode lengths over the contact
+    impedances.
     """
 
     mesh: Mesh
     layout: ElectrodeLayout
-    matrix: scipy.sparse.csc_matrix  # N x N, symmetric positive definite
-    wz: scipy.sparse.csr_matrix      # L x N
+    ke: np.ndarray                   # (M, 3, 3)
+    arc: np.ndarray                  # (N - k,) int
+    kz: np.ndarray                   # (N - k, N - k), symmetric
+    wt: np.ndarray                   # (N - k, L)
     ez: np.ndarray                   # (L,) |e_l| / z_l
-    _factor: Optional[object] = None
+    _factor: Optional[FrontFactor] = None
     _electrode: Optional[np.ndarray] = None
 
-    def factor(self):
-        """Cached LU of B in the mesh's node order, with diagonal pivots."""
+    def factor(self) -> FrontFactor:
+        """Cached multifrontal Cholesky factor of B on the mesh's fronts.
+
+        The mesh must number its electrode nodes last, as [k, N), and its
+        front tree must end with them; a ValueError otherwise.
+        """
         if self._factor is None:
-            self._factor = scipy.sparse.linalg.splu(
-                self.matrix, permc_spec="NATURAL",
-                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            N = self.mesh.n_nodes
+            k = N - self.arc.size
+            if self.arc[0] != k:
+                raise ValueError(f"mesh does not number its {N - k} electrode "
+                                 f"nodes last: node {self.arc[0]} lies on an "
+                                 f"electrode, below {k}")
+            tree = self.mesh.fronts
+            if tree is None or tree.start[-2] != k or tree.start[-1] != N:
+                raise ValueError(f"mesh has no front tree that ends with its "
+                                 f"electrode nodes [{k}, {N})")
+            self._factor = _factor_fronts(tree, self.ke, self.kz)
         return self._factor
 
     def electrode_matrix(self) -> np.ndarray:
-        """Cached L x L Schur complement S = diag(ez) - W_t^T X.
+        """Cached L x L Schur complement S = W_t^T X, X = C^-1 Q E.
 
-        The mesh must number its electrode nodes last, as [k, N) (a
-        ValueError otherwise), and the factor must keep them there.  Then
-        X = L_tt^-T D_t^-1 L_tt^-1 W_t is one dense forward and one dense
-        backward triangular solve on the trailing block of L.  A trailing
-        block is closed under any lower-triangular pattern, so these
-        solves are the whole of the substitutions that reach Wz: the
-        closure (b) holds by construction.  Three checks certify S, each
-        raising with the failing quantity named:
-        (a) both triangular residuals of every electrode column on L_tt
+        X is one dense forward and one dense backward triangular solve on
+        L_c (see the module docstring).  At L=8, h=0.2 and z=3e-5 this
+        form brings |S 1| from 1.2e-12 to 4e-15 of max|S|, against
+        diag(ez) - W_t^T C^-1 W_t.  Three checks certify S, each raising
+        with the failing quantity named:
+        (a) both triangular residuals of every electrode column on L_c
             are within 1e-10 of their right-hand sides;
         (c) for the fixed probe c = 1 + l/L, the node solve x = B^-1 Wz^T c
-            meets the 1e-10 relative residual bound on B, and S c matches
-            ez*c - Wz x within 1e-10 of max|ez*c|: this covers the factor
-            and the identity U = D L^T, which all columns share, and as c
-            has no zero entry a fault in any one column of S moves S c;
-        (d) |S 1| <= 1e-12 max|S|, since B^-1 Wz^T 1 = 1 exactly.
+            through the stored fronts meets the 1e-10 relative residual
+            bound on B, applied element by element, and S c matches
+            ez*c - Wz x within 1e-10 of max|ez*c|: this covers every
+            front of the factor, which all columns share, and as c has no
+            zero entry a fault in any one column of S moves S c;
+        (d) |S 1| <= 1e-12 max|S|, since Q 1 = 0 exactly.
         """
         if self._electrode is None:
-            N = self.mesh.n_nodes
-            k = N - np.unique(self.wz.indices).size
-            if self.wz.indices.min() != k:
-                raise ValueError(f"mesh does not number its {N - k} electrode "
-                                 f"nodes last: node {self.wz.indices.min()} "
-                                 f"lies on an electrode, below {k}")
-            lu = self.factor()
-            if not np.array_equal(lu.perm_r, lu.perm_c):
-                raise RuntimeError("factor is not symmetric: its row and "
-                                   "column permutations differ")
-            moved = lu.perm_c[k:] != np.arange(k, N)
-            if moved.any():
-                i = k + int(np.argmax(moved))
-                raise RuntimeError(f"factor moves electrode node {i} to "
-                                   f"position {lu.perm_c[i]}")
-            Lt = lu.L[k:, k:].toarray()
-            W = self.wz[:, k:].T.toarray()
-            Y = scipy.linalg.solve_triangular(Lt, W, lower=True,
-                                              unit_diagonal=True,
+            fac = self.factor()
+            Lc, W = fac.blocks[-1][0], self.wt
+            # Q E: the sum of Q's columns on each electrode
+            n, L = W.shape
+            ex = W.argmax(axis=1)                # the electrode of each node
+            QE = np.bincount((np.arange(n)[:, None] * L + ex).ravel(),
+                             fac.q.ravel(), minlength=n * L).reshape(n, L)
+            Y = scipy.linalg.solve_triangular(Lc, QE, lower=True,
                                               check_finite=False)
-            Yd = Y / lu.U.diagonal()[k:, None]
-            X = scipy.linalg.solve_triangular(Lt, Yd, lower=True, trans="T",
-                                              unit_diagonal=True,
+            X = scipy.linalg.solve_triangular(Lc, Y, lower=True, trans="T",
                                               check_finite=False)
-            resid = np.maximum(_residuals(Lt, Y, W), _residuals(Lt.T, X, Yd))
+            trmm = scipy.linalg.blas.dtrmm
+            resid = np.maximum(_residuals(trmm(1.0, Lc, Y, lower=1), QE),
+                               _residuals(trmm(1.0, Lc, X, lower=1,
+                                               trans_a=1), Y))
             if not (resid <= 1e-10).all():
                 j = int(np.argmin(resid <= 1e-10))
                 raise RuntimeError(
                     f"triangular solve residual {resid[j]:.3e} of electrode "
                     f"column {j} exceeds 1e-10")
-            S = np.diag(self.ez) - W.T @ X
+            S = W.T @ X
 
-            c = 1.0 + np.arange(self.layout.L) / self.layout.L
-            r = self.wz.T @ c
-            x = lu.solve(r)
-            res = _residuals(self.matrix, x, r)
+            c = 1.0 + np.arange(L) / L
+            r = W @ c
+            x = fac.solve(r)
+            tris = self.mesh.triangles
+            Bx = np.bincount(tris.ravel(),
+                             np.einsum("mij,mj->mi", self.ke, x[tris]).ravel(),
+                             minlength=x.size)
+            Bx[-r.size:] += self.kz @ x[-r.size:] - r
+            res = np.linalg.norm(Bx) / max(np.linalg.norm(r), 1e-300)
             if not res <= 1e-10:
                 raise RuntimeError(f"electrode probe: node solve residual "
                                    f"{res:.3e} exceeds 1e-10")
             ezc = self.ez * c
-            dev = np.abs(S @ c - (ezc - self.wz @ x)).max() / np.abs(ezc).max()
+            dev = (np.abs(S @ c - (ezc - W.T @ x[-r.size:])).max()
+                   / np.abs(ezc).max())
             if not dev <= 1e-10:
                 raise RuntimeError(f"electrode probe: S c deviates from the "
                                    f"node solve by {dev:.3e}, above 1e-10")
@@ -227,22 +326,18 @@ def element_stiffness(p: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 def assemble_cem_system(mesh: Mesh, A: Conductivity,
                         layout: ElectrodeLayout) -> CEMSystem:
-    """Assemble the CEM node block and electrode coupling for tensor A.
+    """Element matrices and electrode terms of the CEM system for tensor A.
 
     The tensor is sampled once per triangle at the centroid (exact
     integration of the piecewise-constant coefficient against the constant
     P1 gradients); electrode mass terms are integrated exactly on the
-    boundary edges each electrode covers.
+    boundary edges each electrode covers.  No global matrix is formed:
+    ``CEMSystem.factor`` scatters these terms into the mesh's fronts.
     """
     nodes, tris = mesh.nodes, mesh.triangles
-    N = mesh.n_nodes
     L = layout.L
     p = nodes[tris]                                    # (M, 3, 2)
-    Ke = element_stiffness(p, A(p.mean(axis=1)))       # (M, 3, 3)
-
-    rows = np.repeat(tris, 3, axis=1).ravel()
-    cols = np.tile(tris, (1, 3)).ravel()
-    K = scipy.sparse.coo_matrix((Ke.ravel(), (rows, cols)), shape=(N, N))
+    Ke = element_stiffness(p, A((p[:, 0] + p[:, 1] + p[:, 2]) / 3))
 
     # electrode terms on the boundary edges (i, j) each electrode l covers
     z = layout.contact_impedances
@@ -251,18 +346,20 @@ def assemble_cem_system(mesh: Mesh, A: Conductivity,
     d = nodes[ij[:, 1]] - nodes[ij[:, 0]]
     s = np.sqrt(np.vecdot(d, d))                       # edge lengths |e|
     m = s / 6 / z[l]                 # segment mass s/(6 z) [[2, 1], [1, 2]]
-    Kz = scipy.sparse.coo_matrix(
-        (np.stack([2 * m, m, m, 2 * m], axis=1).ravel(),
-         (np.repeat(ij, 2, axis=1).ravel(), np.tile(ij, 2).ravel())),
-        shape=(N, N))
+    arc, at = np.unique(ij, return_inverse=True)       # at: (E, 2) positions
+    n = arc.size
+    kz = np.bincount((at[:, [0, 0, 1, 1]] * n + at[:, [0, 1, 0, 1]]).ravel(),
+                     np.stack([2 * m, m, m, 2 * m], axis=1).ravel(),
+                     minlength=n * n).reshape(n, n)
     # W[l, k] = integral of phi_k over e_l, summed before dividing by z_l
-    W = scipy.sparse.coo_matrix(
-        (np.repeat(s / 2, 2), (np.repeat(l, 2), ij.ravel())), shape=(L, N))
-    W.sum_duplicates()
-    W.data /= z[W.row]
+    wt = np.bincount((at * L + l[:, None]).ravel(), np.repeat(s / 2, 2),
+                     minlength=n * L).reshape(n, L) / z
     arcs = np.bincount(l, weights=s, minlength=L)    # electrode lengths
-    return CEMSystem(mesh=mesh, layout=layout, matrix=(K + Kz).tocsc(),
-                     wz=W.tocsr(), ez=arcs / z)
+    if not (arcs > 0).all():
+        raise ValueError(f"electrode {int(np.argmin(arcs > 0))} covers no "
+                         f"boundary edge of the mesh")
+    return CEMSystem(mesh=mesh, layout=layout, ke=Ke, arc=arc, kz=kz, wt=wt,
+                     ez=arcs / z)
 
 
 def solve_forward(system: CEMSystem, patterns: np.ndarray) -> np.ndarray:
@@ -290,7 +387,7 @@ def solve_forward(system: CEMSystem, patterns: np.ndarray) -> np.ndarray:
     SG = G.T @ system.electrode_matrix() @ G
     rhs = G.T @ block
     beta = np.linalg.solve(SG, rhs)
-    resid = _residuals(SG, beta, rhs)
+    resid = _residuals(SG @ beta, rhs)
     if not (resid <= 1e-10).all():
         k = int(np.argmin(resid <= 1e-10))
         raise RuntimeError(f"forward solve residual {resid[k]:.3e} of "

@@ -2,17 +2,23 @@
 
 Builds conforming triangular meshes of a disk whose boundary nodes include
 every electrode arc endpoint, with the nodes numbered for the forward
-solver's elimination.  This module holds geometry only; the
+solver's elimination and the fronts of that elimination, its symbolic
+phase, computed once per mesh.  This module holds geometry only; the
 conductivities the forward solver integrates over it are in ``phantoms``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+# a subtree of the dissection tree with at most this many nodes is
+# eliminated as one front: at L=128, h=0.012 the numeric phase took
+# 104 ms (64), 100 ms (128) and 137 ms (256) per conductivity
+FRONT_NODES = 128
 
 
 def _wrap_angle(theta):
@@ -44,10 +50,12 @@ class ElectrodeLayout:
         """Electrode index covering each angle, or -1 in the gaps."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         out = np.full(theta.shape, -1, dtype=int)
-        half = 0.5 * self.angular_width
-        for l, c in enumerate(self.centers):
-            d = np.abs(_wrap_angle(theta - c + np.pi) - np.pi)
-            out[d <= half + 1e-12] = l
+        # an arc that covers an angle is centred next to it
+        near = np.searchsorted(self.centers, _wrap_angle(theta))
+        for l in (near - 1, near % self.L):
+            d = np.abs(_wrap_angle(theta - self.centers[l] + np.pi) - np.pi)
+            out = np.where(d <= 0.5 * self.angular_width + 1e-12,
+                           l % self.L, out)
         return out
 
 
@@ -84,20 +92,53 @@ def place_electrodes(L: int, coverage: float, z: float,
 
 
 @dataclass(frozen=True)
+class FrontTree:
+    """Multifrontal elimination of a mesh's node block in its node order.
+
+    Front f owns the nodes [start[f], start[f + 1]); the last front, F,
+    owns the electrode nodes [k, N).  ``index[f]`` holds the nodes of
+    front f's dense matrix in increasing order: its own nodes, then its
+    boundary, the later nodes that its subtree is joined to by an edge.
+    Eliminating the own nodes leaves an update matrix on the boundary,
+    which ``extend[f]`` places in the matrix of ``parent[f]``.  Front F
+    takes the updates of the fronts under no separator; with its own
+    element entries they sum to the Schur complement onto [k, N).
+
+    The gather maps place element matrix entries: entry ``elem_src[i]``
+    of the flattened (M, 3, 3) element matrices adds to entry
+    ``elem_dst[i]`` of the flattened matrix of the front that owns the
+    earlier of its two nodes, for the fronts in turn as ``elem_ptr``
+    bounds them.  Only the lower triangle of each front is filled.
+    """
+
+    start: np.ndarray        # (F + 2,)
+    parent: np.ndarray       # (F + 1,), -1 for front F
+    index: tuple             # F + 1 sorted node index arrays
+    extend: tuple            # F position arrays into the parent's index
+    elem_src: np.ndarray     # (6 M,) int
+    elem_dst: np.ndarray     # (6 M,) int
+    elem_ptr: np.ndarray     # (F + 2,)
+
+
+@dataclass(frozen=True)
 class Mesh:
     """Conforming triangulation of a disk.
 
     ``boundary_nodes`` traverse the boundary circle counterclockwise; their
     angular positions strictly increase modulo 2*pi.  All triangles are
     counterclockwise (positive signed area).  The forward solver factors
-    the node block in index order and needs the electrode-arc nodes
-    numbered last; ``build_disk_mesh`` numbers them so.
+    the node block in index order on the elimination tree ``fronts``, and
+    needs the electrode-arc nodes numbered last, as that tree's last
+    front; ``build_disk_mesh`` numbers them so and builds the tree.  A
+    mesh made otherwise has no fronts and can be validated and assembled,
+    but not factored.
     """
 
     nodes: np.ndarray           # (N, 2)
     triangles: np.ndarray       # (M, 3) int
     boundary_nodes: np.ndarray  # (Nb,) int, ordered by angle
     radius: float = 1.0
+    fronts: Optional[FrontTree] = None
 
     @property
     def n_nodes(self) -> int:
@@ -153,7 +194,11 @@ def build_disk_mesh(radius: float, target_h: float,
     arcs in nested-dissection order, then the electrode-arc nodes in
     boundary order.  The numbering only relabels the Delaunay
     triangulation of the points in the order they are generated, as qhull
-    breaks ties between cocircular points by input order.
+    breaks ties between cocircular points by input order.  The dissection
+    tree becomes the mesh's ``fronts`` (``FrontTree``): subtrees of at
+    most ``FRONT_NODES`` nodes and the separators above them, then the
+    electrode-arc nodes, with the node sets and gather maps that the
+    forward solver's multifrontal Cholesky uses for every conductivity.
 
     Raises
     ------
@@ -233,17 +278,20 @@ def build_disk_mesh(radius: float, target_h: float,
     pairs = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     edges = np.concatenate([pairs[pairs[:, 0] < pairs[:, 1]],
                             np.stack([loop, np.roll(loop, -1)], axis=1)])
-    order = _dissection_order(nodes, edges, on_arc)
+    order, start, parent = _dissection_order(nodes, edges, on_arc)
     label = np.empty_like(order)
     label[order] = np.arange(order.size)
-    mesh = Mesh(nodes=nodes[order], triangles=label[triangles],
-                boundary_nodes=label[loop], radius=float(radius))
+    triangles = label[triangles]
+    mesh = Mesh(nodes=nodes[order], triangles=triangles,
+                boundary_nodes=label[loop], radius=float(radius),
+                fronts=_front_tree(triangles, len(nodes), start, parent))
     mesh.validate()
     return mesh
 
 
 def _dissection_order(nodes: np.ndarray, edges: np.ndarray,
-                      last: np.ndarray) -> np.ndarray:
+                      last: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                 np.ndarray]:
     """Elimination order of a planar graph: the nodes outside the mask
     ``last`` by nested dissection (George 1973), then those in ``last``
     in index order.
@@ -253,7 +301,8 @@ def _dissection_order(nodes: np.ndarray, edges: np.ndarray,
     of the upper half with a neighbour (``edges``, (E, 2)) in the lower half
     form a one-sided vertex separator, numbered after both halves.  Each
     pass splits every part of one level of the tree at once.  Returns the
-    node indices in elimination order.
+    node indices in elimination order and the fronts of the dissection
+    tree, as ``_fronts`` gives them.
     """
     n, leaf = len(nodes), 8
     depth = n.bit_length()            # halving n nodes this often leaves <= 1
@@ -298,7 +347,110 @@ def _dissection_order(nodes: np.ndarray, edges: np.ndarray,
         key[idx] -= (2 - s) * 3 ** (depth - 1 - d)
         part[idx] = 2 * part[idx] + s
     key[last] = 3 ** depth
-    return np.argsort(key, kind="stable")
+    order = np.argsort(key, kind="stable")
+    return (order, *_fronts(key[order[:n - int(last.sum())]], depth, n))
+
+
+def _fronts(keys: np.ndarray, depth: int,
+            n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fronts of the dissection tree whose sorted post-order base-3
+    ``keys`` (``depth`` digits) number the first ``keys.size`` nodes.
+
+    A subtree of at most ``FRONT_NODES`` nodes is one front; a larger
+    part's separator is one front, and the parent of its children's
+    fronts.  Every front owns a contiguous range of nodes.  Returns
+    ``start`` ((F + 2,): front f owns [start[f], start[f + 1]), and front
+    F the nodes after ``keys``, up to ``n``) and ``parent`` ((F + 1,): F
+    for the fronts below no separator, -1 for front F), with the fronts
+    in post-order.
+    """
+    found = []                                 # (first, end, parent) rows
+
+    def split(lo, hi, d, up):                  # keys[lo:hi]: a part at level d
+        if hi - lo <= FRONT_NODES:
+            found.append((lo, hi, up))
+            return
+        w = 3 ** (depth - 1 - d)
+        base = keys[lo] - keys[lo] % (3 * w)   # digit d of the part: 0, 1, 2
+        m1, m2 = lo + np.searchsorted(keys[lo:hi], [base + w, base + 2 * w])
+        if m2 < hi:
+            found.append((m2, hi, up))
+            up = len(found) - 1
+        for a, b in ((lo, m1), (m1, m2)):
+            if a < b:
+                split(a, b, d + 1, up)
+
+    if keys.size:
+        split(0, keys.size, 0, -1)
+    rows = np.array(found, dtype=np.int64).reshape(-1, 3)
+    o = np.argsort(rows[:, 0])                 # children own earlier nodes
+    new = np.empty(len(rows) + 1, dtype=np.int64)
+    new[o], new[-1] = np.arange(len(rows)), len(rows)
+    start = np.r_[rows[o, 0], keys.size, n]
+    parent = np.r_[new[rows[o, 2]], -1]
+    return start, parent
+
+
+def _front_tree(triangles: np.ndarray, n: int, start: np.ndarray,
+                parent: np.ndarray) -> FrontTree:
+    """Index sets and gather maps of the fronts ``start`` / ``parent``
+    (as ``_fronts`` gives them) for the edge graph of the triangles on
+    ``n`` nodes."""
+    nf = parent.size
+    owner = np.repeat(np.arange(nf, dtype=np.int32), np.diff(start))
+    end = start[1:]
+    # element entries (r, c) with r >= c: the diagonal and one per edge,
+    # placed in the front that owns c.  They are counted in int32, which
+    # halves the memory traffic; (front, node) keys are int64.
+    a, b = np.array([[0, 1, 2, 0, 1, 0], [0, 1, 2, 1, 2, 2]])
+    ta = triangles[:, a].astype(np.int32)
+    tb = triangles[:, b].astype(np.int32)
+    r, c = np.maximum(ta, tb).ravel(), np.minimum(ta, tb).ravel()
+    src = (np.where(ta >= tb, 3 * a + b, 3 * b + a).astype(np.int32)
+           + 9 * np.arange(len(ta), dtype=np.int32)[:, None]).ravel()
+    f = owner[c]
+    first = start[f].astype(np.int32)
+    row = r - first
+    far = np.flatnonzero(r >= end[f])
+    # boundary of each front: the later nodes joined by an edge to its own
+    # nodes, and so to those of each ancestor whose own range ends before
+    pair = f[far].astype(np.int64) * n + r[far]
+    by = np.argsort(pair)
+    head = np.diff(pair[by], prepend=-1) != 0    # first of each value
+    pool = pair[by[head]]
+    g, j = np.divmod(pool, n)
+    found = []
+    while g.size:
+        found.append(g * n + j)
+        g = parent[g]
+        up = j >= end[g]
+        g, j = g[up], j[up]
+    keys = np.sort(np.concatenate([owner * np.int64(n) + np.arange(n),
+                                   *found]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]    # np.unique hashes: slower
+    off = np.searchsorted(keys, np.arange(nf + 1) * n)
+    size = np.diff(off)
+    index = tuple(np.split(keys - np.repeat(np.arange(nf) * n, size),
+                           off[1:-1]))
+    # a boundary node's position in its parent's matrix
+    g = np.repeat(np.arange(nf), size)
+    j = keys - g * n
+    bnd = j >= end[g]
+    g, j = g[bnd], j[bnd]
+    u = parent[g]
+    pos = j - start[u]
+    out = j >= end[u]
+    pos[out] = np.searchsorted(keys, u[out] * n + j[out]) - off[u[out]]
+    extend = tuple(np.split(pos, np.cumsum(np.bincount(g, minlength=nf))[:-2]))
+    # the rows of the far entries: one search per distinct (front, node)
+    inv = np.empty(far.size, dtype=np.int64)
+    inv[by] = np.cumsum(head) - 1
+    row[far] = (np.searchsorted(keys, pool) - off[pool // n])[inv]
+    dst = row * size[f].astype(np.int32) + (c - first)
+    o = np.argsort(f.astype(np.min_scalar_type(nf)), kind="stable")
+    ptr = np.r_[0, np.cumsum(np.bincount(f, minlength=nf))]
+    return FrontTree(start=start, parent=parent, index=index, extend=extend,
+                     elem_src=src[o], elem_dst=dst[o], elem_ptr=ptr)
 
 
 def boundary_edge_electrodes(mesh: Mesh, layout: ElectrodeLayout) -> np.ndarray:

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import csv
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -338,6 +340,49 @@ def test_numerical_failure_exit_3(workdir, capsys):
     assert not (workdir / "out" / "dn.json").exists()
 
 
+def test_indefinite_element_exit_3(workdir, capsys, monkeypatch):
+    # one element with an indefinite tensor stops the front Cholesky; the
+    # record names the node, and stderr holds nothing but that record
+    write_config(workdir / "cfg.json", phantom="A1", target_h=0.2, L=8)
+
+    def true_scalar(points):
+        a = np.ones(len(points))
+        a[7] = -100.0
+        return a
+
+    bad = dataclasses.replace(phantom_by_name("A1"), true_scalar=true_scalar)
+    monkeypatch.setattr("anisoeit.cli._phantom", lambda cfg: bad)
+    capsys.readouterr()
+    assert main(["simulate", "--config", "cfg.json"]) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["type"] == "RuntimeError"
+    assert re.search(r"front Cholesky fails at node \d+$", record["message"])
+    assert not (workdir / "out" / "dn.json").exists()
+
+
+# what a failing check on the electrode matrix names, in its message
+_FORWARD_FAILURES = ("row sums", "node solve residual", "S c deviates",
+                     "triangular solve residual", "front Cholesky")
+
+
+@pytest.mark.parametrize("z", [1e-9, 1e-6, 1e-5, 3e-5, 1e-4, 0.1, 1.0, 10.0,
+                               100.0, 1e3, 1e8])
+def test_contact_impedance_range(workdir, capsys, z):
+    # simulate succeeds for z in [3e-5, 10]; outside it, a run may fail,
+    # but only with exit 3 and the failing quantity named
+    write_config(workdir / "cfg.json", phantom="A3", target_h=0.2, L=8,
+                 contact_impedance=z)
+    capsys.readouterr()
+    code = main(["simulate", "--config", "cfg.json"])
+    err = capsys.readouterr().err
+    if 3e-5 <= z <= 10.0:
+        assert code == 0, err
+    elif code != 0:
+        assert code == 3, err
+        message = json.loads(err)["message"]
+        assert any(q in message for q in _FORWARD_FAILURES), message
+
+
 def test_failure_stderr_is_one_json_record(workdir):
     # a current amplitude of 1e300 overflows inside numpy; its warnings go
     # into the error record, not onto stderr ahead of it
@@ -484,7 +529,7 @@ _VALID = {
     "target_h": st.floats(0.2, 0.4),
     "L": st.sampled_from([4, 6, 8]),
     "coverage": st.floats(0.2, 0.8),
-    "contact_impedance": st.floats(0.005, 0.1),
+    "contact_impedance": st.floats(-6.0, 3.0).map(lambda e: 10.0 ** e),
     "current_amplitude": st.floats(0.1, 10.0),
     "qc_n": st.just(64),
     "qc_s": st.floats(4.0, 6.0),

@@ -1,15 +1,18 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from anisoeit import (build_disk_mesh, place_electrodes, constant_tensor,
                       trig_current_patterns, assemble_cem_system,
                       solve_forward, simulate_voltages, dn_matrix,
                       save_dn, load_dn, phantom_by_name)
-from anisoeit.forward import element_stiffness, VoltageData
-from anisoeit.mesh import Mesh, boundary_edge_electrodes
+from anisoeit.forward import element_stiffness, VoltageData, _front_matrix
+from anisoeit.mesh import Mesh, boundary_edge_electrodes, _front_tree
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -75,17 +78,6 @@ def test_element_stiffness_matches_three_operand_product():
     assert (np.abs(K - ref) <= 1e-14 * scale).all()
 
 
-def _bordered_matrix(system):
-    """The bordered (N + L - 1) CEM matrix
-    [[B, -Wz^T G], [-G^T Wz, G^T diag(|e|/z) G]] in the ground basis
-    G = [1; -I], built densely from the condensed system's pieces."""
-    L = system.layout.L
-    G = np.vstack([np.ones((1, L - 1)), -np.eye(L - 1)])
-    C = -system.wz.toarray().T @ G
-    return np.block([[system.matrix.toarray(), C],
-                     [C.T, G.T @ np.diag(system.ez) @ G]]), G
-
-
 def _edge_integrals(mesh, layout):
     """w[l, k] = integral of phi_k over electrode l (half of each edge
     length); arc[l] = polygonal length of electrode l."""
@@ -102,17 +94,61 @@ def _edge_integrals(mesh, layout):
     return w, arc
 
 
+def _oracle(mesh, A, layout):
+    """Sparse K (element part), B = K + Kz and Wz (L x N), assembled with
+    scipy.sparse from the element matrices and the electrode edges, apart
+    from the fronts the solver scatters into."""
+    N, t = mesh.n_nodes, mesh.triangles
+    p = mesh.nodes[t]
+    Ke = element_stiffness(p, A(p.mean(axis=1)))
+    K = scipy.sparse.coo_matrix(
+        (Ke.ravel(), (np.repeat(t, 3, axis=1).ravel(),
+                      np.tile(t, (1, 3)).ravel())), shape=(N, N)).tocsr()
+    z = layout.contact_impedances
+    Kz = scipy.sparse.lil_matrix((N, N))
+    for (i, j), l in zip(mesh.boundary_edges(),
+                         boundary_edge_electrodes(mesh, layout)):
+        if l >= 0:
+            m = np.linalg.norm(mesh.nodes[j] - mesh.nodes[i]) / 6 / z[l]
+            Kz[i, i] += 2 * m
+            Kz[j, j] += 2 * m
+            Kz[i, j] += m
+            Kz[j, i] += m
+    w, _ = _edge_integrals(mesh, layout)
+    return K, (K + Kz).tocsc(), scipy.sparse.csr_matrix(w / z[:, None])
+
+
+def _wz(system):
+    """The system's dense L x N coupling Wz, zero off the electrode nodes."""
+    wz = np.zeros((system.layout.L, system.mesh.n_nodes))
+    wz[:, system.arc] = system.wt.T
+    return wz
+
+
+def _bordered_matrix(system, B):
+    """The bordered (N + L - 1) CEM matrix
+    [[B, -Wz^T G], [-G^T Wz, G^T diag(|e|/z) G]] in the ground basis
+    G = [1; -I], built densely from the oracle B and the system's Wz."""
+    L = system.layout.L
+    G = np.vstack([np.ones((1, L - 1)), -np.eye(L - 1)])
+    C = -_wz(system).T @ G
+    return np.block([[B.toarray(), C],
+                     [C.T, G.T @ np.diag(system.ez) @ G]]), G
+
+
 def test_c_block_structure(mesh16, layout16):
     # impedances that differ per electrode, so a wrong z index shows
     layout = dataclasses.replace(layout16,
                                  contact_impedances=np.linspace(0.01, 0.04, 16))
-    system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout)
+    A = constant_tensor(np.eye(2))
+    system = assemble_cem_system(mesh16, A, layout)
     N, L = mesh16.n_nodes, layout.L
     w, _ = _edge_integrals(mesh16, layout)
     wz = w / layout.contact_impedances[:, None]
-    assert system.wz.shape == (L, N)
-    assert np.allclose(system.wz.toarray(), wz, rtol=1e-12, atol=0.0)
-    M, _ = _bordered_matrix(system)
+    assert system.wt.shape == (system.arc.size, L)
+    assert np.array_equal(system.arc, np.flatnonzero(w.any(axis=0)))
+    assert np.allclose(_wz(system), wz, rtol=1e-12, atol=0.0)
+    M, _ = _bordered_matrix(system, _oracle(mesh16, A, layout)[1])
     # C[k, j] = -w_1[k] / z_1 + w_{j+1}[k] / z_{j+1}
     expected = -wz[0][:, None] + wz[1:].T
     assert np.allclose(M[:N, N:], expected, rtol=1e-12, atol=0.0)
@@ -122,20 +158,21 @@ def test_c_block_structure(mesh16, layout16):
 def test_d_block_structure(mesh16, layout16):
     layout = dataclasses.replace(layout16,
                                  contact_impedances=np.linspace(0.01, 0.04, 16))
-    system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout)
+    A = constant_tensor(np.eye(2))
+    system = assemble_cem_system(mesh16, A, layout)
     N, L = mesh16.n_nodes, layout.L
     _, arc = _edge_integrals(mesh16, layout)
     z = layout.contact_impedances
     assert np.allclose(system.ez, arc / z, rtol=1e-12, atol=0.0)
-    M, _ = _bordered_matrix(system)
+    M, _ = _bordered_matrix(system, _oracle(mesh16, A, layout)[1])
     expected = arc[0] / z[0] * np.ones((L - 1, L - 1)) + np.diag(arc[1:] / z[1:])
     assert np.allclose(M[N:, N:], expected, rtol=1e-12)
 
 
-def _bordered_voltages(system, P):
+def _bordered_voltages(system, B, P):
     """U from a dense solve of the bordered CEM system."""
     N, L = system.mesh.n_nodes, system.layout.L
-    M, G = _bordered_matrix(system)
+    M, G = _bordered_matrix(system, B)
     rhs = np.zeros((N + L - 1, P.shape[1]))
     rhs[N:] = G.T @ P
     return G @ np.linalg.solve(M, rhs)[N:]
@@ -143,10 +180,11 @@ def _bordered_voltages(system, P):
 
 @pytest.mark.parametrize("A0", [np.eye(2), np.diag([1.0, 1.3])])
 def test_condensed_solve_matches_bordered_system(mesh16, layout16, A0):
-    system = assemble_cem_system(mesh16, constant_tensor(A0), layout16)
+    A = constant_tensor(A0)
+    system = assemble_cem_system(mesh16, A, layout16)
     T = trig_current_patterns(16).T
     U = solve_forward(system, T)
-    ref = _bordered_voltages(system, T)
+    ref = _bordered_voltages(system, _oracle(mesh16, A, layout16)[1], T)
     assert np.abs(U - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -172,12 +210,47 @@ def test_electrode_matrix_symmetric_semidefinite(mesh16, layout16):
 def test_electrode_matrix_matches_dense_oracle(mesh16, layout16, name):
     layout = dataclasses.replace(layout16,
                                  contact_impedances=np.linspace(0.01, 0.04, 16))
-    system = assemble_cem_system(mesh16, phantom_by_name(name).tensor, layout)
+    A = phantom_by_name(name).tensor
+    system = assemble_cem_system(mesh16, A, layout)
     S = system.electrode_matrix()
-    wz = system.wz.toarray()
-    ref = np.diag(system.ez) - wz @ np.linalg.solve(system.matrix.toarray(),
-                                                    wz.T)
+    _, B, wz = _oracle(mesh16, A, layout)
+    wz = wz.toarray()
+    ref = np.diag(system.ez) - wz @ np.linalg.solve(B.toarray(), wz.T)
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("L, h", [(16, 0.05), (32, 0.05)])
+def test_front_scatter_covers_each_entry_once(L, h):
+    layout = place_electrodes(L, 0.5, 0.01)
+    mesh = build_disk_mesh(1.0, h, layout)
+    tree, N = mesh.fronts, mesh.n_nodes
+    # the lower-triangle slots that receive an element entry, over all fronts
+    slots = []
+    for f, idx in enumerate(tree.index):
+        dst = tree.elem_dst[tree.elem_ptr[f]:tree.elem_ptr[f + 1]]
+        i, j = np.divmod(np.unique(dst), idx.size)
+        slots.append(idx[i] * N + idx[j])
+    slots = np.concatenate(slots)
+    t = mesh.triangles
+    e = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    want = np.unique(np.r_[e.max(axis=1) * N + e.min(axis=1),
+                           np.arange(N) * (N + 1)])
+    assert slots.size == want.size                     # no slot twice
+    assert np.array_equal(np.sort(slots), want)
+    for name in ("A1", "A2", "A3", "A4"):
+        A = phantom_by_name(name).tensor
+        system = assemble_cem_system(mesh, A, layout)
+        K = _oracle(mesh, A, layout)[0]
+        vals = system.ke.ravel()[tree.elem_src]
+        scale = np.abs(K).max()
+        for f, idx in enumerate(tree.index):
+            F = _front_matrix(tree, f, vals)
+            # every slot of the lower triangle, the entries that cancel to
+            # 0 in K among them; the boundary block takes no entries
+            m = tree.start[f + 1] - tree.start[f]
+            ref = np.tril(K[idx][:, idx].toarray())
+            ref[m:, m:] = 0.0
+            assert np.abs(F - ref).max() <= 1e-15 * scale, (name, f)
 
 
 def _relabeled(mesh, order):
@@ -194,12 +267,17 @@ def test_electrode_nodes_numbered_last(layout16):
     edges = mesh.boundary_edges()[boundary_edge_electrodes(mesh, layout16) >= 0]
     arc = np.unique(edges)
     assert np.array_equal(arc, np.arange(N - arc.size, N))     # 80 of 1,597
-    # any order of the other nodes gives the same DN map
+    # any order of the nodes within each front gives the same DN map
+    start, parent = mesh.fronts.start, mesh.fronts.parent
     rng = np.random.default_rng(15)
-    order = np.r_[rng.permutation(N - arc.size), arc]
+    order = np.concatenate([a + rng.permutation(b - a)
+                            for a, b in zip(start[:-1], start[1:])])
+    moved = _relabeled(mesh, order)
+    moved = dataclasses.replace(moved, fronts=_front_tree(
+        moved.triangles, N, start, parent))
     A = phantom_by_name("A4").tensor
     ref = dn_matrix(simulate_voltages(mesh, A, layout16)).dn
-    dn = dn_matrix(simulate_voltages(_relabeled(mesh, order), A, layout16)).dn
+    dn = dn_matrix(simulate_voltages(moved, A, layout16)).dn
     assert np.abs(dn - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -212,19 +290,37 @@ def test_electrode_nodes_not_last_raises(mesh16, layout16):
     assert system._factor is None                     # raised before factoring
 
 
+def test_front_tree_must_end_with_electrode_nodes(mesh16, layout16):
+    A = constant_tensor(np.eye(2))
+    bare = dataclasses.replace(mesh16, fronts=None)
+    t = mesh16.fronts
+    start = t.start.copy()
+    start[-2] -= 1                    # the last front takes one more node
+    short = dataclasses.replace(mesh16, fronts=dataclasses.replace(
+        t, start=start))
+    for mesh in (bare, short):
+        system = assemble_cem_system(mesh, A, layout16)
+        with pytest.raises(ValueError, match="front tree that ends with its "
+                           "electrode nodes"):
+            system.electrode_matrix()
+
+
 def test_electrode_matrix_l128_matches_full_solve():
     layout = place_electrodes(128, 0.5, 2.5e-4)
     mesh = build_disk_mesh(1.0, 0.012, layout)
-    system = assemble_cem_system(mesh, phantom_by_name("A4").tensor, layout)
+    A = phantom_by_name("A4").tensor
+    system = assemble_cem_system(mesh, A, layout)
     S = system.electrode_matrix()
-    ref = (np.diag(system.ez)
-           - system.wz @ system.factor().solve(system.wz.T.toarray()))
+    _, B, wz = _oracle(mesh, A, layout)
+    lu = scipy.sparse.linalg.splu(B)
+    ref = np.diag(system.ez) - wz @ lu.solve(wz.T.toarray())
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("value", [1.0, np.nan])
 def test_node_solve_residual_names_electrode_column(mesh16, layout16, value,
                                                     monkeypatch):
+    # a spoiled trailing dense solve fails check (a)
     solve = scipy.linalg.solve_triangular
 
     def spoiled(*args, **kwargs):
@@ -238,45 +334,29 @@ def test_node_solve_residual_names_electrode_column(mesh16, layout16, value,
         system.electrode_matrix()
 
 
-class _Factor:
-    """Factor stand-in: the real factor with some attributes replaced."""
-
-    def __init__(self, lu, **replaced):
-        self._lu = lu
-        self.__dict__.update(replaced)
-
-    def __getattr__(self, name):
-        return getattr(self._lu, name)
-
-
 def test_perturbed_factor_diagonal_fails_probe(mesh16, layout16):
-    system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
-    lu = system.factor()
-    U = lu.U.copy()
-    d = U.diagonal()
-    d[-1] *= 1.0 + 1e-6             # the root of the elimination tree
-    U.setdiag(d)
-    system._factor = _Factor(lu, U=U)
-    with pytest.raises(RuntimeError, match="electrode probe"):
-        system.electrode_matrix()
+    # a leaf front, the top separator and the electrode block
+    for front in (0, -2, -1):
+        system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)),
+                                     layout16)
+        L11 = system.factor().blocks[front][0]
+        L11[-1, -1] *= 1.0 + 1e-6
+        with pytest.raises(RuntimeError, match="electrode probe"):
+            system.electrode_matrix()
 
 
-def test_unsymmetric_permutation_raises(mesh16, layout16):
-    system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
-    lu = system.factor()
-    system._factor = _Factor(lu, perm_c=lu.perm_c[::-1].copy())
-    with pytest.raises(RuntimeError, match="permutations differ"):
-        system.electrode_matrix()
+def test_indefinite_element_names_node(mesh16, layout16):
+    bad = 123
 
+    def tensor(points):
+        A = np.broadcast_to(np.eye(2), (len(points), 2, 2)).copy()
+        A[bad] *= -100.0
+        return A
 
-def test_factor_moving_electrode_node_raises(mesh16, layout16):
-    system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
-    lu = system.factor()
-    perm = np.arange(mesh16.n_nodes)
-    perm[[0, -1]] = perm[[-1, 0]]
-    system._factor = _Factor(lu, perm_r=perm, perm_c=perm)
-    with pytest.raises(RuntimeError,
-                       match=f"electrode node {mesh16.n_nodes - 1} "):
+    system = assemble_cem_system(mesh16, tensor, layout16)
+    node = mesh16.triangles[bad].min()        # the first pivot it reaches
+    with pytest.raises(RuntimeError, match=f"front Cholesky fails at node "
+                       f"{node}$"):
         system.electrode_matrix()
 
 
@@ -290,12 +370,38 @@ def test_forward_residual_names_pattern_column(mesh16, layout16):
         solve_forward(system, T)
 
 
+def _dense_factor(lu):
+    """The dense lower-triangular L held front by front in ``lu``."""
+    t = lu.tree
+    L = np.zeros((t.start[-1], t.start[-1]))
+    for f, (L11, L21) in enumerate(lu.blocks):
+        own = np.arange(t.start[f], t.start[f + 1])
+        L[own[:, None], own] = np.tril(L11)
+        L[t.index[f][own.size:, None], own] = L21
+    return L
+
+
 def test_system_symmetric_positive_definite(layout16):
     mesh = build_disk_mesh(1.0, 0.2, layout16)
-    system = assemble_cem_system(mesh, constant_tensor(np.eye(2)), layout16)
-    M = system.matrix.toarray()
+    A = constant_tensor(np.eye(2))
+    system = assemble_cem_system(mesh, A, layout16)
+    M = _oracle(mesh, A, layout16)[1].toarray()
     assert np.allclose(M, M.T, atol=1e-12)
     assert np.linalg.eigvalsh(M)[0] > 0
+    L = _dense_factor(system.factor())
+    assert np.abs(L @ L.T - M).max() <= 1e-13 * np.abs(M).max()
+
+
+def test_forward_needs_no_scipy_sparse(layout16, monkeypatch):
+    import scipy
+    mesh = build_disk_mesh(1.0, 0.05, layout16)       # qhull loads it
+    monkeypatch.delattr(scipy, "sparse")
+    for name in [m for m in sys.modules if m.startswith("scipy.sparse")]:
+        monkeypatch.setitem(sys.modules, name, None)
+    with pytest.raises(ImportError):
+        import scipy.sparse  # noqa: F401
+    data = simulate_voltages(mesh, phantom_by_name("A3").tensor, layout16)
+    assert np.isfinite(dn_matrix(data).dn).all()
 
 
 def test_solve_ground_condition(mesh16, layout16):

@@ -3,7 +3,7 @@ import pytest
 
 from anisoeit import (build_disk_mesh, place_electrodes, constant_tensor,
                       phantom_by_name)
-from anisoeit.mesh import Mesh, boundary_edge_electrodes
+from anisoeit.mesh import FRONT_NODES, Mesh, boundary_edge_electrodes
 
 
 def test_place_electrodes_arc_length():
@@ -184,3 +184,37 @@ def test_tensor_symmetry_and_floor_random_points():
     assert np.allclose(A, np.swapaxes(A, 1, 2))
     eigs = np.linalg.eigvalsh(A)
     assert (eigs[:, 0] >= 1.0 - 1e-14).all()   # inf a * min eig A0 = 1
+
+
+@pytest.mark.parametrize("L, h", [(16, 0.1), (32, 0.05)])
+def test_front_tree_matches_its_subtrees(L, h):
+    layout = place_electrodes(L, 0.5, 0.01)
+    mesh = build_disk_mesh(1.0, h, layout)
+    t, N = mesh.fronts, mesh.n_nodes
+    nf = t.parent.size
+    # post-order fronts own consecutive ranges; the last owns the arc nodes
+    arc = np.unique(mesh.boundary_edges()[
+        boundary_edge_electrodes(mesh, layout) >= 0])
+    assert t.start[0] == 0 and t.start[-1] == N
+    assert (np.diff(t.start) > 0).all()
+    assert np.array_equal(np.arange(t.start[-2], N), arc)
+    assert (t.parent[:-1] > np.arange(nf - 1)).all() and t.parent[-1] == -1
+    assert np.diff(t.start).max() <= max(FRONT_NODES, arc.size)
+    # the boundary of a front: the later nodes joined by an edge to its
+    # subtree, found here from the edges and the parent links alone
+    below = [{f} for f in range(nf)]
+    for f in range(nf - 1):
+        below[t.parent[f]] |= below[f]
+    owner = np.repeat(np.arange(nf), np.diff(t.start))
+    adj = [set() for _ in range(N)]
+    for a, b in mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2):
+        adj[a].add(b)
+        adj[b].add(a)
+    for f, idx in enumerate(t.index):
+        sub = [v for v in range(N) if owner[v] in below[f]]
+        later = sorted({w for v in sub for w in adj[v]
+                        if w >= t.start[f + 1]})
+        assert np.array_equal(idx, np.r_[t.start[f]:t.start[f + 1], later])
+        if f < nf - 1:
+            assert np.array_equal(t.index[t.parent[f]][t.extend[f]],
+                                  idx[t.start[f + 1] - t.start[f]:])
