@@ -29,7 +29,7 @@ import numpy as np
 
 from .atomic import atomic_open, write_json
 from .beltrami import QCMap, evaluate_map
-from .forward import DNMatrix
+from .forward import DNMatrix, _float_array
 
 BG_RING_RADIUS = 0.8    # |x| of the background calibration ring in Omega
 BG_RING_SAMPLES = 64
@@ -342,8 +342,8 @@ def load_field(json_path) -> ReconstructedField:
     mask = np.hypot(GX, GY) <= 1.0
     return ReconstructedField(
         grid_axis=axis, a=a, mask=mask,
-        cross_section_x=np.array(doc["cross_section_x"]),
-        cross_section=np.array(doc["cross_section"]),
+        cross_section_x=_float_array(doc, "cross_section_x", (g,)),
+        cross_section=_float_array(doc, "cross_section", (g,)),
         background_offset=float(doc["background_offset"]),
         imag_residual=float(doc["imag_residual"]),
         R=float(doc["R"]), lattice=int(doc["lattice"]),

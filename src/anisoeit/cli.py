@@ -56,7 +56,7 @@ def _same_config(stamp: str, want: str, path) -> None:
     a file with no stamp is accepted."""
     if stamp and stamp != want:
         raise ConfigError(f"{path} was produced under a different config "
-                          f"({stamp[:12]}... != {want[:12]}...)")
+                          f"({str(stamp)[:12]}... != {want[:12]}...)")
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -103,11 +103,10 @@ def cmd_map(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_reconstruct(cfg: RunConfig, dn_path=None, map_path=None) -> int:
+def cmd_reconstruct(cfg: RunConfig) -> int:
     """Reconstruct the scalar multiplier for every truncation radius."""
     out = _outdir(cfg)
-    dn_path = Path(dn_path) if dn_path else out / "dn.json"
-    map_path = Path(map_path) if map_path else out / "map.bin"
+    dn_path, map_path = out / "dn.json", out / "map.bin"
     want = cfg.sha256()
     dn = _read(forward.load_dn, dn_path)
     _same_config(dn.config_sha256, want, dn_path)
@@ -213,7 +212,7 @@ def _dispatch(parser, argv) -> int:
     if args.command == "map":
         return cmd_map(cfg)
     if args.command == "reconstruct":
-        return cmd_reconstruct(cfg, args.dn, args.map_file)
+        return cmd_reconstruct(cfg)
     return cmd_evaluate(cfg, args.recon)
 
 
@@ -238,13 +237,9 @@ def main(argv=None) -> int:
     sub.add_parser("map", help="solve the Beltrami equation for the "
                    "background tensor; writes map.bin/.json and "
                    "boundary_image.csv", **subkw)
-    p_rec = sub.add_parser("reconstruct",
-                           help="run the linearized reconstruction for every "
-                                "configured truncation radius", **subkw)
-    p_rec.add_argument("--dn", default=None, help="DN matrix file "
-                       "(default: <outdir>/dn.json)")
-    p_rec.add_argument("--map", dest="map_file", default=None,
-                       help="QC map file (default: <outdir>/map.bin)")
+    sub.add_parser("reconstruct", help="run the linearized reconstruction "
+                   "for every configured truncation radius; reads "
+                   "<outdir>/dn.json and map.bin", **subkw)
     p_eval = sub.add_parser("evaluate", help="score a reconstruction "
                             "against the phantom", **subkw)
     p_eval.add_argument("--recon", required=True,

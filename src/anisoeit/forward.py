@@ -167,12 +167,11 @@ def _factor_fronts(tree: FrontTree, ke: np.ndarray,
     blocks, nnz = [], 0
     for f, idx in enumerate(tree.index):
         F = _front_matrix(tree, f, vals)
-        for pos, U in updates[f]:    # extend-add of a child's update
-            if pos[-1] - pos[0] == pos.size - 1:
-                F[pos[0]:pos[-1] + 1, pos[0]:pos[-1] + 1] += U
-            else:            # U is column-major; faster than F[ix_] += U
-                np.add.at(F.reshape(-1), (pos * F.shape[0] + pos[:, None])
-                          .ravel(), U.ravel(order="F"))
+        # extend-add of each child's update U, which is column-major:
+        # faster than F[np.ix_(pos, pos)] += U
+        for pos, U in updates[f]:
+            np.add.at(F.reshape(-1), (pos * F.shape[0] + pos[:, None])
+                      .ravel(), U.ravel(order="F"))
         updates[f] = None
         m = int(tree.start[f + 1] - tree.start[f])
         if f == last:
@@ -508,10 +507,25 @@ def _layout_to_dict(layout: ElectrodeLayout) -> dict:
     }
 
 
+def _float_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
+    """Entry ``name`` of a loaded document as a finite float array of
+    ``shape``; raises ValueError naming the entry otherwise."""
+    try:
+        a = np.asarray(doc[name], dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != shape or not np.isfinite(a).all():
+        raise ValueError(f"{name} is not a finite float array of shape "
+                         f"{shape}")
+    return a
+
+
 def _layout_from_dict(d: dict) -> ElectrodeLayout:
-    return ElectrodeLayout(L=int(d["L"]), centers=np.array(d["centers"]),
+    L = int(d["L"])
+    return ElectrodeLayout(L=L, centers=_float_array(d, "centers", (L,)),
                            angular_width=float(d["angular_width"]),
-                           contact_impedances=np.array(d["contact_impedances"]),
+                           contact_impedances=_float_array(
+                               d, "contact_impedances", (L,)),
                            radius=float(d["radius"]))
 
 
@@ -555,11 +569,11 @@ def load_dn(path) -> DNMatrix:
     if doc.get("format") != "anisoeit-dn":
         raise ValueError(f"{path}: not a DN matrix file")
     layout = _layout_from_dict(doc["electrodes"])
-    pat = CurrentPatternSet(L=int(doc["patterns"]["L"]),
-                            amplitude=float(doc["patterns"]["amplitude"]),
-                            T=np.array(doc["patterns"]["T"]))
-    return DNMatrix(dn=np.array(doc["dn_row_major"]),
-                    nd=np.array(doc["nd_row_major"]),
+    L = layout.L
+    pat = CurrentPatternSet(L=L, amplitude=float(doc["patterns"]["amplitude"]),
+                            T=_float_array(doc["patterns"], "T", (L, L - 1)))
+    return DNMatrix(dn=_float_array(doc, "dn_row_major", (L - 1, L - 1)),
+                    nd=_float_array(doc, "nd_row_major", (L - 1, L - 1)),
                     asymmetry=float(doc["asymmetry"]),
                     patterns=pat, layout=layout,
                     config_sha256=doc.get("config_sha256", ""))

@@ -15,9 +15,10 @@ from typing import Optional
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-# a subtree of the dissection tree with at most this many nodes is
-# eliminated as one front: at L=128, h=0.012 the numeric phase took
-# 104 ms (64), 100 ms (128) and 137 ms (256) per conductivity
+# the nested dissection splits only parts of more than this many nodes,
+# and each part it leaves whole is one front: at L=128, h=0.012 the
+# numeric phase took 104 ms (64), 100 ms (128) and 137 ms (256) per
+# conductivity
 FRONT_NODES = 128
 
 
@@ -96,7 +97,9 @@ class FrontTree:
     """Multifrontal elimination of a mesh's node block in its node order.
 
     Front f owns the nodes [start[f], start[f + 1]); the last front, F,
-    owns the electrode nodes [k, N).  ``index[f]`` holds the nodes of
+    owns the electrode nodes [k, N).  The others are the separators and
+    the parts left whole (at most ``FRONT_NODES`` nodes) of the nested
+    dissection that numbered the nodes.  ``index[f]`` holds the nodes of
     front f's dense matrix in increasing order: its own nodes, then its
     boundary, the later nodes that its subtree is joined to by an edge.
     Eliminating the own nodes leaves an update matrix on the boundary,
@@ -170,10 +173,10 @@ class Mesh:
         if not (gaps > 0).all():
             raise ValueError("boundary node angles do not strictly increase")
         # every interior edge is shared by exactly two triangles
-        pairs = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
-                        axis=1).astype(np.int64)
-        _, counts = np.unique(pairs[:, 0] * self.n_nodes + pairs[:, 1],
-                              return_counts=True)
+        a = self.triangles.astype(np.int64)
+        b = np.roll(a, -1, axis=1)
+        _, counts = np.unique(np.minimum(a, b) * self.n_nodes
+                              + np.maximum(a, b), return_counts=True)
         if not ((counts == 1) | (counts == 2)).all():
             raise ValueError("an edge is shared by more than two triangles")
         n_hull = int((counts == 1).sum())
@@ -195,10 +198,11 @@ def build_disk_mesh(radius: float, target_h: float,
     boundary order.  The numbering only relabels the Delaunay
     triangulation of the points in the order they are generated, as qhull
     breaks ties between cocircular points by input order.  The dissection
-    tree becomes the mesh's ``fronts`` (``FrontTree``): subtrees of at
-    most ``FRONT_NODES`` nodes and the separators above them, then the
-    electrode-arc nodes, with the node sets and gather maps that the
-    forward solver's multifrontal Cholesky uses for every conductivity.
+    tree becomes the mesh's ``fronts`` (``FrontTree``): the parts of at
+    most ``FRONT_NODES`` nodes that the dissection leaves whole and the
+    separators above them, then the electrode-arc nodes, with the node
+    sets and gather maps that the forward solver's multifrontal Cholesky
+    uses for every conductivity.
 
     Raises
     ------
@@ -292,25 +296,29 @@ def build_disk_mesh(radius: float, target_h: float,
 def _dissection_order(nodes: np.ndarray, edges: np.ndarray,
                       last: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                  np.ndarray]:
-    """Elimination order of a planar graph: the nodes outside the mask
-    ``last`` by nested dissection (George 1973), then those in ``last``
-    in index order.
+    """Elimination order of a planar graph and its fronts: the nodes
+    outside the mask ``last`` by nested dissection (George 1973), then
+    those in ``last`` in index order.
 
-    Recursive coordinate bisection: every part of more than 8 nodes is
-    split at its median along the longer side of its box, and the nodes
-    of the upper half with a neighbour (``edges``, (E, 2)) in the lower half
-    form a one-sided vertex separator, numbered after both halves.  Each
-    pass splits every part of one level of the tree at once.  Returns the
-    node indices in elimination order and the fronts of the dissection
-    tree, as ``_fronts`` gives them.
+    Recursive coordinate bisection: every part of more than
+    ``FRONT_NODES`` nodes is split at its median along the longer side of
+    its box, and the nodes of the upper half with a neighbour (``edges``,
+    (E, 2)) in the lower half form a one-sided vertex separator, numbered
+    after both halves.  Each pass splits every part of one level of the
+    tree at once.  The fronts are the parts left whole and the
+    separators, in post-order, then the nodes in ``last`` as front F; the
+    parent of a front is the separator of its nearest ancestor part that
+    has one, or F.  Returns the node indices in elimination order,
+    ``start`` ((F + 2,): front f owns positions [start[f], start[f + 1]))
+    and ``parent`` ((F + 1,), -1 for front F).
     """
-    n, leaf = len(nodes), 8
+    n = len(nodes)
     depth = n.bit_length()            # halving n nodes this often leaves <= 1
     rank = np.empty((2, n), dtype=np.int64)    # distinct ranks break ties
     for a in (0, 1):
         rank[a, np.argsort(nodes[:, a], kind="stable")] = np.arange(n)
     # post-order key: base-3 digit d is 0 (lower half at level d), 1 (upper
-    # half) or 2 (separator at level d, or a leaf before it)
+    # half) or 2 (separator at level d, or a part left whole before it)
     key = np.full(n, 3 ** depth - 1, dtype=np.int64)
     part = np.zeros(n, dtype=np.int64)         # children of q: 2q, 2q + 1
     side = np.empty(n, dtype=np.int8)
@@ -328,7 +336,7 @@ def _dissection_order(nodes: np.ndarray, edges: np.ndarray,
         start = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
         cnt = np.diff(np.r_[start, idx.size])
         half = cnt // 2
-        split = np.repeat(cnt > leaf, cnt)
+        split = np.repeat(cnt > FRONT_NODES, cnt)
         side[:] = -1
         side[idx[split]] = (np.arange(idx.size) - np.repeat(start + half, cnt)
                             >= 0)[split]
@@ -348,54 +356,27 @@ def _dissection_order(nodes: np.ndarray, edges: np.ndarray,
         part[idx] = 2 * part[idx] + s
     key[last] = 3 ** depth
     order = np.argsort(key, kind="stable")
-    return (order, *_fronts(key[order[:n - int(last.sum())]], depth, n))
-
-
-def _fronts(keys: np.ndarray, depth: int,
-            n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fronts of the dissection tree whose sorted post-order base-3
-    ``keys`` (``depth`` digits) number the first ``keys.size`` nodes.
-
-    A subtree of at most ``FRONT_NODES`` nodes is one front; a larger
-    part's separator is one front, and the parent of its children's
-    fronts.  Every front owns a contiguous range of nodes.  Returns
-    ``start`` ((F + 2,): front f owns [start[f], start[f + 1]), and front
-    F the nodes after ``keys``, up to ``n``) and ``parent`` ((F + 1,): F
-    for the fronts below no separator, -1 for front F), with the fronts
-    in post-order.
-    """
-    found = []                                 # (first, end, parent) rows
-
-    def split(lo, hi, d, up):                  # keys[lo:hi]: a part at level d
-        if hi - lo <= FRONT_NODES:
-            found.append((lo, hi, up))
-            return
-        w = 3 ** (depth - 1 - d)
-        base = keys[lo] - keys[lo] % (3 * w)   # digit d of the part: 0, 1, 2
-        m1, m2 = lo + np.searchsorted(keys[lo:hi], [base + w, base + 2 * w])
-        if m2 < hi:
-            found.append((m2, hi, up))
-            up = len(found) - 1
-        for a, b in ((lo, m1), (m1, m2)):
-            if a < b:
-                split(a, b, d + 1, up)
-
-    if keys.size:
-        split(0, keys.size, 0, -1)
-    rows = np.array(found, dtype=np.int64).reshape(-1, 3)
-    o = np.argsort(rows[:, 0])                 # children own earlier nodes
-    new = np.empty(len(rows) + 1, dtype=np.int64)
-    new[o], new[-1] = np.arange(len(rows)), len(rows)
-    start = np.r_[rows[o, 0], keys.size, n]
-    parent = np.r_[new[rows[o, 2]], -1]
-    return start, parent
+    # each distinct key is one front; its ancestors' separators have the
+    # keys of its leading digits followed by 2s
+    keys = key[order[:n - int(last.sum())]]
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    own = keys[start]
+    nf = own.size
+    parent = np.r_[np.full(nf, nf), -1]
+    for d in range(depth):            # from the root down: the nearest wins
+        w = 3 ** (depth - d)
+        up = own - own % w + (w - 1)
+        at = np.minimum(np.searchsorted(own, up), nf - 1)
+        hit = (own[at] == up) & (up != own)
+        parent[:nf][hit] = at[hit]
+    return order, np.r_[start, keys.size, n], parent
 
 
 def _front_tree(triangles: np.ndarray, n: int, start: np.ndarray,
                 parent: np.ndarray) -> FrontTree:
     """Index sets and gather maps of the fronts ``start`` / ``parent``
-    (as ``_fronts`` gives them) for the edge graph of the triangles on
-    ``n`` nodes."""
+    (as ``_dissection_order`` gives them) for the edge graph of the
+    triangles on ``n`` nodes."""
     nf = parent.size
     owner = np.repeat(np.arange(nf, dtype=np.int32), np.diff(start))
     end = start[1:]

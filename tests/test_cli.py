@@ -289,6 +289,7 @@ def test_config_validation_exit_2(workdir, capsys, text):
     ["simulate", "--config", "cfg.json", "--bogus"],
     ["transmogrify", "--config", "cfg.json"],      # unknown command
     [],
+    ["reconstruct", "--config", "cfg.json", "--map", "x"],   # no such option
 ])
 def test_argument_errors_exit_2(workdir, capsys, argv):
     # a command line argparse rejects is malformed input: exit 2 with one
@@ -453,9 +454,25 @@ def test_truncated_map_exit_2(workdir, capsys, size):
     assert str(size) in record["message"]
 
 
-def test_malformed_dn_exit_2(workdir, capsys):
+def _edit_json(path, **entries):
+    doc = json.loads(path.read_text())
+    doc.update(entries)
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("entries", [
+    None,                                       # no entries at all
+    {"dn_row_major": "abc"},
+    {"dn_row_major": np.eye(3).tolist()},       # not (L-1) x (L-1)
+    {"config_sha256": 5},
+], ids=["empty", "dn-string", "dn-3x3", "stamp-int"])
+def test_malformed_dn_exit_2(workdir, capsys, entries):
     _simulate_and_map(workdir)
-    (workdir / "out" / "dn.json").write_text('{"format": "anisoeit-dn"}')
+    path = workdir / "out" / "dn.json"
+    if entries is None:
+        path.write_text('{"format": "anisoeit-dn"}')
+    else:
+        _edit_json(path, **entries)
     capsys.readouterr()
     assert main(["reconstruct", "--config", "cfg.json"]) == 2
     record = json.loads(capsys.readouterr().err)
@@ -463,14 +480,27 @@ def test_malformed_dn_exit_2(workdir, capsys):
     assert "dn.json" in record["message"]
 
 
-def test_malformed_recon_exit_2(workdir, capsys):
-    write_config(workdir / "cfg.json", phantom="A1", target_h=0.1)
-    (workdir / "recon.json").write_text('{"format": "anisoeit-recon"}')
+@pytest.mark.parametrize("entries", [
+    None,                                       # no entries at all
+    {"cross_section": "abc"},
+    {"cross_section_x": [0.0]},                 # shorter than the values
+], ids=["empty", "section-string", "section-x-short"])
+def test_malformed_recon_exit_2(workdir, capsys, entries):
+    path = workdir / "out" / "recon_R2.json"
+    if entries is None:
+        write_config(workdir / "cfg.json", phantom="A1", target_h=0.1)
+        path.parent.mkdir()
+        path.write_text('{"format": "anisoeit-recon"}')
+    else:
+        _simulate_and_map(workdir)
+        assert main(["reconstruct", "--config", "cfg.json"]) == 0
+        _edit_json(path, **entries)
+    capsys.readouterr()
     assert main(["evaluate", "--config", "cfg.json",
-                 "--recon", "recon.json"]) == 2
+                 "--recon", str(path)]) == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "config"
-    assert "recon.json" in record["message"]
+    assert "recon_R2.json" in record["message"]
 
 
 def test_config_rejects_unknown_phantom(workdir):

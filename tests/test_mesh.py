@@ -205,7 +205,16 @@ def test_front_tree_matches_its_subtrees(L, h):
     below = [{f} for f in range(nf)]
     for f in range(nf - 1):
         below[t.parent[f]] |= below[f]
-    owner = np.repeat(np.arange(nf), np.diff(t.start))
+    # the dissection stops at the front size: a part of at most
+    # FRONT_NODES nodes is one front, and a front with a child is the
+    # separator of a larger part
+    own = np.diff(t.start)
+    for f in range(nf):
+        if f in t.parent:
+            assert sum(own[g] for g in below[f]) > FRONT_NODES
+        else:
+            assert own[f] <= FRONT_NODES
+    owner = np.repeat(np.arange(nf), own)
     adj = [set() for _ in range(N)]
     for a, b in mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2):
         adj[a].add(b)
