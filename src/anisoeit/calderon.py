@@ -340,6 +340,8 @@ def load_field(json_path) -> ReconstructedField:
         a = np.frombuffer(f.read(), dtype=np.float64).reshape(g, g).copy()
     GX, GY = np.meshgrid(axis, axis, indexing="ij")
     mask = np.hypot(GX, GY) <= 1.0
+    if not np.isfinite(a[mask]).all():
+        raise ValueError("grid holds a non-finite value inside the disk")
     return ReconstructedField(
         grid_axis=axis, a=a, mask=mask,
         cross_section_x=_float_array(doc, "cross_section_x", (g,)),

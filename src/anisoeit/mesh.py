@@ -1,10 +1,11 @@
 """Triangulated disk domains with boundary electrodes.
 
 Builds conforming triangular meshes of a disk whose boundary nodes include
-every electrode arc endpoint, with the nodes numbered for the forward
-solver's elimination and the fronts of that elimination, its symbolic
-phase, computed once per mesh.  This module holds geometry only; the
-conductivities the forward solver integrates over it are in ``phantoms``.
+every electrode arc endpoint, triangulated ring to ring in closed form,
+with the nodes numbered for the forward solver's elimination and the
+fronts of that elimination, its symbolic phase, computed once per mesh.
+This module holds geometry only; the conductivities the forward solver
+integrates over it are in ``phantoms``.
 """
 
 from __future__ import annotations
@@ -190,19 +191,21 @@ def build_disk_mesh(radius: float, target_h: float,
 
     Boundary nodes are placed at every arc endpoint and filled along arcs
     and gaps at spacing <= ``target_h``; the interior is filled with
-    concentric rings of matching density and triangulated with Delaunay.
-    Maximum edge length is bounded by ``1.5 * target_h``.
+    concentric rings of matching density, and each pair of consecutive
+    rings (the centre node the first, the boundary nodes the last) is
+    joined by its Delaunay triangulation in closed form.  Maximum edge
+    length is bounded by ``1.5 * target_h``.  Ties between cocircular
+    nodes are broken by a rule that commutes with both axis mirrors, so
+    the mesh is its own image under x -> -x and y -> -y, and so are the
+    data of conductivities that are.
 
     The nodes are numbered for elimination: the nodes off the electrode
     arcs in nested-dissection order, then the electrode-arc nodes in
-    boundary order.  The numbering only relabels the Delaunay
-    triangulation of the points in the order they are generated, as qhull
-    breaks ties between cocircular points by input order.  The dissection
-    tree becomes the mesh's ``fronts`` (``FrontTree``): the parts of at
-    most ``FRONT_NODES`` nodes that the dissection leaves whole and the
-    separators above them, then the electrode-arc nodes, with the node
-    sets and gather maps that the forward solver's multifrontal Cholesky
-    uses for every conductivity.
+    boundary order.  The dissection tree becomes the mesh's ``fronts``
+    (``FrontTree``): the parts of at most ``FRONT_NODES`` nodes that the
+    dissection leaves whole and the separators above them, then the
+    electrode-arc nodes, with the node sets and gather maps that the
+    forward solver's multifrontal Cholesky uses for every conductivity.
 
     Raises
     ------
@@ -220,7 +223,6 @@ def build_disk_mesh(radius: float, target_h: float,
     breakpoints = np.sort(_wrap_angle(bounds.ravel()))
     # fill each circular segment at spacing <= target_h
     thetas = []
-    nseg_list = np.empty(len(breakpoints), dtype=int)
     for i in range(len(breakpoints)):
         a0 = breakpoints[i]
         a1 = breakpoints[(i + 1) % len(breakpoints)]
@@ -228,48 +230,62 @@ def build_disk_mesh(radius: float, target_h: float,
             a1 += TWO_PI
         seg_len = (a1 - a0) * radius
         nseg = max(1, int(np.ceil(seg_len / target_h)))
-        nseg_list[i] = nseg
         thetas.append(a0 + (a1 - a0) * np.arange(nseg) / nseg)
     theta_b = _wrap_angle(np.concatenate(thetas))
     theta_b = np.sort(theta_b)
-    boundary_pts = radius * np.stack([np.cos(theta_b), np.sin(theta_b)], axis=1)
+
+    # interior rings; radial spacing ~0.85 h keeps edges short and triangles
+    # fat.  Counts that are multiples of 4, with half-step offsets that
+    # alternate from the boundary inward (the outermost ring has a node at
+    # angle 0), keep the nodes invariant under both axis mirrors and no two
+    # consecutive rings' arc ends (below) together on an axis.
+    n_rings = max(2, int(round(radius / (0.85 * target_h))))
+    dr = radius / n_rings
+    rings = [np.zeros(1)]                     # the centre: a one-node ring
+    for i in range(1, n_rings):
+        n = 4 * max(2, int(np.ceil(np.pi * i * dr / (2 * target_h))))
+        rings.append(((n_rings - 1 - i) % 2 + 2 * np.arange(n)) * np.pi / n)
+    rings.append(theta_b)
+    # the boundary nodes first, then the centre and the rings outward;
+    # ``first`` is each ring's first node
+    in_order = rings[-1:] + rings[:-1]
+    nodes = np.concatenate([r * np.stack([np.cos(t), np.sin(t)], axis=1) for
+                            r, t in zip([radius, *np.arange(n_rings) * dr],
+                                        in_order)])
+    first = np.roll(np.cumsum([0] + [t.size for t in in_order[:-1]]), -1)
+    # a node owns the arc of its ring up to the midpoints to its neighbours
+    ends = [_wrap_angle(t + np.diff(t, append=t[0] + TWO_PI) / 2)
+            for t in rings]
 
     # electrode arcs must own at least one full boundary edge
-    mids = _wrap_angle(theta_b + np.diff(np.concatenate([theta_b, [theta_b[0] + TWO_PI]])) / 2)
-    owners = layout.electrode_of_angle(mids)
+    owners = layout.electrode_of_angle(ends[-1])
     for l in range(layout.L):
         if not (owners == l).any():
             raise ValueError(
                 f"target_h={target_h:g} too coarse: electrode {l} contains no boundary edge")
 
-    # interior rings; radial spacing ~0.85 h keeps edges short and triangles fat.
-    # Even per-ring counts with offsets 0 or pi/n keep the point set invariant
-    # under both axis mirrors.  The triangulation is not: qhull breaks ties
-    # between cocircular points arbitrarily, so 140 (y -> -y) and 188
-    # (x -> -x) of the 51,760 triangles at L=128, h=0.012 have no mirror
-    # image, and the DN couplings that the mirrors forbid reach 4.8e-5 of
-    # max|DN| for A3 there.  Symmetric conductivities give symmetric data
-    # only to that level.
-    n_rings = max(2, int(round(radius / (0.85 * target_h))))
-    dr = radius / n_rings
-    pts = [boundary_pts, np.zeros((1, 2))]
-    for i in range(1, n_rings):
-        r_i = i * dr
-        n_i = 2 * max(3, int(np.ceil(np.pi * r_i / target_h)))
-        offs = (i % 2) * np.pi / n_i
-        ang = offs + TWO_PI * np.arange(n_i) / n_i
-        pts.append(r_i * np.stack([np.cos(ang), np.sin(ang)], axis=1))
-    nodes = np.concatenate(pts, axis=0)
-
-    from scipy.spatial import Delaunay    # only the mesher needs it
-    tri = Delaunay(nodes)
-    triangles = tri.simplices.copy()
-    # orient counterclockwise
-    p = nodes[triangles]
-    cross = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-             - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
-    flip = cross < 0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
+    # zip each pair of consecutive rings: crossing the arc end between
+    # nodes j and j + 1 of one ring makes the triangle of those two and the
+    # node of the other ring that owns the angle, counterclockwise as
+    # written.  For concentric rings that is the Delaunay choice.  Arc ends
+    # closer than ``tol`` coincide, and are crossed inner ring first where
+    # sin(2 phi) > 0: a rule that commutes with both mirrors.
+    tol = 1e-9
+    tris = []
+    for k in range(len(rings) - 1):
+        for side in (0, 1) if k else (1,):    # the centre has no arc ends
+            phi, other = ends[k + side], ends[k + 1 - side]
+            early = (np.sin(2 * phi) > 0) != bool(side)
+            o = np.argsort(other)
+            at = np.searchsorted(other[o], phi + np.where(early, -tol, tol),
+                                 "right")
+            j = np.arange(phi.size)
+            a, b = first[k + side] + j, first[k + side] + (j + 1) % j.size
+            # the owner follows the other ring's last arc end before phi
+            c = first[k + 1 - side] + (o[at - 1] + 1) % other.size
+            tris.append(np.stack([b, a, c] if side == 0 else [a, b, c],
+                                 axis=1))
+    triangles = np.concatenate(tris)
 
     # number the nodes for elimination: a relabeling of the triangulation
     # above, with the electrode-arc nodes last

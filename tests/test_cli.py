@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import csv
 import dataclasses
 import os
@@ -480,11 +481,20 @@ def test_malformed_dn_exit_2(workdir, capsys, entries):
     assert "dn.json" in record["message"]
 
 
+def _nan_at_centre(path):
+    grid = path.with_name("recon_R2.bin")
+    a = np.fromfile(grid)
+    g = math.isqrt(a.size)
+    a[(g // 2) * g + g // 2] = np.nan
+    a.tofile(grid)
+
+
 @pytest.mark.parametrize("entries", [
     None,                                       # no entries at all
     {"cross_section": "abc"},
     {"cross_section_x": [0.0]},                 # shorter than the values
-], ids=["empty", "section-string", "section-x-short"])
+    _nan_at_centre,                             # in the grid file
+], ids=["empty", "section-string", "section-x-short", "grid-nan"])
 def test_malformed_recon_exit_2(workdir, capsys, entries):
     path = workdir / "out" / "recon_R2.json"
     if entries is None:
@@ -494,7 +504,10 @@ def test_malformed_recon_exit_2(workdir, capsys, entries):
     else:
         _simulate_and_map(workdir)
         assert main(["reconstruct", "--config", "cfg.json"]) == 0
-        _edit_json(path, **entries)
+        if callable(entries):
+            entries(path)
+        else:
+            _edit_json(path, **entries)
     capsys.readouterr()
     assert main(["evaluate", "--config", "cfg.json",
                  "--recon", str(path)]) == 2
@@ -522,14 +535,14 @@ print(json.dumps([code, sorted(sys.modules)]))
 
 
 def test_pipeline_commands_skip_sparse_and_mesh_stack(workdir):
-    # only simulate needs scipy's sparse solver and the mesher; map,
-    # reconstruct and evaluate must not pay for importing them, and the
-    # Beltrami transforms run on numpy.fft, not scipy.fft
+    # no command loads scipy's sparse, spatial, FFT or interpolation
+    # modules: the mesher is closed-form, the forward solve is a dense
+    # front Cholesky (scipy.linalg only) and the Beltrami transforms run on
+    # numpy.fft
     write_config(workdir / "cfg.json", phantom="A3", target_h=0.2, L=8,
                  qc_n=64, lattice=9, output_grid=21)
-    assert main(["simulate", "--config", "cfg.json"]) == 0
     env = _env_with_package()
-    for argv in (["map"], ["reconstruct"],
+    for argv in (["simulate"], ["map"], ["reconstruct"],
                  ["evaluate", "--recon", "out/recon_R2.json"]):
         run = subprocess.run(
             [sys.executable, "-c", _MODULES_AFTER_CLI, *argv,

@@ -305,9 +305,14 @@ def test_front_tree_must_end_with_electrode_nodes(mesh16, layout16):
             system.electrode_matrix()
 
 
-def test_electrode_matrix_l128_matches_full_solve():
+@pytest.fixture(scope="module")
+def mesh128():
     layout = place_electrodes(128, 0.5, 2.5e-4)
-    mesh = build_disk_mesh(1.0, 0.012, layout)
+    return build_disk_mesh(1.0, 0.012, layout), layout
+
+
+def test_electrode_matrix_l128_matches_full_solve(mesh128):
+    mesh, layout = mesh128
     A = phantom_by_name("A4").tensor
     system = assemble_cem_system(mesh, A, layout)
     S = system.electrode_matrix()
@@ -315,6 +320,21 @@ def test_electrode_matrix_l128_matches_full_solve():
     lu = scipy.sparse.linalg.splu(B)
     ref = np.diag(system.ez) - wz @ lu.solve(wz.T.toarray())
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("L", [16, 128])
+def test_electrode_matrix_commutes_with_both_mirrors(L, mesh16, layout16,
+                                                     mesh128):
+    # the stock phantoms are radial scalars times diagonal backgrounds, and
+    # the mesh is its own image under x -> -x and y -> -y, which map
+    # electrode l to L/2 - l and to -l
+    mesh, layout = (mesh16, layout16) if L == 16 else mesh128
+    l = np.arange(L)
+    for name in ("A1", "A2", "A3", "A4"):
+        S = assemble_cem_system(mesh, phantom_by_name(name).tensor,
+                                layout).electrode_matrix()
+        for P in ((L // 2 - l) % L, -l % L):
+            assert np.abs(S[np.ix_(P, P)] - S).max() <= 1e-12 * np.abs(S).max()
 
 
 @pytest.mark.parametrize("value", [1.0, np.nan])
@@ -394,7 +414,7 @@ def test_system_symmetric_positive_definite(layout16):
 
 def test_forward_needs_no_scipy_sparse(layout16, monkeypatch):
     import scipy
-    mesh = build_disk_mesh(1.0, 0.05, layout16)       # qhull loads it
+    mesh = build_disk_mesh(1.0, 0.05, layout16)
     monkeypatch.delattr(scipy, "sparse")
     for name in [m for m in sys.modules if m.startswith("scipy.sparse")]:
         monkeypatch.setitem(sys.modules, name, None)

@@ -55,34 +55,41 @@ def test_mesh_quality_and_validity():
     assert np.linalg.norm(edges, axis=2).max() <= 0.15
 
 
-def _generation_order(mesh):
-    """Node indices in the order the mesher generates the points: the
-    boundary by angle, the centre, then ring by ring, each by angle."""
-    inner = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_nodes)
-    x, y = mesh.nodes[inner].T
-    ring = np.round(np.hypot(x, y), 9)
-    theta = np.mod(np.arctan2(y, x), 2 * np.pi)
-    return np.r_[mesh.boundary_nodes, inner[np.lexsort((theta, ring))]]
-
-
 @pytest.mark.parametrize("L, h", [(16, 0.05), (128, 0.012)])
-def test_node_numbering_only_relabels_triangulation(L, h):
-    from scipy.spatial import Delaunay
+def test_mesh_is_delaunay(L, h):
     layout = place_electrodes(L, 0.5, 0.01)
     mesh = build_disk_mesh(1.0, h, layout)
     mesh.validate()
-    gen = _generation_order(mesh)
-    assert np.array_equal(np.sort(gen), np.arange(mesh.n_nodes))
-    # qhull breaks ties between cocircular points by input order, so
-    # triangulate the same points in the order they were generated
-    old = np.sort(Delaunay(mesh.nodes[gen]).simplices, axis=1)
-    pos = np.empty_like(gen)
-    pos[gen] = np.arange(gen.size)
-    new = np.sort(pos[mesh.triangles], axis=1)
-    assert np.array_equal(old[np.lexsort(old.T)], new[np.lexsort(new.T)])
+    # empty circles: the two angles opposite each interior edge sum to at
+    # most pi
     p = mesh.nodes[mesh.triangles]
+    u = np.roll(p, -1, axis=1) - p          # from each corner to the
+    v = np.roll(p, 1, axis=1) - p           # other two
+    angle = np.arctan2(np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]),
+                       (u * v).sum(axis=2))
+    a = np.roll(mesh.triangles, -1, axis=1)     # the edge opposite a corner
+    b = np.roll(mesh.triangles, 1, axis=1)
+    key = (np.minimum(a, b) * mesh.n_nodes + np.maximum(a, b)).ravel()
+    _, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
+    total = np.bincount(inv, angle.ravel())
+    assert counts.max() == 2
+    assert total[counts == 2].max() <= np.pi + 1e-12
     edges = p - np.roll(p, -1, axis=1)
     assert np.linalg.norm(edges, axis=2).max() <= 1.5 * h
+
+
+@pytest.mark.parametrize("L, h", [(8, 0.2), (16, 0.05), (32, 0.03),
+                                  (128, 0.012)])
+def test_mesh_is_its_own_mirror_image(L, h):
+    layout = place_electrodes(L, 0.5, 0.01)
+    mesh = build_disk_mesh(1.0, h, layout)
+    node = {xy: i for i, xy in enumerate(map(tuple, np.round(mesh.nodes, 9)))}
+    tris = set(map(frozenset, mesh.triangles.tolist()))
+    for flip in ([-1, 1], [1, -1]):             # x -> -x and y -> -y
+        image = mesh.nodes * flip
+        index = np.array([node[xy] for xy in map(tuple, np.round(image, 9))])
+        assert np.abs(mesh.nodes[index] - image).max() <= 1e-12
+        assert set(map(frozenset, index[mesh.triangles].tolist())) == tris
 
 
 def test_mesh_interior_edges_shared_twice():
