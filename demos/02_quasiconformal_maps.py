@@ -11,7 +11,7 @@ import csv
 import numpy as np
 
 from anisoeit import (beltrami_coefficient, extend_mu, solve_beltrami,
-                      evaluate_map, pushforward_tensor)
+                      pushforward_tensor)
 from anisoeit.phantoms import STOCK
 
 for name, (_, A0) in STOCK.items():
@@ -27,7 +27,7 @@ for name, (_, A0) in STOCK.items():
     # image of the boundary circle: an ellipse-like closed curve
     t = np.linspace(0, 2 * np.pi, 256, endpoint=False)
     circle = np.stack([np.cos(t), np.sin(t)], axis=1)
-    image = evaluate_map(qc, circle)
+    image = qc(circle)
     area = 0.5 * abs(np.sum(image[:, 0] * np.roll(image[:, 1], -1)
                             - np.roll(image[:, 0], -1) * image[:, 1]))
     print(f"boundary image: x in [{image[:, 0].min():+.3f}, "

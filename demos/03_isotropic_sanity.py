@@ -11,7 +11,7 @@ from scipy.special import j1
 
 from anisoeit import (build_disk_mesh, place_electrodes, constant_tensor,
                       simulate_voltages, dn_matrix, fhat_grid,
-                      reconstruct_field)
+                      reconstruct_field, affine_map)
 
 layout = place_electrodes(L=32, coverage=0.5, z=0.005)
 mesh = build_disk_mesh(1.0, 0.03, layout)
@@ -19,8 +19,11 @@ dn = dn_matrix(simulate_voltages(mesh, constant_tensor(np.eye(2)), layout))
 print(f"simulated unit-disk data: L=32, {mesh.n_nodes} nodes, "
       f"reciprocity {dn.asymmetry:.1e}")
 
+# isotropic data need no flattening: the map of A0 = I is the identity
+identity = affine_map(np.eye(2))
+
 # spectrum vs the analytic disk transform
-fh = fhat_grid(dn, None, R=1.0, m=17)
+fh = fhat_grid(dn, identity, R=1.0, m=17)
 rho = np.hypot(fh.zs[:, 0], fh.zs[:, 1])
 target = j1(2 * np.pi * rho) / rho
 sel = np.abs(target) >= 0.1 * np.abs(target).max()
@@ -29,7 +32,7 @@ print(f"spectrum vs indicator transform (|z| <= 1): "
       f"max rel deviation {rel:.1%} away from the transform's zero ring")
 
 # truncated inverse: flat reconstruction near level one
-field = reconstruct_field(dn, None, np.eye(2), R=1.8)
+field = reconstruct_field(dn, identity, np.eye(2), R=1.8)
 xs, cs = field.cross_section_x, field.cross_section
 inner = np.abs(xs) <= 0.6
 print(f"reconstruction at R=1.8: center {cs[len(xs) // 2]:.3f}, "

@@ -8,12 +8,12 @@ from .forward import (CurrentPatternSet, CEMSystem, VoltageData, DNMatrix,
                       solve_forward, simulate_voltages, dn_matrix,
                       save_voltages, save_dn, load_dn)
 from .beltrami import (MuGrid, QCMap, BeltramiConvergenceError,
-                       beltrami_coefficient, extend_mu, hilbert_transform,
-                       cauchy_transform, solve_beltrami, evaluate_map,
-                       pushforward_tensor, save_qcmap, load_qcmap)
+                       beltrami_coefficient, extend_mu, affine_map,
+                       hilbert_transform, cauchy_transform, solve_beltrami,
+                       pushforward_tensor, save_qcmap)
 from .calderon import (FhatGrid, ReconstructedField,
                        cgo_traces, bilinear_form, fhat_grid,
-                       inverse_fourier, reconstruct_scalar, reconstruct_field,
+                       inverse_fourier, reconstruct_field,
                        save_field, load_field, save_fhat)
 from .phantoms import (PhantomSpec, constant_tensor, sigma_profile,
                        make_phantom, phantom_by_name)

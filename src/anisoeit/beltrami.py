@@ -26,15 +26,19 @@ padded grid).  The kernel transforms are cached per grid and box.
 
 All grid functions live on a uniform n x n lattice over [-s, s)^2 with
 the support of mu inside |z| <= r (s >= 2r).
+
+On |z| <= r - blend the solution is exactly z + mu0 conj(z)
+(``affine_map``); the reconstruction flattens with it, and the tests
+check the solve against it.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -93,18 +97,42 @@ def extend_mu(A0: np.ndarray, r: float = 2.0, blend: float = 0.5,
         raise ValueError(f"blend width must lie in (0, r); got blend={blend}, r={r}")
     if s < 2.0 * r:
         raise ValueError(f"grid half-width s={s} must be at least 2r={2 * r}")
-    return _ramped_mu(beltrami_coefficient(A0), n, s, r, blend)
-
-
-def _ramped_mu(mu0: complex, n: int, s: float, r: float,
-               blend: float) -> MuGrid:
-    """mu0 times the ramp 1 - smoothstep((|z| - (r - blend)) / blend)."""
     x = -s + (2.0 * s / n) * np.arange(n)
     X, Y = np.meshgrid(x, x, indexing="ij")
     t = np.clip((np.hypot(X, Y) - (r - blend)) / blend, 0.0, 1.0)
     ramp = 1.0 - (3.0 * t * t - 2.0 * t ** 3)
+    mu0 = beltrami_coefficient(A0)
     return MuGrid(mu=mu0 * ramp, n=int(n), s=float(s), r=float(r),
                   blend=float(blend), mu0=mu0)
+
+
+def affine_map(A0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Phi(z) = z + mu0 conj(z), mu0 = ``beltrami_coefficient(A0)``: the
+    flattening map of the constant tensor A0, from (P, 2) points to
+    (P, 2) points.
+
+    It solves dbar Phi = mu d Phi exactly on |z| <= r - blend, where
+    ``extend_mu`` holds mu at mu0 (``RunConfig.validate`` keeps that disk
+    around the domain).  In the Neumann series
+    Phi = z + P[mu] + P[mu T(mu)] + ..., P[mu] = mu0 conj(z) on the disk
+    for the radial mu = mu0 rho(|z|), so T[mu] = d P[mu] = 0 there.  Each
+    later term, mu T(mu T(... mu)) with k transforms, vanishes on the disk
+    and carries only the angular mode e^{-2ik theta}, so its Cauchy
+    transform vanishes there too (Astala, Iwaniec & Martin, *Elliptic
+    PDEs and Quasiconformal Mappings in the Plane*, 2009).  The constant
+    Jacobian J = I + [[Re mu0, Im mu0], [Im mu0, -Re mu0]] gives
+    J A0 J^T / det J = sqrt(det A0) I, and A0 = c I gives mu0 = 0: the
+    identity, exactly.
+    """
+    mu0 = beltrami_coefficient(A0)
+
+    def phi(points: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        z = pts[:, 0] + 1j * pts[:, 1]
+        w = z + mu0 * np.conj(z)
+        return np.stack([w.real, w.imag], axis=1)
+
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +330,19 @@ class QCMap:
         """Half-width of the trusted evaluation window [-s/2, s/2]^2."""
         return self.mu.s / 2.0
 
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        """Phi at (P, 2) points inside the window [-s/2, s/2]^2, as (P, 2)
+        points, by bilinear interpolation of the samples."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        w = self.window
+        outside = ~(np.abs(pts) <= w + 1e-12).all(axis=1)
+        if outside.any():
+            bad = pts[outside][0]
+            raise ValueError(f"point {tuple(bad)} outside evaluation window "
+                             f"|x|<= {w:g}")
+        vals = _bilinear(self.mu.axis(), self.phi, pts)
+        return np.stack([vals.real, vals.imag], axis=1)
+
     def jacobian(self, points: np.ndarray) -> np.ndarray:
         """(N, 2, 2) Jacobian of Phi = (Re f, Im f) at interior points,
         from centered finite differences interpolated off the grid."""
@@ -419,19 +460,7 @@ def solve_beltrami(mu: MuGrid, tol: float = 1e-10, max_iter: int = 200,
 
 
 # ---------------------------------------------------------------------------
-# map evaluation
-
-
-def evaluate_map(qcmap: QCMap, points: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of Phi at points inside [-s/2, s/2]^2."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    w = qcmap.window
-    outside = ~(np.abs(pts) <= w + 1e-12).all(axis=1)
-    if outside.any():
-        bad = pts[outside][0]
-        raise ValueError(f"point {tuple(bad)} outside evaluation window |x|<= {w:g}")
-    vals = _bilinear(qcmap.mu.axis(), qcmap.phi, pts)
-    return np.stack([vals.real, vals.imag], axis=1)
+# pushforward
 
 
 def pushforward_tensor(A, qcmap: QCMap, points: np.ndarray) -> np.ndarray:
@@ -456,11 +485,11 @@ def pushforward_tensor(A, qcmap: QCMap, points: np.ndarray) -> np.ndarray:
 # serialization: binary grid + JSON sidecar
 
 _MAGIC = b"ANISOEITQC1\x00"
-_HEADER = len(_MAGIC) + 8 + 5 * 8     # magic, n, s, r, blend, mu0
 
 
 def save_qcmap(qcmap: QCMap, path) -> None:
-    """Write the header (n, s, r, blend, mu0) and the row-major complex
+    """Write the 60-byte header (magic, then little-endian int64 n and
+    float64 s, r, blend, Re mu0, Im mu0) and the n^2 row-major complex128
     samples of Phi, plus the JSON sidecar ``path.with_suffix(".json")``
     with the mu parameters, residual, iteration count and config hash."""
     sidecar = Path(path).with_suffix(".json")
@@ -482,37 +511,3 @@ def save_qcmap(qcmap: QCMap, path) -> None:
         "config_sha256": qcmap.config_sha256,
     })
 
-
-def load_qcmap(path) -> QCMap:
-    """Read a map written by ``save_qcmap``.
-
-    The residual, iteration count and config hash come from the JSON
-    sidecar ``path.with_suffix(".json")``; without it the residual is
-    recomputed from Phi and the hash is empty.  A file that is not
-    exactly 60 + 16 n^2 bytes long (truncated, or an older map that still
-    carries a trailing h* block) raises ``ValueError``.
-    """
-    raw = Path(path).read_bytes()
-    if raw[:len(_MAGIC)] != _MAGIC:
-        raise ValueError(f"{path}: not a QC map file")
-    if len(raw) < _HEADER:
-        raise ValueError(f"{path}: {len(raw)} bytes, shorter than the "
-                         f"{_HEADER}-byte header")
-    n, s, r, blend, re0, im0 = struct.unpack_from("<qddddd", raw, len(_MAGIC))
-    expected = _HEADER + 16 * n * n
-    if len(raw) != expected:
-        raise ValueError(f"{path}: {len(raw)} bytes, but a map with n={n} "
-                         f"has {_HEADER} + 16 n^2 = {expected}")
-    mu0 = complex(re0, im0)
-    phi = np.frombuffer(raw, dtype=np.complex128,
-                        offset=_HEADER).reshape(n, n).copy()
-    mu = _ramped_mu(mu0, n, s, r, blend)
-    sidecar = Path(path).with_suffix(".json")
-    doc = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-    residual = doc.get("residual")
-    if residual is None:
-        residual = _beltrami_residual(phi, mu)
-    return QCMap(phi=phi, mu=mu, residual=float(residual),
-                 iterations=int(doc.get("iterations", 0)),
-                 increments=np.array([]),
-                 config_sha256=doc.get("config_sha256", ""))

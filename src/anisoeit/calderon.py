@@ -12,10 +12,13 @@ pairing B(phi1, phi2), and assembles
 
 on a truncated frequency lattice |z| <= R.  The inverse transform of
 Fhat approximates the scalar conductivity on the flattened domain; for
-anisotropic data the traces are composed with the quasi-conformal map
+anisotropic data the traces are composed with the flattening map Phi
 and the boundary map is rescaled by 1/sqrt(det A0) so the linearization
 is around conductivity one.  Composing the flattened-domain field with
-the forward map recovers the multiplier in the original coordinates.
+Phi recovers the multiplier in the original coordinates.  Phi is any
+function from (P, 2) points to (P, 2) points: the exact
+``beltrami.affine_map(A0)``, a solved ``beltrami.QCMap``, or
+``affine_map(np.eye(2))`` for isotropic data.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .atomic import atomic_open, write_json
-from .beltrami import QCMap, evaluate_map
 from .forward import DNMatrix, _float_array
+
+# a flattening map: points (P, 2) -> their images (P, 2)
+Flattening = Callable[[np.ndarray], np.ndarray]
 
 BG_RING_RADIUS = 0.8    # |x| of the background calibration ring in Omega
 BG_RING_SAMPLES = 64
@@ -129,14 +134,13 @@ class FhatGrid:
         return float(defect / max(np.abs(self.values).max(), 1e-300))
 
 
-def fhat_grid(dn: DNMatrix, qcmap: Optional[QCMap], R: float, m: int = 33,
+def fhat_grid(dn: DNMatrix, flatten: Flattening, R: float, m: int = 33,
               det_background: float = 1.0) -> FhatGrid:
     """Assemble Fhat on the masked lattice 0 < |z| <= R.
 
     The traces are the flattened-domain exponentials composed with the
-    quasi-conformal map (evaluated at the electrode centers on the
-    original boundary); ``qcmap=None`` means the identity map (isotropic
-    data).  The DN matrix is divided by sqrt(det_background) so the
+    flattening map ``flatten`` at the electrode centers on the original
+    boundary.  The DN matrix is divided by sqrt(det_background) so the
     background conductivity after flattening is one.  The z = 0 mode is
     excluded; the missing mean is restored downstream by background
     calibration.  A non-finite sample, as left by traces that overflow at
@@ -146,8 +150,7 @@ def fhat_grid(dn: DNMatrix, qcmap: Optional[QCMap], R: float, m: int = 33,
         raise ValueError(f"truncation radius must be positive, got {R}")
     if m < 3 or m % 2 == 0:
         raise ValueError(f"lattice size must be odd and >= 3, got {m}")
-    centers = dn.electrode_centers()
-    y = evaluate_map(qcmap, centers) if qcmap is not None else centers
+    y = flatten(dn.electrode_centers())
 
     zs, spacing = masked_lattice(R, m)
     scaled = replace(dn, dn=dn.dn / np.sqrt(det_background))
@@ -197,16 +200,6 @@ def inverse_fourier(fhat: FhatGrid, eval_points: np.ndarray
     return vals.real, float(np.abs(vals.imag).max() / scale)
 
 
-def reconstruct_scalar(atilde: Callable[[np.ndarray], np.ndarray],
-                       qcmap: Optional[QCMap],
-                       eval_points: np.ndarray) -> np.ndarray:
-    """Pull a flattened-domain scalar back to original coordinates:
-    a(x) = atilde(Phi(x)) for each evaluation point."""
-    pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
-    y = evaluate_map(qcmap, pts) if qcmap is not None else pts
-    return np.asarray(atilde(y))
-
-
 def save_fhat(fhat: FhatGrid, json_path, bin_path) -> None:
     """JSON metadata + binary complex spectrum samples (row-major over the
     masked lattice, in the order of ``zs``)."""
@@ -247,7 +240,7 @@ class ReconstructedField:
     cross_section_x: np.ndarray    # (nx,) x-axis sample positions
     cross_section: np.ndarray      # (nx,) reconstructed values on the x-axis
     background_offset: float       # additive mean calibration applied
-    imag_residual: float           # worst relative imaginary residual seen
+    imag_residual: float           # relative imaginary residual discarded
     R: float
     lattice: int
     A0: np.ndarray
@@ -255,53 +248,45 @@ class ReconstructedField:
     fhat: Optional[FhatGrid] = None   # spectrum the field was built from
 
 
-def reconstruct_field(dn: DNMatrix, qcmap: Optional[QCMap], A0: np.ndarray,
+def reconstruct_field(dn: DNMatrix, flatten: Flattening, A0: np.ndarray,
                       R: float, lattice: int = 33, grid: int = 101,
                       config_sha256: str = "") -> ReconstructedField:
     """End-to-end reconstruction: Fhat, truncated inverse, background
-    calibration, and pullback onto a grid over [-1, 1]^2 plus the x-axis
-    cross-section.
+    calibration, and pullback onto an odd ``grid`` x ``grid`` grid over
+    [-1, 1]^2, whose middle column is the x-axis cross-section.
 
     The additive background calibration pins the circle |x| = 0.8
     (mapped through Phi) to level one, restoring the mean lost with the
     excluded z = 0 lattice point.  The level estimate is the median of
     the ring samples: at large truncation radii the growing traces leave
-    heavy-tailed directional artifacts that would bias the mean.
+    heavy-tailed directional artifacts that would bias the mean.  The
+    ring and the grid points in the disk are mapped and inverted in one
+    pass, and ``imag_residual`` is the relative imaginary residual of
+    that pass.
     """
+    if grid < 3 or grid % 2 == 0:
+        raise ValueError(f"output grid must be odd and >= 3, got {grid}")
     A0 = np.asarray(A0, dtype=float)
     det = float(np.linalg.det(A0))
-    fh = fhat_grid(dn, qcmap, R=R, m=lattice, det_background=det)
+    fh = fhat_grid(dn, flatten, R=R, m=lattice, det_background=det)
 
     ring_t = np.linspace(0.0, 2.0 * np.pi, BG_RING_SAMPLES, endpoint=False)
     ring = BG_RING_RADIUS * np.stack([np.cos(ring_t), np.sin(ring_t)], axis=1)
-    ring_vals = reconstruct_scalar(
-        lambda y: inverse_fourier(fh, y)[0], qcmap, ring)
-    offset = 1.0 - float(np.median(ring_vals))
-
-    imag_worst = 0.0
-
-    def atilde(y):
-        nonlocal imag_worst
-        vals, im = inverse_fourier(fh, y)
-        imag_worst = max(imag_worst, im)
-        return vals + offset
-
     axis = np.linspace(-1.0, 1.0, grid)
     GX, GY = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([GX.ravel(), GY.ravel()], axis=1)
     inside = np.hypot(pts[:, 0], pts[:, 1]) <= 1.0
+    vals, imag = inverse_fourier(
+        fh, flatten(np.concatenate([ring, pts[inside]])))
+    offset = 1.0 - float(np.median(vals[:BG_RING_SAMPLES]))
     a_flat = np.full(len(pts), np.nan)
-    a_flat[inside] = reconstruct_scalar(atilde, qcmap, pts[inside])
+    a_flat[inside] = vals[BG_RING_SAMPLES:] + offset
     a_grid = a_flat.reshape(grid, grid)
-
-    xs = axis.copy()
-    cross = reconstruct_scalar(
-        atilde, qcmap, np.stack([xs, np.zeros(grid)], axis=1))
 
     return ReconstructedField(
         grid_axis=axis, a=a_grid, mask=inside.reshape(grid, grid),
-        cross_section_x=xs, cross_section=cross,
-        background_offset=offset, imag_residual=imag_worst,
+        cross_section_x=axis.copy(), cross_section=a_grid[:, grid // 2].copy(),
+        background_offset=offset, imag_residual=imag,
         R=float(R), lattice=int(lattice), A0=A0,
         config_sha256=config_sha256, fhat=fh)
 
@@ -329,22 +314,29 @@ def save_field(fieldobj: ReconstructedField, json_path, bin_path) -> None:
 
 
 def load_field(json_path) -> ReconstructedField:
+    """Read a reconstruction written by ``save_field``.  Its grid must
+    span [-1, 1] and its cross-section lie on the grid's axis, as
+    ``reconstruct_field`` makes them; a ValueError otherwise."""
     with open(json_path) as f:
         doc = json.load(f)
     if doc.get("format") != "anisoeit-recon":
         raise ValueError(f"{json_path}: not a reconstruction file")
     g = int(doc["grid"])
-    lo, hi = doc["grid_axis_minmax"]
-    axis = np.linspace(lo, hi, g)
+    if doc["grid_axis_minmax"] != [-1.0, 1.0]:
+        raise ValueError(f"grid_axis_minmax is {doc['grid_axis_minmax']}, "
+                         f"not [-1.0, 1.0]")
+    axis = np.linspace(-1.0, 1.0, g)
     with open(_beside(json_path, doc["grid_file"]), "rb") as f:
         a = np.frombuffer(f.read(), dtype=np.float64).reshape(g, g).copy()
     GX, GY = np.meshgrid(axis, axis, indexing="ij")
     mask = np.hypot(GX, GY) <= 1.0
     if not np.isfinite(a[mask]).all():
         raise ValueError("grid holds a non-finite value inside the disk")
+    xs = _float_array(doc, "cross_section_x", (g,))
+    if not np.array_equal(xs, axis):
+        raise ValueError("cross_section_x is not the grid axis")
     return ReconstructedField(
-        grid_axis=axis, a=a, mask=mask,
-        cross_section_x=_float_array(doc, "cross_section_x", (g,)),
+        grid_axis=axis, a=a, mask=mask, cross_section_x=xs,
         cross_section=_float_array(doc, "cross_section", (g,)),
         background_offset=float(doc["background_offset"]),
         imag_residual=float(doc["imag_residual"]),

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import calderon, forward
 from .atomic import atomic_open, write_json
-from .beltrami import (BeltramiConvergenceError, evaluate_map, extend_mu,
-                       load_qcmap, save_qcmap, solve_beltrami)
+from .beltrami import (BeltramiConvergenceError, affine_map, extend_mu,
+                       save_qcmap, solve_beltrami)
 from .config import ConfigError, RunConfig, load_config, radius_tag
 from .mesh import build_disk_mesh, place_electrodes
 from .phantoms import PhantomSpec, make_phantom, phantom_by_name
@@ -92,7 +92,7 @@ def cmd_map(cfg: RunConfig) -> int:
     # image of the boundary circle, for plotting elsewhere
     theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
     circle = cfg.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    image = evaluate_map(qc, circle)
+    image = qc(circle)
     with atomic_open(out / "boundary_image.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["theta", "x", "y"])
@@ -104,19 +104,19 @@ def cmd_map(cfg: RunConfig) -> int:
 
 
 def cmd_reconstruct(cfg: RunConfig) -> int:
-    """Reconstruct the scalar multiplier for every truncation radius."""
+    """Reconstruct the scalar multiplier for every truncation radius,
+    flattening with the exact map z + mu0 conj(z) of the background."""
     out = _outdir(cfg)
-    dn_path, map_path = out / "dn.json", out / "map.bin"
+    dn_path = out / "dn.json"
     want = cfg.sha256()
     dn = _read(forward.load_dn, dn_path)
     _same_config(dn.config_sha256, want, dn_path)
-    qc = _read(load_qcmap, map_path)
-    _same_config(qc.config_sha256, want, map_path)
     ph = _phantom(cfg)
+    flatten = affine_map(ph.A0)
     # every radius is computed before any is written, so a radius that
     # fails leaves no partial set of outputs behind
     fields = [calderon.reconstruct_field(
-        dn, qc, ph.A0, R=R, lattice=cfg.lattice, grid=cfg.output_grid,
+        dn, flatten, ph.A0, R=R, lattice=cfg.lattice, grid=cfg.output_grid,
         config_sha256=want) for R in cfg.truncation_radii]
     for R, fieldobj in zip(cfg.truncation_radii, fields):
         tag = radius_tag(R)
@@ -239,7 +239,7 @@ def main(argv=None) -> int:
                    "boundary_image.csv", **subkw)
     sub.add_parser("reconstruct", help="run the linearized reconstruction "
                    "for every configured truncation radius; reads "
-                   "<outdir>/dn.json and map.bin", **subkw)
+                   "<outdir>/dn.json", **subkw)
     p_eval = sub.add_parser("evaluate", help="score a reconstruction "
                             "against the phantom", **subkw)
     p_eval.add_argument("--recon", required=True,

@@ -46,6 +46,9 @@ max|S|, against 3.5e-14 for diag(ez) - W_t^T C^-1 W_t.
 Writing U = G beta in the ground basis G = [1; -I] (L x (L-1)), whose
 columns sum to zero, every pattern is one dense solve
 (G^T S G) beta = G^T I.
+
+scipy.linalg (BLAS, LAPACK) is imported where the factor and the solves
+run, so only a simulation loads scipy.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy          # scipy.linalg loads on first use, in simulate only
 
 from .atomic import write_json
 from .mesh import ElectrodeLayout, FrontTree, Mesh, boundary_edge_electrodes
@@ -142,6 +144,7 @@ class FrontFactor:
         ``rt`` unchanged, so x_t = L_c^-T L_c^-1 rt, and the backward one
         runs through the fronts in reverse order.
         """
+        import scipy.linalg
         t, trsv = self.tree, scipy.linalg.blas.dtrsv
         x = np.empty(t.start[-1])
         Lc = self.blocks[-1][0]
@@ -159,6 +162,7 @@ def _factor_fronts(tree: FrontTree, ke: np.ndarray,
     """Multifrontal Cholesky of B from the element matrices ``ke`` and the
     electrode mass block ``kz`` on [k, N), front by front in post-order.
     Raises RuntimeError naming the node whose pivot is not positive."""
+    import scipy.linalg
     potrf = scipy.linalg.lapack.dpotrf
     trsm, syrk = scipy.linalg.blas.dtrsm, scipy.linalg.blas.dsyrk
     vals = ke.ravel()[tree.elem_src]
@@ -253,6 +257,7 @@ class CEMSystem:
         (d) |S 1| <= 1e-12 max|S|, since Q 1 = 0 exactly.
         """
         if self._electrode is None:
+            import scipy.linalg
             fac = self.factor()
             Lc, W = fac.blocks[-1][0], self.wt
             # Q E: the sum of Q's columns on each electrode
@@ -521,12 +526,17 @@ def _float_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
 
 
 def _layout_from_dict(d: dict) -> ElectrodeLayout:
-    L = int(d["L"])
+    L, radius = int(d["L"]), float(d["radius"])
+    if L < 4 or L % 2:
+        raise ValueError(f"electrode count L={L} is not even and >= 4")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"electrode radius {radius} is not a finite "
+                         f"positive number")
     return ElectrodeLayout(L=L, centers=_float_array(d, "centers", (L,)),
                            angular_width=float(d["angular_width"]),
                            contact_impedances=_float_array(
                                d, "contact_impedances", (L,)),
-                           radius=float(d["radius"]))
+                           radius=radius)
 
 
 def _patterns_to_dict(p: CurrentPatternSet) -> dict:

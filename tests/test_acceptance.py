@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 from scipy.special import j1
 
-from anisoeit import (beltrami_coefficient, bilinear_form,
+from anisoeit import (affine_map, beltrami_coefficient, bilinear_form,
                       build_disk_mesh, constant_tensor, dn_matrix,
-                      evaluate_map, fhat_grid, inverse_fourier,
+                      fhat_grid, inverse_fourier,
                       place_electrodes, phantom_by_name, pushforward_tensor,
                       reconstruct_field, simulate_voltages, solve_forward,
                       assemble_cem_system, trig_current_patterns)
@@ -31,6 +31,7 @@ MU_EXPECTED = {"A1": 0.0655, "A2": -0.0655, "A3": 0.3333, "A4": -0.3333}
 TRUNCATION_RADII = {"A1": (1.8, 2.0), "A2": (1.8, 2.0),
                "A3": (2.0, 2.3), "A4": (2.0, 2.3)}
 
+IDENTITY = affine_map(np.eye(2))
 _imag_residuals = []
 
 
@@ -59,7 +60,7 @@ def test_criterion_2_identity_reduction(identity_qcmap, dn_identity16):
 
     with_map = reconstruct_field(dn_identity16, identity_qcmap, np.eye(2),
                                  R=1.8, lattice=33, grid=61)
-    direct = reconstruct_field(dn_identity16, None, np.eye(2),
+    direct = reconstruct_field(dn_identity16, IDENTITY, np.eye(2),
                                R=1.8, lattice=33, grid=61)
     m = with_map.mask
     diff = np.abs(with_map.a[m] - direct.a[m]).max()
@@ -141,7 +142,7 @@ def test_criterion_5_forward_physics(mesh32_fine, layout32_fine,
 
 def test_criterion_6_calderon_sanity(dn_identity32):
     t0 = time.perf_counter()
-    fh = fhat_grid(dn_identity32, None, R=1.0, m=17)
+    fh = fhat_grid(dn_identity32, IDENTITY, R=1.0, m=17)
     rho = np.hypot(fh.zs[:, 0], fh.zs[:, 1])
     target = j1(2 * np.pi * rho) / rho
     scale = np.abs(target).max()
@@ -151,7 +152,7 @@ def test_criterion_6_calderon_sanity(dn_identity32):
     assert rel <= 0.10, f"spectrum mismatch {rel:.3f}"
     assert err.max() <= 0.10 * scale
 
-    field = reconstruct_field(dn_identity32, None, np.eye(2), R=1.8,
+    field = reconstruct_field(dn_identity32, IDENTITY, np.eye(2), R=1.8,
                               lattice=33, grid=61)
     _imag_residuals.append(field.imag_residual)
     center = field.cross_section[len(field.cross_section) // 2]
@@ -227,7 +228,7 @@ def test_criterion_7_phantom_reconstructions(reconstruction_runs, name):
 
 def test_criterion_8_hermitian_real_output(dn_identity16):
     if not _imag_residuals:
-        field = reconstruct_field(dn_identity16, None, np.eye(2), R=1.8,
+        field = reconstruct_field(dn_identity16, IDENTITY, np.eye(2), R=1.8,
                                   lattice=21, grid=41)
         _imag_residuals.append(field.imag_residual)
     worst = max(_imag_residuals)

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from scipy.special import j0, j1
 
-from anisoeit import (cgo_traces, bilinear_form, fhat_grid,
-                      inverse_fourier, reconstruct_scalar, reconstruct_field,
+from anisoeit import (affine_map, cgo_traces, bilinear_form, fhat_grid,
+                      inverse_fourier, reconstruct_field,
                       save_field, load_field,
                       trig_current_patterns, place_electrodes)
-from anisoeit.calderon import FhatGrid, masked_lattice
+from anisoeit.calderon import (BG_RING_RADIUS, BG_RING_SAMPLES, FhatGrid,
+                               masked_lattice)
 from anisoeit.forward import DNMatrix
+
+IDENTITY = affine_map(np.eye(2))
 
 
 def analytic_disk_dn_matrix(L: int, sigma: float = 1.0) -> DNMatrix:
@@ -201,7 +204,7 @@ def test_bilinear_conjugate_symmetric():
 
 
 def test_fhat_matches_disk_indicator(dn_identity32):
-    fh = fhat_grid(dn_identity32, None, R=1.0, m=17)
+    fh = fhat_grid(dn_identity32, IDENTITY, R=1.0, m=17)
     rho = np.hypot(fh.zs[:, 0], fh.zs[:, 1])
     target = j1(2 * np.pi * rho) / rho
     scale = np.abs(target).max()
@@ -214,12 +217,12 @@ def test_fhat_matches_disk_indicator(dn_identity32):
 
 
 def test_fhat_hermitian(dn_identity32):
-    fh = fhat_grid(dn_identity32, None, R=1.5, m=21)
+    fh = fhat_grid(dn_identity32, IDENTITY, R=1.5, m=21)
     assert fh.hermitian_defect() < 1e-6
 
 
 def test_fhat_metadata(dn_identity32):
-    fh = fhat_grid(dn_identity32, None, R=2.0, m=33)
+    fh = fhat_grid(dn_identity32, IDENTITY, R=2.0, m=33)
     rho = np.hypot(fh.zs[:, 0], fh.zs[:, 1])
     assert fh.R == 2.0 and fh.m == 33
     assert fh.spacing == pytest.approx(4.0 / 32)
@@ -231,7 +234,7 @@ def test_fhat_metadata(dn_identity32):
 def test_fhat_lattice_centre_excluded(dn_identity32, R, m):
     # np.linspace(-R, R, m) leaves the centre at +-2.2e-16 for these
     # pairs; the z = 0 mode must still be dropped
-    fh = fhat_grid(dn_identity32, None, R=R, m=m)
+    fh = fhat_grid(dn_identity32, IDENTITY, R=R, m=m)
     assert np.hypot(fh.zs[:, 0], fh.zs[:, 1]).min() >= fh.spacing * 0.999
     assert np.abs(fh.values).max() < 10.0
     pts = np.stack([np.linspace(-0.9, 0.9, 21), np.zeros(21)], axis=1)
@@ -265,9 +268,9 @@ def test_lattice_point_symmetric_and_hermitian_defect():
 
 def test_fhat_rejects_bad_lattice(dn_identity32):
     with pytest.raises(ValueError):
-        fhat_grid(dn_identity32, None, R=-1.0)
+        fhat_grid(dn_identity32, IDENTITY, R=-1.0)
     with pytest.raises(ValueError):
-        fhat_grid(dn_identity32, None, R=2.0, m=32)
+        fhat_grid(dn_identity32, IDENTITY, R=2.0, m=32)
 
 
 def test_fhat_rejects_small_map_window(dn_identity32):
@@ -386,16 +389,24 @@ def test_inverse_rejects_empty():
 # pullback and tensor assembly
 
 
-def test_reconstruct_scalar_identity_map():
-    pts = np.array([[0.2, 0.3], [-0.4, 0.1]])
-    out = reconstruct_scalar(lambda y: y[:, 0] + y[:, 1], None, pts)
-    assert np.allclose(out, pts.sum(axis=1))
+def test_reconstruct_field_composes_with_map(dn_identity16):
+    # the field is the flattened-domain inverse transform at Phi(x), plus
+    # the offset that pins the median over the mapped ring to one
+    def shrink(points):
+        return 0.8 * np.asarray(points)
 
-
-def test_reconstruct_scalar_composes_with_map(identity_qcmap):
-    pts = np.array([[0.2, 0.3], [-0.4, 0.1]])
-    out = reconstruct_scalar(lambda y: y[:, 0], identity_qcmap, pts)
-    assert np.allclose(out, pts[:, 0], atol=1e-12)
+    field = reconstruct_field(dn_identity16, shrink, np.eye(2), R=1.5,
+                              lattice=21, grid=31)
+    fh = fhat_grid(dn_identity16, shrink, R=1.5, m=21)
+    assert np.array_equal(field.fhat.values, fh.values)
+    t = np.linspace(0.0, 2.0 * np.pi, BG_RING_SAMPLES, endpoint=False)
+    ring = BG_RING_RADIUS * np.stack([np.cos(t), np.sin(t)], axis=1)
+    offset = 1.0 - np.median(inverse_fourier(fh, shrink(ring))[0])
+    assert field.background_offset == pytest.approx(offset, abs=1e-13)
+    GX, GY = np.meshgrid(field.grid_axis, field.grid_axis, indexing="ij")
+    pts = np.stack([GX[field.mask], GY[field.mask]], axis=1)
+    want = inverse_fourier(fh, shrink(pts))[0] + offset
+    assert np.abs(field.a[field.mask] - want).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +417,7 @@ def test_isotropic_reduction(dn_identity16, identity_qcmap):
     # the anisotropic pipeline with the trivial map must agree with the
     # direct isotropic path to near machine precision
     fa = fhat_grid(dn_identity16, identity_qcmap, R=1.5, m=21)
-    fb = fhat_grid(dn_identity16, None, R=1.5, m=21)
+    fb = fhat_grid(dn_identity16, IDENTITY, R=1.5, m=21)
     pts = np.stack([np.linspace(-0.9, 0.9, 41), np.zeros(41)], axis=1)
     va, _ = inverse_fourier(fa, pts)
     vb, _ = inverse_fourier(fb, pts)
@@ -415,7 +426,7 @@ def test_isotropic_reduction(dn_identity16, identity_qcmap):
 
 
 def test_reconstruct_field_output_contract(dn_identity16):
-    field = reconstruct_field(dn_identity16, None, np.eye(2), R=1.8,
+    field = reconstruct_field(dn_identity16, IDENTITY, np.eye(2), R=1.8,
                               lattice=33, grid=101)
     assert field.a.shape == (101, 101)
     assert field.mask.shape == (101, 101)
@@ -425,6 +436,11 @@ def test_reconstruct_field_output_contract(dn_identity16):
     inside = np.hypot(*np.meshgrid(field.grid_axis, field.grid_axis,
                                    indexing="ij")) <= 1.0
     assert np.array_equal(field.mask, inside)
+    # the cross-section is the grid's middle column, on the x-axis
+    assert np.array_equal(field.cross_section_x, field.grid_axis)
+    assert np.array_equal(field.cross_section, field.a[:, 50])
+    with pytest.raises(ValueError, match="odd"):
+        reconstruct_field(dn_identity16, IDENTITY, np.eye(2), R=1.8, grid=100)
 
 
 def test_reconstruct_field_cross_section_even(dn_identity16, identity_qcmap):
@@ -437,7 +453,7 @@ def test_reconstruct_field_cross_section_even(dn_identity16, identity_qcmap):
 
 def test_fhat_serialization_roundtrip(tmp_path, dn_identity16):
     from anisoeit import save_fhat
-    fh = fhat_grid(dn_identity16, None, R=1.5, m=21)
+    fh = fhat_grid(dn_identity16, IDENTITY, R=1.5, m=21)
     fh.config_sha256 = "f00d"
     save_fhat(fh, tmp_path / "fhat.json", tmp_path / "fhat.bin")
     doc = json.loads((tmp_path / "fhat.json").read_text())
@@ -451,7 +467,7 @@ def test_fhat_serialization_roundtrip(tmp_path, dn_identity16):
 
 def test_sidecars_reload_after_move(tmp_path, dn_identity16):
     from anisoeit import save_fhat
-    field = reconstruct_field(dn_identity16, None, np.eye(2), R=1.5,
+    field = reconstruct_field(dn_identity16, IDENTITY, np.eye(2), R=1.5,
                               lattice=21, grid=31)
     before = tmp_path / "before"
     before.mkdir()
@@ -472,7 +488,7 @@ def test_sidecars_reload_after_move(tmp_path, dn_identity16):
 
 
 def test_field_serialization_roundtrip(tmp_path, dn_identity16):
-    field = reconstruct_field(dn_identity16, None, np.eye(2), R=1.8,
+    field = reconstruct_field(dn_identity16, IDENTITY, np.eye(2), R=1.8,
                               lattice=21, grid=61, config_sha256="beef")
     jp, bp = tmp_path / "recon.json", tmp_path / "recon.bin"
     save_field(field, jp, bp)

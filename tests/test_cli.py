@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import anisoeit
 from anisoeit.cli import main
 from anisoeit.config import RunConfig, load_config, ConfigError
-from anisoeit import calderon, load_dn, load_qcmap, phantom_by_name
+from anisoeit import affine_map, calderon, load_dn, phantom_by_name
 
 
 def write_config(path, **overrides):
@@ -140,22 +140,27 @@ def test_provenance_mismatch_rejected(workdir):
     write_config(workdir / "b.json", phantom="A1", target_h=0.1, seed=1,
                  outdir="out")
     assert main(["simulate", "--config", "a.json"]) == 0
-    assert main(["map", "--config", "b.json"]) == 0
     assert main(["reconstruct", "--config", "b.json"]) == 2
 
 
+def test_reconstruct_reads_no_map(workdir):
+    # reconstruct flattens with the exact map z + mu0 conj(z): with no
+    # map.bin beside dn.json it writes the field that the library gives
+    cfg = write_config(workdir / "cfg.json", phantom="A3", target_h=0.1,
+                       truncation_radii=[2.0], output_grid=31)
+    assert main(["simulate", "--config", "cfg.json"]) == 0
+    out = workdir / "out"
+    assert not (out / "map.bin").exists()
+    assert main(["reconstruct", "--config", "cfg.json"]) == 0
+    A0 = phantom_by_name("A3").A0
+    want = calderon.reconstruct_field(
+        load_dn(out / "dn.json"), affine_map(A0), A0, R=2.0,
+        lattice=cfg.lattice, grid=cfg.output_grid)
+    got = calderon.load_field(out / "recon_R2.json")
+    assert np.array_equal(got.a, want.a, equal_nan=True)
+    assert np.array_equal(got.cross_section, want.cross_section)
+    assert got.background_offset == want.background_offset
 
-def test_map_provenance_mismatch_rejected(workdir, capsys):
-    # data and config agree; only the map comes from another config
-    write_config(workdir / "a.json", phantom="A1", target_h=0.1, outdir="out")
-    write_config(workdir / "b.json", phantom="A1", target_h=0.1, seed=1,
-                 outdir="out")
-    assert main(["simulate", "--config", "b.json"]) == 0
-    assert main(["map", "--config", "a.json"]) == 0
-    capsys.readouterr()
-    assert main(["reconstruct", "--config", "b.json"]) == 2
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "config" and "map.bin" in record["message"]
 
 def test_evaluate_perfect_reconstruction(workdir):
     cfg = write_config(workdir / "cfg.json", phantom="A1", target_h=0.1)
@@ -430,29 +435,11 @@ def test_missing_input_exit_2(workdir, capsys):
 
     assert rejected(["reconstruct"], "dn.json")
     assert rejected(["evaluate", "--recon", "none.json"], "none.json")
+
+
+def _simulate(workdir):
+    write_config(workdir / "cfg.json", phantom="A1", target_h=0.1)
     assert main(["simulate", "--config", "cfg.json"]) == 0
-    assert rejected(["reconstruct"], "map.bin")
-
-
-def _simulate_and_map(workdir):
-    write_config(workdir / "cfg.json", phantom="A1", target_h=0.1, qc_n=128)
-    for cmd in ("simulate", "map"):
-        assert main([cmd, "--config", "cfg.json"]) == 0
-
-
-@pytest.mark.parametrize("size", [20, 100_000])
-def test_truncated_map_exit_2(workdir, capsys, size):
-    # 20 bytes cuts the header; 100,000 cuts the samples (262,204 bytes
-    # at n = 128) at a length that is no whole number of them
-    _simulate_and_map(workdir)
-    path = workdir / "out" / "map.bin"
-    path.write_bytes(path.read_bytes()[:size])
-    capsys.readouterr()
-    assert main(["reconstruct", "--config", "cfg.json"]) == 2
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "config"
-    assert "map.bin" in record["message"]
-    assert str(size) in record["message"]
 
 
 def _edit_json(path, **entries):
@@ -461,17 +448,42 @@ def _edit_json(path, **entries):
     path.write_text(json.dumps(doc))
 
 
+def _electrodes(**entries):
+    """Edits the electrode layout of a dn.json file."""
+    def edit(path):
+        doc = json.loads(path.read_text())
+        doc["electrodes"].update(entries)
+        path.write_text(json.dumps(doc))
+    return edit
+
+
+def _two_electrodes(path):
+    # every array consistent with L = 2, which place_electrodes rejects
+    doc = json.loads(path.read_text())
+    doc["electrodes"].update(L=2, centers=[0.0, np.pi],
+                             contact_impedances=[0.01, 0.01])
+    doc["patterns"].update(L=2, T=[[1.0], [-1.0]])
+    doc.update(dn_row_major=[[1.0]], nd_row_major=[[1.0]])
+    path.write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize("entries", [
     None,                                       # no entries at all
     {"dn_row_major": "abc"},
     {"dn_row_major": np.eye(3).tolist()},       # not (L-1) x (L-1)
     {"config_sha256": 5},
-], ids=["empty", "dn-string", "dn-3x3", "stamp-int"])
+    _electrodes(radius=-1.0),
+    _electrodes(radius=float("nan")),
+    _two_electrodes,
+], ids=["empty", "dn-string", "dn-3x3", "stamp-int", "radius-negative",
+        "radius-nan", "two-electrodes"])
 def test_malformed_dn_exit_2(workdir, capsys, entries):
-    _simulate_and_map(workdir)
+    _simulate(workdir)
     path = workdir / "out" / "dn.json"
     if entries is None:
         path.write_text('{"format": "anisoeit-dn"}')
+    elif callable(entries):
+        entries(path)
     else:
         _edit_json(path, **entries)
     capsys.readouterr()
@@ -489,12 +501,21 @@ def _nan_at_centre(path):
     a.tofile(grid)
 
 
+def _zero_section_x(path):
+    _edit_json(path, cross_section_x=[0.0] * json.loads(
+        path.read_text())["grid"])
+
+
 @pytest.mark.parametrize("entries", [
     None,                                       # no entries at all
     {"cross_section": "abc"},
     {"cross_section_x": [0.0]},                 # shorter than the values
     _nan_at_centre,                             # in the grid file
-], ids=["empty", "section-string", "section-x-short", "grid-nan"])
+    {"grid_axis_minmax": [5, 6]},
+    {"grid_axis_minmax": [-1, float("nan")]},
+    _zero_section_x,                            # right length, off the axis
+], ids=["empty", "section-string", "section-x-short", "grid-nan",
+        "axis-shifted", "axis-nan", "section-x-zero"])
 def test_malformed_recon_exit_2(workdir, capsys, entries):
     path = workdir / "out" / "recon_R2.json"
     if entries is None:
@@ -502,7 +523,7 @@ def test_malformed_recon_exit_2(workdir, capsys, entries):
         path.parent.mkdir()
         path.write_text('{"format": "anisoeit-recon"}')
     else:
-        _simulate_and_map(workdir)
+        _simulate(workdir)
         assert main(["reconstruct", "--config", "cfg.json"]) == 0
         if callable(entries):
             entries(path)
@@ -538,7 +559,7 @@ def test_pipeline_commands_skip_sparse_and_mesh_stack(workdir):
     # no command loads scipy's sparse, spatial, FFT or interpolation
     # modules: the mesher is closed-form, the forward solve is a dense
     # front Cholesky (scipy.linalg only) and the Beltrami transforms run on
-    # numpy.fft
+    # numpy.fft; the commands after simulate load no scipy module at all
     write_config(workdir / "cfg.json", phantom="A3", target_h=0.2, L=8,
                  qc_n=64, lattice=9, output_grid=21)
     env = _env_with_package()
@@ -550,9 +571,11 @@ def test_pipeline_commands_skip_sparse_and_mesh_stack(workdir):
             capture_output=True, text=True, env=env, check=True)
         code, modules = json.loads(run.stdout.splitlines()[-1])
         assert code == 0, (argv, run.stderr)
-        heavy = [m for m in modules if m.startswith(
-            ("scipy.fft", "scipy.sparse", "scipy.spatial",
-             "scipy.interpolate"))]
+        heavy = [m for m in modules if m.split(".")[0] == "scipy"]
+        if argv[0] == "simulate":
+            heavy = [m for m in heavy if m.startswith(
+                ("scipy.fft", "scipy.sparse", "scipy.spatial",
+                 "scipy.interpolate"))]
         assert heavy == [], (argv[0], heavy[:5])
 
 
@@ -615,7 +638,9 @@ def _check_finite_outputs(command, out):
         dn = load_dn(out / "dn.json")
         assert np.isfinite([*dn.dn.flat, *dn.nd.flat, dn.asymmetry]).all()
     elif command == "map":
-        assert np.isfinite(load_qcmap(out / "map.bin").phi).all()
+        # map.bin is a 60-byte header, then n^2 complex128 samples of Phi
+        phi = np.fromfile(out / "map.bin", dtype=np.complex128, offset=60)
+        assert np.isfinite(phi).all()
     elif command == "reconstruct":
         for path in out.glob("recon_R*.json"):
             f = calderon.load_field(path)
