@@ -112,8 +112,8 @@ def affine_map(A0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     (P, 2) points.
 
     It solves dbar Phi = mu d Phi exactly on |z| <= r - blend, where
-    ``extend_mu`` holds mu at mu0 (``RunConfig.validate`` keeps that disk
-    around the domain).  In the Neumann series
+    ``extend_mu`` holds mu at mu0 (its defaults r=2, blend=0.5 make that
+    the disk |z| <= 1.5 around the unit-disk domain).  In the Neumann series
     Phi = z + P[mu] + P[mu T(mu)] + ..., P[mu] = mu0 conj(z) on the disk
     for the radial mu = mu0 rho(|z|), so T[mu] = d P[mu] = 0 there.  Each
     later term, mu T(mu T(... mu)) with k transforms, vanishes on the disk

@@ -124,15 +124,6 @@ class FhatGrid:
     det_background: float
     config_sha256: str = ""
 
-    def hermitian_defect(self) -> float:
-        """max |Fhat(-z) - conj(Fhat(z))| / max |Fhat|.
-
-        The masked lattice is point-symmetric in row-major order, so the
-        mirror -z of the k-th point is the k-th point from the end.
-        """
-        defect = np.abs(self.values[::-1] - np.conj(self.values)).max()
-        return float(defect / max(np.abs(self.values).max(), 1e-300))
-
 
 def fhat_grid(dn: DNMatrix, flatten: Flattening, R: float, m: int = 33,
               det_background: float = 1.0) -> FhatGrid:
@@ -248,6 +239,16 @@ class ReconstructedField:
     fhat: Optional[FhatGrid] = None   # spectrum the field was built from
 
 
+def on_unit_disk(dn: DNMatrix) -> DNMatrix:
+    """``dn`` itself if its electrodes lie on the unit circle; a ValueError
+    naming their radius otherwise, since the reconstruction grid and its
+    calibration ring are fixed on the unit disk."""
+    if abs(dn.layout.radius - 1.0) > 1e-12:
+        raise ValueError(f"electrode radius {dn.layout.radius!r} is not 1: "
+                         "the reconstruction is on the unit disk")
+    return dn
+
+
 def reconstruct_field(dn: DNMatrix, flatten: Flattening, A0: np.ndarray,
                       R: float, lattice: int = 33, grid: int = 101,
                       config_sha256: str = "") -> ReconstructedField:
@@ -264,6 +265,7 @@ def reconstruct_field(dn: DNMatrix, flatten: Flattening, A0: np.ndarray,
     pass, and ``imag_residual`` is the relative imaginary residual of
     that pass.
     """
+    on_unit_disk(dn)
     if grid < 3 or grid % 2 == 0:
         raise ValueError(f"output grid must be odd and >= 3, got {grid}")
     A0 = np.asarray(A0, dtype=float)

@@ -62,12 +62,9 @@ def _same_config(stamp: str, want: str, path) -> None:
 def cmd_simulate(cfg: RunConfig) -> int:
     """Forward-simulate voltages and condense them to a DN matrix."""
     ph = _phantom(cfg)
-    layout = place_electrodes(cfg.L, cfg.coverage, cfg.contact_impedance,
-                              radius=cfg.radius)
-    mesh = build_disk_mesh(cfg.radius, cfg.target_h, layout)
-    patterns = forward.trig_current_patterns(cfg.L, cfg.current_amplitude)
+    layout = place_electrodes(cfg.L, cfg.coverage, cfg.contact_impedance)
+    mesh = build_disk_mesh(1.0, cfg.target_h, layout)
     data = forward.simulate_voltages(mesh, ph.tensor, layout,
-                                     patterns=patterns,
                                      noise=cfg.noise, seed=cfg.seed)
     data.config_sha256 = cfg.sha256()
     dn = forward.dn_matrix(data)
@@ -80,18 +77,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_map(cfg: RunConfig) -> int:
-    """Solve the Beltrami equation for the config's background tensor."""
-    ph = _phantom(cfg)
-    mu = extend_mu(ph.A0, r=cfg.qc_r, blend=cfg.qc_blend, n=cfg.qc_n,
-                   s=cfg.qc_s)
-    qc = solve_beltrami(mu, tol=cfg.qc_tol, max_iter=cfg.qc_max_iter,
-                        pad=cfg.qc_pad)
+    """Solve the Beltrami equation for the config's background tensor, on
+    the grid and to the tolerance that ``extend_mu`` and ``solve_beltrami``
+    default to."""
+    qc = solve_beltrami(extend_mu(_phantom(cfg).A0))
     qc.config_sha256 = cfg.sha256()
     out = _outdir(cfg)
     save_qcmap(qc, out / "map.bin")
-    # image of the boundary circle, for plotting elsewhere
+    # image of the unit circle, for plotting elsewhere
     theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-    circle = cfg.radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     image = qc(circle)
     with atomic_open(out / "boundary_image.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -109,7 +104,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     dn_path = out / "dn.json"
     want = cfg.sha256()
-    dn = _read(forward.load_dn, dn_path)
+    dn = _read(lambda p: calderon.on_unit_disk(forward.load_dn(p)), dn_path)
     _same_config(dn.config_sha256, want, dn_path)
     ph = _phantom(cfg)
     flatten = affine_map(ph.A0)
@@ -176,17 +171,10 @@ def cmd_evaluate(cfg: RunConfig, recon_path) -> int:
 CONFIG_HELP = """\
 config keys (JSON object; every key optional, defaults in parentheses):
   phantom            "A1".."A4" or {"M": contrast, "A0": 2x2 SPD}  ("A1")
-  radius             disk radius (1.0)
   target_h           mesh edge-length target (0.05)
   L                  electrode count, even (16)
   coverage           boundary fraction under electrodes (0.5)
   contact_impedance  contact impedance of every electrode (0.01)
-  current_amplitude  trig pattern amplitude (1.0)
-  qc_n, qc_s         map grid: points per axis (512), half-width (4.0)
-  qc_r, qc_blend     coefficient support radius (2.0), ramp width (0.5)
-  qc_tol             fixed-point increment tolerance on mu's support (1e-10)
-  qc_max_iter        iteration budget (200)
-  qc_pad             transform padding factor inside the solve (2)
   truncation_radii   list of spectrum cutoffs to reconstruct at ([2.0])
   lattice            frequency lattice points per axis, odd (33)
   output_grid        reconstruction grid points per axis, odd (101)

@@ -36,22 +36,12 @@ def _finite_number(value) -> bool:
 @dataclass
 class RunConfig:
     phantom: Union[str, dict] = "A1"
-    # mesh
-    radius: float = 1.0
+    # mesh of the unit disk
     target_h: float = 0.05
     # electrodes
     L: int = 16
     coverage: float = 0.5
     contact_impedance: float = 0.01
-    current_amplitude: float = 1.0
-    # quasi-conformal map grid
-    qc_n: int = 512
-    qc_s: float = 4.0
-    qc_r: float = 2.0
-    qc_blend: float = 0.5
-    qc_tol: float = 1e-10
-    qc_max_iter: int = 200
-    qc_pad: int = 2
     # reconstruction
     truncation_radii: list = field(default_factory=lambda: [2.0])
     lattice: int = 33
@@ -91,27 +81,14 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError("phantom A0 must be symmetric positive "
                                   f"definite: {exc}") from exc
-        if self.radius <= 0 or not (0 < self.target_h < self.radius):
-            raise ConfigError("need 0 < target_h < radius")
+        if not (0 < self.target_h < 1):
+            raise ConfigError("need 0 < target_h < 1")
         if self.L < 4 or self.L % 2:
             raise ConfigError("electrode count L must be even and >= 4")
         if not (0 < self.coverage < 1):
             raise ConfigError("coverage must lie in (0, 1)")
         if self.contact_impedance <= 0:
             raise ConfigError("contact impedance must be positive")
-        if self.qc_n < 64 or self.qc_n % 2:
-            raise ConfigError("qc_n must be even and >= 64")
-        if self.qc_s < 2 * self.qc_r:
-            raise ConfigError("qc_s must be at least 2 * qc_r")
-        if not (0 < self.qc_blend < self.qc_r):
-            raise ConfigError("qc_blend must lie in (0, qc_r)")
-        if self.qc_r - self.qc_blend < self.radius:
-            raise ConfigError("domain must fit inside the constant-coefficient "
-                              "radius qc_r - qc_blend")
-        if self.qc_max_iter < 1:
-            raise ConfigError("qc_max_iter must be at least 1")
-        if self.qc_pad < 1:
-            raise ConfigError("qc_pad must be at least 1")
         if not self.truncation_radii:
             raise ConfigError("truncation_radii must be non-empty")
         tags = {}
