@@ -1,7 +1,7 @@
 """Flattening the four background tensors with quasi-conformal maps.
 
-For each catalog tensor: its complex dilatation, the fixed-point solve
-of the Beltrami equation, the residual, the image of the unit circle and
+For each catalog tensor: its complex dilatation, the series solve of
+the Beltrami equation, the residual, the image of the unit circle and
 its deviation from the exact map, and a check that the pushforward
 really is a scalar times the identity.
 """
@@ -21,7 +21,7 @@ for name, (_, A0) in STOCK.items():
 
     mu = extend_mu(A0)                 # n=512 grid on [-4, 4)^2, support r=2
     qc = solve_beltrami(mu)
-    print(f"solved in {qc.iterations} iterations, "
+    print(f"solved in {qc.iterations} series terms, "
           f"residual |dbar(Phi) - mu d(Phi)| = {qc.residual:.2e}")
 
     # image of the boundary circle: an ellipse-like closed curve
@@ -39,8 +39,7 @@ for name, (_, A0) in STOCK.items():
         w.writerows(image)
 
     # on the disk the mu ramp is still flat, so Phi is exactly the
-    # real-linear map z + mu0 conj(z); the FFT solve deviates from it by
-    # its periodization and interpolation error
+    # real-linear map z + mu0 conj(z): the series meets it to rounding
     z = circle[:, 0] + 1j * circle[:, 1]
     exact = z + mu0 * np.conj(z)
     dev = np.abs(image[:, 0] + 1j * image[:, 1] - exact).max()

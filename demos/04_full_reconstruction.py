@@ -22,7 +22,7 @@ dn = dn_matrix(simulate_voltages(mesh, phantom.tensor, layout))
 print(f"data: L=32 electrodes, {mesh.n_nodes} nodes")
 
 qc = solve_beltrami(extend_mu(phantom.A0))
-print(f"flattening map: {qc.iterations} iterations, "
+print(f"flattening map: {qc.iterations} series terms, "
       f"residual {qc.residual:.1e}")
 
 for R in (1.8, 2.0):

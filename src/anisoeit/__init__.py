@@ -9,8 +9,7 @@ from .forward import (CurrentPatternSet, CEMSystem, VoltageData, DNMatrix,
                       save_voltages, save_dn, load_dn)
 from .beltrami import (MuGrid, QCMap, BeltramiConvergenceError,
                        beltrami_coefficient, extend_mu, affine_map,
-                       hilbert_transform, cauchy_transform, solve_beltrami,
-                       pushforward_tensor, save_qcmap)
+                       solve_beltrami, pushforward_tensor, save_qcmap)
 from .calderon import (FhatGrid, ReconstructedField,
                        cgo_traces, bilinear_form, fhat_grid,
                        inverse_fourier, reconstruct_field,

@@ -6,44 +6,48 @@ The complex dilatation of an SPD tensor A is
 
 with |mu_A| < 1.  Extending mu compactly to the plane and solving the
 Beltrami equation  dbar(Phi) = mu * d(Phi)  yields coordinates in which
-the tensor becomes the scalar sqrt(det A) * identity.  The solve is the
-classical fixed-point iteration
+the tensor becomes the scalar sqrt(det A) * identity.  The solution is
+the Neumann series
 
-    h^{n+1} = T[mu h^n] + T[mu],      Phi(z) = P[mu (h* + 1)](z) + z,
+    Phi = z + sum_j P[g_j],    g_0 = mu,    g_{j+1} = mu T[g_j],
 
-where T is the two-dimensional Hilbert (Beurling) transform, realized as
-the Fourier multiplier conj(zeta)/zeta of the zero-padded grid, and P is
-the solid Cauchy transform (the dbar inverse), realized by convolution
-with the 1/(pi z) kernel and normalized so that P[g](0) = 0.  The
-iterate is only read as mu h, so the iteration runs on the support box
-W of mu alone.  From W to W the padded multiplier is a convolution whose
-kernel is read only at displacements shorter than W, and P maps W to the
-whole grid; each is applied exactly as a circular convolution with its
-kernel sampled at the displacements it reads, on the smallest 5-smooth
-FFT grid without wrap-around (512 for T and 768 for P on the stock
-512-point grid, where W is 255 points wide, against the 1024 of the
-padded grid).  The kernel transforms are cached per grid and box.
+where T is the two-dimensional Hilbert (Beurling) transform and P the
+solid Cauchy transform (the dbar inverse) normalized so that P[g](0) = 0.
+``extend_mu`` makes the radial coefficient mu = mu0 rho(|z|), so term j
+is the single angular mode g_j = a_j(r) e^{i m theta}, m = -2j, and both
+transforms of a mode with m <= 0 are closed forms in one radial integral
+(expand the Cauchy kernel 1/(z - w) in powers of w/z and z/w):
+
+    P[g] = 2 z^{m-1} F(r),    F(r) = int_0^r a(t) t^{1-m} dt,
+    T[g] = e^{i(m-2) theta} c(r),    c = a + 2 (m-1) r^{m-2} F,
+
+with a_{j+1} = mu0 rho c_j.  On |z| <= r - blend, where rho = 1, the
+series sums to z + mu0 conj(z) (``affine_map``): F_0 = mu0 r^2 / 2 makes
+c_0 = 0 there, and every later term vanishes.  On |z| >= r each F_j is
+constant, so Phi is a Laurent series in 1/z.  Between them, on the ramp
+annulus, F_j is the integral of the Legendre interpolant of its integrand
+on Gauss-Legendre nodes.
 
 All grid functions live on a uniform n x n lattice over [-s, s)^2 with
 the support of mu inside |z| <= r (s >= 2r).
-
-On |z| <= r - blend the solution is exactly z + mu0 conj(z)
-(``affine_map``); the reconstruction flattens with it, and the tests
-check the solve against it.
 """
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import legendre, polynomial
 
 from .atomic import atomic_open, write_json
 from .phantoms import check_spd
+
+# Gauss-Legendre nodes of the radial integrals across the ramp annulus;
+# on the stock grid half as many move the sampled Phi by < 2e-15
+_NODES = 48
 
 
 def beltrami_coefficient(A: np.ndarray) -> complex:
@@ -59,14 +63,14 @@ def beltrami_coefficient(A: np.ndarray) -> complex:
 
 @dataclass(frozen=True)
 class MuGrid:
-    """Compactly supported Beltrami coefficient sampled on a square grid.
+    """The radial Beltrami coefficient mu = mu0 rho(|z|) and the square
+    grid it is sampled on.
 
-    The grid covers [-s, s)^2 with n points per axis and spacing 2s/n;
-    mu equals the constant ``mu0`` inside |z| <= r - blend, is zero for
-    |z| >= r, and is ramped by a C^1 smoothstep in between.
+    rho is 1 inside |z| <= r - blend, 0 for |z| >= r, and a C^1
+    smoothstep in between.  The grid covers [-s, s)^2 with n points per
+    axis and spacing 2s/n.
     """
 
-    mu: np.ndarray          # (n, n) complex, axis 0 = x, axis 1 = y
     n: int
     s: float
     r: float
@@ -84,10 +88,20 @@ class MuGrid:
         x = self.axis()
         return np.meshgrid(x, x, indexing="ij")
 
+    def ramp(self, radius: np.ndarray) -> np.ndarray:
+        """rho at the given radii."""
+        t = np.clip((radius - (self.r - self.blend)) / self.blend, 0.0, 1.0)
+        return 1.0 - (3.0 * t * t - 2.0 * t ** 3)
+
+    @property
+    def mu(self) -> np.ndarray:
+        """(n, n) complex samples of mu on the grid, axis 0 = x, axis 1 = y."""
+        return self.mu0 * self.ramp(np.hypot(*self.meshgrid()))
+
 
 def extend_mu(A0: np.ndarray, r: float = 2.0, blend: float = 0.5,
               n: int = 512, s: float = 4.0) -> MuGrid:
-    """Sample the compact C^1 extension of mu_{A0} on the solver grid.
+    """The compact C^1 extension of mu_{A0} and its solver grid.
 
     The constant tensor is blended to the identity between radii
     r - blend and r, which scales mu by a smoothstep ramp; the domain of
@@ -97,13 +111,8 @@ def extend_mu(A0: np.ndarray, r: float = 2.0, blend: float = 0.5,
         raise ValueError(f"blend width must lie in (0, r); got blend={blend}, r={r}")
     if s < 2.0 * r:
         raise ValueError(f"grid half-width s={s} must be at least 2r={2 * r}")
-    x = -s + (2.0 * s / n) * np.arange(n)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    t = np.clip((np.hypot(X, Y) - (r - blend)) / blend, 0.0, 1.0)
-    ramp = 1.0 - (3.0 * t * t - 2.0 * t ** 3)
-    mu0 = beltrami_coefficient(A0)
-    return MuGrid(mu=mu0 * ramp, n=int(n), s=float(s), r=float(r),
-                  blend=float(blend), mu0=mu0)
+    return MuGrid(n=int(n), s=float(s), r=float(r), blend=float(blend),
+                  mu0=beltrami_coefficient(A0))
 
 
 def affine_map(A0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -136,175 +145,11 @@ def affine_map(A0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# singular integral transforms
-
-
-def hilbert_transform(g: np.ndarray, s: float, pad: int = 1,
-                      n: int | None = None) -> np.ndarray:
-    """Two-dimensional Hilbert (Beurling) transform on a block of the
-    periodic grid.
-
-    ``g`` is a w x w block of an n x n grid over [-s, s)^2, zero outside
-    the block (``n`` defaults to w: the block is the whole grid); the
-    result is the transform on the same block.  The transform is the
-    Fourier multiplier conj(zeta)/zeta on the discrete frequency lattice
-    of the grid embedded in a pad*n periodic grid, with the zero frequency
-    annihilated.  This is the unique unimodular multiplier satisfying
-    T(dbar f) = d f, so on the whole grid the transform preserves the
-    discrete L2 norm of zero-mean data.  ``pad > 1`` suppresses the
-    periodization error for compactly supported input.
-
-    Block to block, the multiplier is a circular convolution whose
-    pad*n-periodic kernel is read only at displacements |d| < w, so it
-    is applied exactly as a convolution on the smallest 5-smooth grid of
-    at least 2w - 1 points (``_hilbert_multiplier``, cached per grid and
-    block size).
-    """
-    g = _square_block(g)
-    w = g.shape[0]
-    n = w if n is None else n
-    if pad < 1:
-        raise ValueError(f"pad must be at least 1, got {pad}")
-    if n < w:
-        raise ValueError(f"a {w} x {w} block does not fit an n={n} grid")
-    return _block_convolve(g, _hilbert_multiplier(n, s, pad, w), w)
-
-
-def _square_block(g: np.ndarray) -> np.ndarray:
-    """g as an array, rejected unless it is square and free of NaNs."""
-    g = np.asarray(g)
-    if np.isnan(g).any():
-        raise ValueError("input contains NaNs")
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"expected a square grid, got shape {g.shape}")
-    return g
-
-
-def _fft_size(k: int) -> int:
-    """Smallest 5-smooth integer >= k: a fast FFT length."""
-    while True:
-        r = k
-        for p in (2, 3, 5):
-            while r % p == 0:
-                r //= p
-        if r == 1:
-            return k
-        k += 1
-
-
-def _block_multiplier(kernel, w: int, k: int) -> np.ndarray:
-    """Read-only 2-D FFT of a convolution kernel on the smallest 5-smooth
-    grid of m >= k + w - 1 points, for ``_block_convolve`` of a w x w
-    block to a k x k output.
-
-    ``kernel(d)`` gives the kernel at the displacements (d[i], d[j]) in
-    grid steps.  Entry q of each axis holds displacement q for q < k and
-    q - m otherwise, which covers the displacements -(w-1) .. k-1 that
-    the convolution reads without wrap-around.
-    """
-    m = _fft_size(k + w - 1)
-    q = np.arange(m)
-    Khat = np.fft.fft2(kernel(np.where(q < k, q, q - m)))
-    Khat.flags.writeable = False
-    return Khat
-
-
-def _block_convolve(g: np.ndarray, Khat: np.ndarray, k: int) -> np.ndarray:
-    """[0, k)^2 block of the circular convolution of the w x w block g,
-    zero-extended to the grid of ``Khat``, with the kernel whose FFT is
-    ``Khat``.  The forward pass runs its first 1-D transforms on g's w
-    columns only, and the inverse pass its last on the k kept columns."""
-    m = Khat.shape[0]
-    F = np.fft.fft(np.fft.fft(g, n=m, axis=0), n=m, axis=1)
-    F *= Khat
-    return np.fft.ifft(np.fft.ifft(F, axis=1, out=F)[:, :k], axis=0)[:k]
-
-
-@functools.lru_cache(maxsize=4)
-def _hilbert_multiplier(n: int, s: float, pad: int, w: int) -> np.ndarray:
-    """``_block_multiplier`` of T on w x w blocks of the n x n grid over
-    [-s, s)^2.  The kernel is the inverse FFT of conj(zeta)/zeta (zero
-    at the zero frequency) on the pad*n grid, read periodically; its
-    second 1-D pass runs only on the columns read."""
-    m = pad * n
-    freq = np.fft.fftfreq(m, d=2.0 * s / n)
-    zeta = freq[:, None] + 1j * freq[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        symbol = np.conj(zeta) / zeta
-    symbol[0, 0] = 0.0
-
-    def kernel(d):
-        d = d % m
-        return np.fft.ifft(np.fft.ifft(symbol, axis=1)[:, d], axis=0)[d]
-
-    return _block_multiplier(kernel, w, w)
-
-
-def _cauchy_kernel(idx: np.ndarray, d: float, refine: int = 4) -> np.ndarray:
-    """1/(pi z) kernel at the displacements z = (idx[i] + 1j idx[j]) * d.
-
-    Cells within ``refine`` spacings of the singularity carry exact cell
-    averages (Gauss-Legendre); the singular cell itself integrates to
-    zero by symmetry.
-    """
-    DX, DY = np.meshgrid(idx * d, idx * d, indexing="ij")
-    Z = DX + 1j * DY
-    with np.errstate(divide="ignore", invalid="ignore"):
-        K = 1.0 / (np.pi * Z)
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    nodes = nodes * d / 2.0
-    weights = weights * d / 2.0
-    GX, GY = np.meshgrid(nodes, nodes, indexing="ij")
-    GW = np.outer(weights, weights)
-    near = {int(v): p for p, v in enumerate(idx) if abs(v) <= refine}
-    for i, p in near.items():
-        for j, q in near.items():
-            if i == 0 and j == 0:
-                K[p, q] = 0.0
-                continue
-            cell = (i * d + GX) + 1j * (j * d + GY)
-            K[p, q] = np.sum(GW / (np.pi * cell)) / (d * d)
-    return K
-
-
-@functools.lru_cache(maxsize=4)
-def _cauchy_multiplier(n: int, s: float, w: int, lo: int) -> np.ndarray:
-    """``_block_multiplier`` of the Cauchy kernel from the w x w block at
-    [lo, lo + w)^2 of the n x n grid over [-s, s)^2 to the whole grid."""
-    return _block_multiplier(lambda d: _cauchy_kernel(d - lo, 2.0 * s / n),
-                             w, n)
-
-
-def cauchy_transform(g: np.ndarray, s: float, n: int | None = None,
-                     lo: int = 0) -> np.ndarray:
-    """Solid Cauchy transform P with dbar P[g] = g and P[g](0) = 0.
-
-    ``g`` is the w x w block at rows and columns [lo, lo + w) of an
-    n x n grid over [-s, s)^2, zero outside the block (``n`` defaults to
-    w: the block is the whole grid); the result is P[g] on the whole
-    grid.  It is the linear convolution of g with the 1/(pi z) kernel,
-    computed as a circular convolution on the smallest 5-smooth grid of
-    at least n + w - 1 points, which has no wrap-around onto the grid,
-    followed by subtraction of the value at the origin.  The kernel
-    transform is built once per grid and block (``_cauchy_multiplier``).
-    """
-    g = _square_block(g)
-    w = g.shape[0]
-    n = w if n is None else n
-    if lo < 0 or lo + w > n:
-        raise ValueError(f"a {w} x {w} block at {lo} does not fit an "
-                         f"n={n} grid")
-    d = 2.0 * s / n
-    conv = _block_convolve(g, _cauchy_multiplier(n, s, w, lo), n) * (d * d)
-    return conv - conv[n // 2, n // 2]
-
-
-# ---------------------------------------------------------------------------
 # Beltrami equation solve
 
 
 class BeltramiConvergenceError(RuntimeError):
-    """Fixed-point iteration failed to reach the requested tolerance."""
+    """The series did not reach the requested tolerance within its budget."""
 
     def __init__(self, iterations: int, last_increment: float):
         super().__init__(
@@ -316,41 +161,37 @@ class BeltramiConvergenceError(RuntimeError):
 
 @dataclass
 class QCMap:
-    """Grid-sampled quasi-conformal map Phi and its Beltrami solve record."""
+    """The flattening map Phi of a radial coefficient and its solve record.
+
+    Term j of the series adds 2 z^{-2j-1} F_j(|z|) to Phi.  Column j of
+    ``modes`` holds the Legendre coefficients of Q_j = F_j / r^{2j+2} on
+    the ramp annulus, in u = (2|z| - 2r + blend) / blend; Q_j is constant
+    outside |z| = r.  Calling the map evaluates the series at any finite
+    point; ``phi`` holds its samples on the grid of ``mu``.
+    """
 
     phi: np.ndarray            # (n, n) complex samples of Phi
     mu: MuGrid
     residual: float            # sup |dbar Phi - mu d Phi| on inner half-grid
-    iterations: int
-    increments: np.ndarray     # sup-norm increment per iteration
+    iterations: int            # series terms counted by the increments
+    increments: np.ndarray     # sup |T[g_j]| for j = 1 .. iterations
+    modes: np.ndarray          # (_NODES + 1, iterations + 2) complex
     config_sha256: str = ""
 
-    @property
-    def window(self) -> float:
-        """Half-width of the trusted evaluation window [-s/2, s/2]^2."""
-        return self.mu.s / 2.0
-
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        """Phi at (P, 2) points inside the window [-s/2, s/2]^2, as (P, 2)
-        points, by bilinear interpolation of the samples."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        w = self.window
-        outside = ~(np.abs(pts) <= w + 1e-12).all(axis=1)
-        if outside.any():
-            bad = pts[outside][0]
-            raise ValueError(f"point {tuple(bad)} outside evaluation window "
-                             f"|x|<= {w:g}")
-        vals = _bilinear(self.mu.axis(), self.phi, pts)
-        return np.stack([vals.real, vals.imag], axis=1)
+        """Phi at (P, 2) finite points, as (P, 2) points."""
+        w = _phi(self.mu, self.modes, _complex_points(points))
+        return np.stack([w.real, w.imag], axis=1)
 
     def jacobian(self, points: np.ndarray) -> np.ndarray:
-        """(N, 2, 2) Jacobian of Phi = (Re f, Im f) at interior points,
-        from centered finite differences interpolated off the grid."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ax = self.mu.axis()
-        fx, fy = (_bilinear(ax, g, pts)
-                  for g in _centred_gradient(self.phi, self.mu.spacing))
-        J = np.empty((len(pts), 2, 2))
+        """(P, 2, 2) Jacobian of Phi = (Re f, Im f) at (P, 2) finite
+        points, from d Phi = 1 + h and dbar Phi = mu (1 + h) with
+        h = sum_j T[g_j] over the terms the increments measured."""
+        z = _complex_points(points)
+        d = 1.0 + _beurling_sum(self.mu, self.modes[:, :-1], z)
+        dbar = self.mu.mu0 * self.mu.ramp(np.abs(z)) * d
+        fx, fy = d + dbar, 1j * (d - dbar)
+        J = np.empty((len(z), 2, 2))
         J[:, 0, 0] = fx.real
         J[:, 0, 1] = fy.real
         J[:, 1, 0] = fx.imag
@@ -358,105 +199,154 @@ class QCMap:
         return J
 
 
-def _bilinear(ax: np.ndarray, vals: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of ``vals`` on the grid ``ax`` x ``ax`` at the
-    (P, 2) points, extrapolated linearly past the grid edges.
-
-    The cell search, the normalized offsets and the left-to-right sum of
-    the four corner terms repeat the arithmetic of scipy's linear
-    regular-grid interpolator, so the result is the same bit for bit.
-    """
-    i, j = (np.clip(np.searchsorted(ax, c, side="right") - 1, 0, len(ax) - 2)
-            for c in pts.T)
-    t = (pts[:, 0] - ax[i]) / (ax[i + 1] - ax[i])
-    u = (pts[:, 1] - ax[j]) / (ax[j + 1] - ax[j])
-    return (0.0 + vals[i, j] * (1 - t) * (1 - u) + vals[i, j + 1] * (1 - t) * u
-            + vals[i + 1, j] * t * (1 - u) + vals[i + 1, j + 1] * t * u)
+def _complex_points(points: np.ndarray) -> np.ndarray:
+    """(P, 2) points as P complex numbers, rejected unless finite."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"point {tuple(pts[~finite][0])} is not finite")
+    return pts[:, 0] + 1j * pts[:, 1]
 
 
-def _centred_gradient(phi: np.ndarray, d: float
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dx, d/dy) of grid samples with spacing d by centred differences,
-    wrapping periodically at the grid edges."""
-    fx = (np.roll(phi, -1, axis=0) - np.roll(phi, 1, axis=0)) / (2 * d)
-    fy = (np.roll(phi, -1, axis=1) - np.roll(phi, 1, axis=1)) / (2 * d)
-    return fx, fy
+def _annulus_f(mu: MuGrid, modes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(J, P) array of f_j = F_j / x^{2j+2} = (r / x)^{2j+2} Q_j at radii
+    x on the ramp annulus."""
+    if not len(x):   # legvander loops over the degrees even for no points
+        return np.zeros((modes.shape[1], 0), dtype=complex)
+    u = (2.0 * (x - mu.r) + mu.blend) / mu.blend
+    V = np.ascontiguousarray(legendre.legvander(u, len(modes) - 1))
+    Q = (V @ np.ascontiguousarray(modes).view(float)).view(complex).T
+    return Q * (mu.r / x) ** (2 * np.arange(len(Q))[:, None] + 2)
+
+
+def _regions(mu: MuGrid, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the points on the ramp annulus and outside |z| = r."""
+    x = np.abs(z)
+    return (x >= mu.r - mu.blend) & (x <= mu.r), x > mu.r
+
+
+def _phi(mu: MuGrid, modes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Phi = z + sum_j 2 z^{-2j-1} F_j(|z|) at complex points z: the affine
+    map inside r - blend, 2 conj(z) sum_j f_j (conj(z)/z)^j on the annulus
+    and a series in r^2/z^2 outside."""
+    ring, far = _regions(mu, z)
+    out = z + mu.mu0 * np.conj(z)
+    zr = z[ring]
+    out[ring] = zr + 2.0 * np.conj(zr) * polynomial.polyval(
+        np.conj(zr) / zr, _annulus_f(mu, modes, np.abs(zr)), tensor=False)
+    zf = z[far]
+    out[far] = zf + 2.0 * mu.r ** 2 / zf * polynomial.polyval(
+        mu.r ** 2 / zf ** 2, modes.sum(axis=0))
+    return out
+
+
+def _beurling_sum(mu: MuGrid, modes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """h = sum_j T[g_j] = sum_j c_j(|z|) (conj(z)/z)^{j+1} at complex points
+    z: zero inside r - blend, and c_j = -2 (2j+1) f_j outside r, where
+    mu = 0."""
+    ring, far = _regions(mu, z)
+    h = np.zeros_like(z)
+    zr = z[ring]
+    f = _annulus_f(mu, modes, np.abs(zr))
+    mu_r = mu.mu0 * mu.ramp(np.abs(zr))
+    c, a = np.empty_like(f), mu_r
+    for j in range(len(f)):
+        c[j] = a - (4 * j + 2) * f[j]
+        a = mu_r * c[j]
+    u = np.conj(zr) / zr
+    h[ring] = u * polynomial.polyval(u, c, tensor=False)
+    w = mu.r ** 2 / z[far] ** 2
+    h[far] = w * polynomial.polyval(
+        w, -(4 * np.arange(modes.shape[1]) + 2) * modes.sum(axis=0))
+    return h
+
+
+def _annulus_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes u on [-1, 1] and the (nodes + 1, nodes) matrix
+    from values at them to the Legendre coefficients of the integral from
+    -1 of their interpolant."""
+    u, w = legendre.leggauss(nodes)
+    to_coef = (legendre.legvander(u, nodes - 1).T * w
+               * (np.arange(nodes) + 0.5)[:, None])
+    return u, legendre.legint(to_coef, lbnd=-1, axis=0)
+
+
+def _radial_modes(mu: MuGrid, tol: float, max_iter: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``QCMap.modes`` and the increments sup |c_j| of the series."""
+    r0, R = mu.r - mu.blend, mu.r
+    u, integrate = _annulus_rule(_NODES)
+    x = r0 + 0.5 * mu.blend * (u + 1.0)
+    at_nodes = legendre.legvander(u, _NODES)
+    mu_x = mu.mu0 * mu.ramp(x)
+
+    def mode(a, j):
+        # Q_j = int_0^x a_j(t) (t / R)^{2j+1} dt / R, where (t / R) <= 1
+        q = (0.5 * mu.blend / R) * (integrate @ (a * (x / R) ** (2 * j + 1)))
+        if j == 0:
+            q[0] += 0.5 * mu.mu0 * (r0 / R) ** 2
+        return q
+
+    a, modes, increments = mu_x, [], []
+    for j in range(max_iter + 1):
+        modes.append(mode(a, j))
+        c = a - (4 * j + 2) * (R / x) ** (2 * j + 2) * (at_nodes @ modes[-1])
+        a = mu_x * c
+        if j:
+            # |T[g_j]| = |c_j| on the nodes and at |z| = r, where a_j = 0
+            increments.append(max(float(np.abs(c).max()),
+                                  (4 * j + 2) * abs(modes[-1].sum())))
+            if increments[-1] <= tol:
+                modes.append(mode(a, j + 1))
+                return np.stack(modes, axis=1), np.array(increments)
+    raise BeltramiConvergenceError(max_iter, increments[-1])
 
 
 def _beltrami_residual(phi: np.ndarray, mu: MuGrid) -> float:
-    """sup |dbar Phi - mu d Phi| over the inner half-grid."""
-    fx, fy = _centred_gradient(phi, mu.spacing)
-    dbar = 0.5 * (fx + 1j * fy)
-    dphi = 0.5 * (fx - 1j * fy)
+    """sup |dbar Phi - mu d Phi| over the inner half-grid, with derivatives
+    by centred differences."""
     q = mu.n // 4
-    return float(np.abs(dbar - mu.mu * dphi)[q:-q, q:-q].max())
+    inner = slice(q, -q)
+    fx = (phi[q + 1:-q + 1, inner] - phi[q - 1:-q - 1, inner]) / (2 * mu.spacing)
+    fy = (phi[inner, q + 1:-q + 1] - phi[inner, q - 1:-q - 1]) / (2 * mu.spacing)
+    x = mu.axis()[inner]
+    mu_in = mu.mu0 * mu.ramp(np.hypot(x[:, None], x[None, :]))
+    return float(np.abs(0.5 * (fx + 1j * fy) - mu_in * 0.5 * (fx - 1j * fy)).max())
 
 
-def _support_box(a: np.ndarray) -> tuple[int, int] | None:
-    """(lo, hi) of the smallest box [lo, hi)^2 holding the non-zeros of
-    the square array a, or None when a is zero."""
-    rows = np.flatnonzero(a.any(axis=1))
-    cols = np.flatnonzero(a.any(axis=0))
-    if not rows.size:
-        return None
-    return int(min(rows[0], cols[0])), int(max(rows[-1], cols[-1])) + 1
-
-
-def solve_beltrami(mu: MuGrid, tol: float = 1e-10, max_iter: int = 200,
-                   pad: int = 2) -> QCMap:
-    """Solve dbar Phi = mu d Phi by the contraction iteration.
+def solve_beltrami(mu: MuGrid, tol: float = 1e-10,
+                   max_iter: int = 200) -> QCMap:
+    """Sum the series for dbar Phi = mu d Phi mode by mode.
 
     Parameters
     ----------
     mu : MuGrid
-        Compactly supported coefficient with sup |mu| < 1.
+        Radial coefficient with |mu0| < 1.
     tol : float
-        Termination threshold on the sup-norm iterate increment, measured
-        on the support box of mu: the iterate h is only read as mu * h.
+        Termination threshold on the increment sup |T[g_j]| = sup |c_j|
+        over the ramp annulus r - blend <= |z| <= r, where the Beurling
+        sum h is read as mu h.
     max_iter : int
-        Iteration budget, at least 1; exceeding it raises
+        Term budget, at least 1; exceeding it raises
         BeltramiConvergenceError carrying the last increment.
-    pad : int
-        Zero-padding factor for the Hilbert transform inside the
-        iteration; the input is compactly supported, so padding only
-        reduces periodization error.
 
-    The iteration runs on the smallest box [lo, hi)^2 holding mu != 0,
-    and the Cauchy step maps that box to the whole grid.  A zero mu has
-    an empty box: Phi = z with one zero increment and no transform.  The
-    Beltrami residual stored on the result is the sup norm of
-    dbar Phi - mu d Phi over the inner half-grid, with derivatives by
-    centered finite differences.
+    Term j needs F_j on the annulus only: inside it F_0 = mu0 r^2 / 2 and
+    F_j = 0 for j >= 1.  Its integrand carries the scaled power
+    (t / r)^{2j+1} <= 1, so no term overflows.  As Phi = z + P[mu (1 + h)],
+    the series keeps the term after the first increment <= tol.  A zero mu
+    gives Phi = z and the single increment 0.  ``phi`` samples Phi on the
+    grid of ``mu``, and the residual is ``_beltrami_residual`` of them.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    sup_mu = float(np.abs(mu.mu).max())
-    if sup_mu >= 1.0:
-        raise ValueError(f"sup |mu| = {sup_mu:g} >= 1: not quasi-conformal")
-    s, n = mu.s, mu.n
+    if abs(mu.mu0) >= 1.0:
+        raise ValueError(f"|mu0| = {abs(mu.mu0):g} >= 1: not quasi-conformal")
+    modes, increments = _radial_modes(mu, tol, max_iter)
     X, Y = mu.meshgrid()
-    phi = X + 1j * Y
-    box = _support_box(mu.mu)
-    if box is None:
-        increments = [0.0]
-    else:
-        lo, hi = box
-        m = mu.mu[lo:hi, lo:hi]
-        T = lambda g: hilbert_transform(g, s, pad=pad, n=n)
-        h = tmu = T(m)
-        increments = []
-        for _ in range(max_iter):
-            h_next = T(m * h) + tmu
-            inc = float(np.abs(h_next - h).max())
-            increments.append(inc)
-            h = h_next
-            if inc <= tol:
-                break
-        else:
-            raise BeltramiConvergenceError(len(increments), increments[-1])
-        phi += cauchy_transform(m * (h + 1.0), s, n=n, lo=lo)
+    phi = _phi(mu, modes, X + 1j * Y)
     return QCMap(phi=phi, mu=mu, residual=_beltrami_residual(phi, mu),
-                 iterations=len(increments), increments=np.array(increments))
+                 iterations=len(increments), increments=increments,
+                 modes=modes)
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ def cmd_map(cfg: RunConfig) -> int:
         for t, (x, y) in zip(theta, image):
             w.writerow(["%.17g" % t, "%.17g" % x, "%.17g" % y])
     print(f"wrote {out / 'map.bin'} (residual {qc.residual:.3e}, "
-          f"{qc.iterations} iterations) and boundary_image.csv")
+          f"{qc.iterations} series terms) and boundary_image.csv")
     return 0
 
 

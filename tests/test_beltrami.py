@@ -1,17 +1,25 @@
+import functools
 import json
 import struct
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from anisoeit import (beltrami_coefficient, extend_mu, affine_map,
-                      hilbert_transform, cauchy_transform, solve_beltrami,
-                      pushforward_tensor, save_qcmap,
+from anisoeit import (beltrami, beltrami_coefficient, extend_mu, affine_map,
+                      solve_beltrami, pushforward_tensor, save_qcmap,
                       BeltramiConvergenceError)
-from anisoeit.beltrami import (MuGrid, QCMap, _cauchy_kernel,
-                               _cauchy_multiplier, _centred_gradient,
-                               _hilbert_multiplier)
+from anisoeit.beltrami import MuGrid
 from anisoeit.phantoms import STOCK
+
+GENERAL = np.array([[2.0, 0.7], [0.7, 1.1]])
+
+
+@pytest.fixture(scope="module")
+def maps(catalog_maps):
+    """The catalog maps and one of a complex dilatation."""
+    return {**catalog_maps, "general": solve_beltrami(extend_mu(GENERAL))}
 
 
 # ---------------------------------------------------------------------------
@@ -97,78 +105,47 @@ def test_extend_mu_rejects_bad_geometry():
         extend_mu(np.eye(2), r=2.0, s=3.0)
 
 
+def test_mu_grid_is_radial_by_construction():
+    # a MuGrid holds no samples, only (n, s, r, blend, mu0): its grid mu is
+    # mu0 rho(|z|), with the one ramp that the radial solve reads on its nodes
+    mu = extend_mu(np.array([[2.0, 0.7], [0.7, 1.1]]), n=64)
+    assert [f.name for f in fields(MuGrid)] == ["n", "s", "r", "blend", "mu0"]
+    X, Y = mu.meshgrid()
+    assert np.array_equal(mu.mu, mu.mu0 * mu.ramp(np.hypot(X, Y)))
+    x = mu.axis()
+    assert np.array_equal(mu.mu[:, 32], mu.mu0 * mu.ramp(np.abs(x)))
+    assert mu.ramp(np.array([0.0, 1.5, 1.75, 2.0, 3.0])).tolist() == \
+        [1.0, 1.0, 0.5, 0.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
-# transforms
+# independent reference: the fixed-point iteration h <- T[mu h] + T[mu],
+# Phi = z + P[mu (h + 1)] on the whole zero-padded grid, with T the Fourier
+# multiplier conj(zeta)/zeta and P the convolution with 1/(pi z)
 
 
-def test_hilbert_zero():
-    out = hilbert_transform(np.zeros((64, 64)), s=4.0)
-    assert not np.abs(out).any()
-
-
-def test_hilbert_maps_dbar_to_d():
-    n, s = 512, 4.0
-    x = -s + (2 * s / n) * np.arange(n)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    Z = X + 1j * Y
-    G = np.exp(-2.0 * (X ** 2 + Y ** 2))
-    dbarG = -2.0 * Z * G
-    dG = -2.0 * np.conj(Z) * G
-    q = n // 4
-    for pad in (1, 2):
-        out = hilbert_transform(dbarG, s, pad=pad)
-        rel = np.abs(out - dG)[q:-q, q:-q].max() / np.abs(dG).max()
-        assert rel < 1e-6
-
-
-def test_hilbert_plancherel():
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
-    g -= g.mean()   # the zero mode is annihilated by convention
-    out = hilbert_transform(g, s=4.0)
-    assert abs(np.linalg.norm(out) - np.linalg.norm(g)) < 1e-10 * np.linalg.norm(g)
-
-
-def test_hilbert_rejects_nan():
-    g = np.zeros((32, 32))
-    g[3, 3] = np.nan
-    with pytest.raises(ValueError):
-        hilbert_transform(g, s=4.0)
-
-
-@pytest.mark.parametrize("pad", [0, -3])
-def test_hilbert_rejects_pad_below_one(pad):
-    with pytest.raises(ValueError, match="pad must be at least 1"):
-        hilbert_transform(np.zeros((32, 32)), s=4.0, pad=pad)
-
-
-def test_cauchy_zero():
-    out = cauchy_transform(np.zeros((64, 64)), s=4.0)
-    assert not np.abs(out).any()
-
-
-def test_cauchy_dbar_identity():
-    n, s = 512, 4.0
-    x = -s + (2 * s / n) * np.arange(n)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    rho2 = (X - 0.3) ** 2 + (Y + 0.2) ** 2
-    bump = np.clip(1.0 - rho2 / 9.0, 0.0, None) ** 3    # C^2, support radius 3
-    P = cauchy_transform(bump, s)
-    d = 2 * s / n
-    fx = (np.roll(P, -1, 0) - np.roll(P, 1, 0)) / (2 * d)
-    fy = (np.roll(P, -1, 1) - np.roll(P, 1, 1)) / (2 * d)
-    dbarP = 0.5 * (fx + 1j * fy)
-    q = n // 4
-    rel = np.abs(dbarP - bump)[q:-q, q:-q].max() / np.abs(bump).max()
-    assert rel < 1e-4
-    assert abs(P[n // 2, n // 2]) < 1e-12
-
-
-def test_cauchy_rejects_nan():
-    g = np.zeros((32, 32), dtype=complex)
-    g[1, 2] = np.nan
-    with pytest.raises(ValueError):
-        cauchy_transform(g, s=4.0)
+def _cauchy_kernel(idx, d, refine=4):
+    # 1/(pi z) at the displacements (idx[i] + 1j idx[j]) * d; cells within
+    # `refine` spacings of the singularity carry exact cell averages
+    # (Gauss-Legendre), and the singular cell integrates to zero by symmetry
+    DX, DY = np.meshgrid(idx * d, idx * d, indexing="ij")
+    Z = DX + 1j * DY
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = 1.0 / (np.pi * Z)
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    nodes = nodes * d / 2.0
+    weights = weights * d / 2.0
+    GX, GY = np.meshgrid(nodes, nodes, indexing="ij")
+    GW = np.outer(weights, weights)
+    near = {int(v): p for p, v in enumerate(idx) if abs(v) <= refine}
+    for i, p in near.items():
+        for j, q in near.items():
+            if i == 0 and j == 0:
+                K[p, q] = 0.0
+                continue
+            cell = (i * d + GX) + 1j * (j * d + GY)
+            K[p, q] = np.sum(GW / (np.pi * cell)) / (d * d)
+    return K
 
 
 def _full_grid_hilbert(g, s, pad):
@@ -199,100 +176,92 @@ def _full_grid_cauchy(g, s):
     return conv - conv[n // 2, n // 2]
 
 
-def _window_inputs(w):
-    rng = np.random.default_rng(w)
-    inputs = {"zero": np.zeros((w, w), dtype=complex)}
-    for ij in ((0, 0), (0, w - 1), (w - 1, 0), (w - 1, w - 1)):
-        g = np.zeros((w, w), dtype=complex)
-        g[ij] = 0.7 - 1.3j
-        inputs[f"pixel{ij}"] = g
-    g = np.zeros((w, w), dtype=complex)
-    g[1:w // 2, w // 3:w - 1] = 1.5 - 0.5j   # off-centre block
-    inputs["block"] = g
-    inputs["complex"] = rng.standard_normal((w, w)) + 1j * rng.standard_normal((w, w))
-    inputs["real"] = rng.standard_normal((w, w))
-    return inputs
+@functools.lru_cache(maxsize=None)
+def _full_grid_solve(pad):
+    # A4 on the 256 grid; returns Phi and the sup-norm increments
+    mu = extend_mu(STOCK["A4"][1], n=256)
+    m = mu.mu
+    h = tmu = _full_grid_hilbert(m, mu.s, pad)
+    increments = []
+    for _ in range(200):
+        h_next = _full_grid_hilbert(m * h, mu.s, pad) + tmu
+        increments.append(np.abs(h_next - h).max())
+        h = h_next
+        if increments[-1] <= 1e-10:
+            break
+    X, Y = mu.meshgrid()
+    return X + 1j * Y + _full_grid_cauchy(m * (h + 1.0), mu.s), increments
 
 
-@pytest.mark.parametrize("n", [32, 33, 64])
-def test_transforms_match_full_grid(n):
-    # on a window [lo, lo + w)^2 the transforms convolve with the kernels'
-    # values at the displacements they read, so they equal the full-grid
-    # FFTs up to rounding; windows: the whole grid, off-centre, far corner
-    for lo, w in ((0, n), (3, n // 2 + 1), (n - n // 3, n // 3)):
-        for name, block in _window_inputs(w).items():
-            g = np.zeros((n, n), dtype=complex)
-            g[lo:lo + w, lo:lo + w] = block
-            for pad in (1, 2, 3):
-                ref = _full_grid_hilbert(g, 4.0, pad)[lo:lo + w, lo:lo + w]
-                got = hilbert_transform(block, 4.0, pad=pad, n=n)
-                err = np.abs(got - ref).max()
-                assert err <= 1e-14 * np.abs(ref).max(), (lo, w, name, pad, err)
-            ref = _full_grid_cauchy(g, 4.0)
-            got = cauchy_transform(block, 4.0, n=n, lo=lo)
-            err = np.abs(got - ref).max()
-            assert err <= 1e-14 * np.abs(ref).max(), (lo, w, name, err)
+def _stock_grid(n=512, s=4.0):
+    x = -s + (2 * s / n) * np.arange(n)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    return X, Y, X + 1j * Y
 
 
-def test_transforms_reject_block_outside_grid():
-    with pytest.raises(ValueError, match="does not fit"):
-        hilbert_transform(np.zeros((33, 33)), s=4.0, n=32)
-    for lo in (-1, 20):
-        with pytest.raises(ValueError, match="does not fit"):
-            cauchy_transform(np.zeros((16, 16)), s=4.0, n=32, lo=lo)
+def test_hilbert_maps_dbar_to_d():
+    # the reference T satisfies T(dbar f) = d f
+    X, Y, Z = _stock_grid()
+    G = np.exp(-2.0 * (X ** 2 + Y ** 2))
+    dbarG = -2.0 * Z * G
+    dG = -2.0 * np.conj(Z) * G
+    q = len(Z) // 4
+    for pad in (1, 2):
+        out = _full_grid_hilbert(dbarG, 4.0, pad)
+        rel = np.abs(out - dG)[q:-q, q:-q].max() / np.abs(dG).max()
+        assert rel < 1e-6
 
 
-def test_transform_caches_read_only_and_reused():
-    for build, key in ((_hilbert_multiplier, (64, 4.0, 2, 31)),
-                       (_cauchy_multiplier, (64, 4.0, 31, 17))):
-        arr = build(*key)
-        assert build(*key) is arr
-        with pytest.raises(ValueError):
-            arr[0, 0] = 1.0
+def test_hilbert_plancherel():
+    # the reference T is unitary on zero-mean data
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    g -= g.mean()   # the zero mode is annihilated by convention
+    out = _full_grid_hilbert(g, 4.0, 1)
+    assert abs(np.linalg.norm(out) - np.linalg.norm(g)) < 1e-10 * np.linalg.norm(g)
+
+
+def test_cauchy_dbar_identity():
+    # the reference P inverts dbar and vanishes at the origin
+    X, Y, _ = _stock_grid()
+    rho2 = (X - 0.3) ** 2 + (Y + 0.2) ** 2
+    bump = np.clip(1.0 - rho2 / 9.0, 0.0, None) ** 3    # C^2, support radius 3
+    P = _full_grid_cauchy(bump, 4.0)
+    d = 8.0 / len(P)
+    fx = (np.roll(P, -1, 0) - np.roll(P, 1, 0)) / (2 * d)
+    fy = (np.roll(P, -1, 1) - np.roll(P, 1, 1)) / (2 * d)
+    dbarP = 0.5 * (fx + 1j * fy)
+    q = len(P) // 4
+    rel = np.abs(dbarP - bump)[q:-q, q:-q].max() / np.abs(bump).max()
+    assert rel < 1e-4
+    assert abs(P[len(P) // 2, len(P) // 2]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
 # Beltrami solve
 
 
-def test_solve_zero_mu_is_identity(identity_qcmap, monkeypatch):
+def test_solve_zero_mu_is_identity(identity_qcmap):
     qc = identity_qcmap
     X, Y = qc.mu.meshgrid()
     assert np.abs(qc.phi - (X + 1j * Y)).max() == 0.0
-    assert qc.iterations == 1
-
-    def no_transform(*args, **kwargs):
-        raise AssertionError("a zero mu needs no transform")
-
-    from anisoeit import beltrami
-    monkeypatch.setattr(beltrami, "hilbert_transform", no_transform)
-    monkeypatch.setattr(beltrami, "cauchy_transform", no_transform)
-    again = solve_beltrami(qc.mu)
-    assert np.array_equal(again.phi, qc.phi)
-    assert again.iterations == 1 and list(again.increments) == [0.0]
+    assert qc.iterations == 1 and list(qc.increments) == [0.0]
+    pts = np.random.default_rng(2).uniform(-4, 4, size=(200, 2))
+    assert np.array_equal(qc(pts), pts)
+    assert np.array_equal(qc.jacobian(pts), np.broadcast_to(np.eye(2), (200, 2, 2)))
 
 
 @pytest.mark.parametrize("pad", [1, 2, 4])
 def test_solve_matches_full_grid_iteration(pad):
-    # the same iteration on the whole grid from full-grid FFTs, with the
-    # increment's sup over the whole grid: the windowed solve reproduces
-    # its iteration count, its increments to rounding (relative to the
-    # first, largest one; the last ones are differences near 1e-11) and Phi
-    mu = extend_mu(STOCK["A4"][1], n=128)
-    qc = solve_beltrami(mu, pad=pad)
-    h = tmu = _full_grid_hilbert(mu.mu, mu.s, pad)
-    increments = []
-    for _ in range(200):
-        h_next = _full_grid_hilbert(mu.mu * h, mu.s, pad) + tmu
-        increments.append(np.abs(h_next - h).max())
-        h = h_next
-        if increments[-1] <= 1e-10:
-            break
-    X, Y = mu.meshgrid()
-    phi = X + 1j * Y + _full_grid_cauchy(mu.mu * (h + 1.0), mu.s)
+    # the full-grid iteration takes as many steps as the series has terms,
+    # and its map lies within its periodization error of the series: on
+    # the 256 grid 2.2e-3, 1.6e-4, 1.7e-4 for pad 1, 2, 4 (past pad 2 the
+    # grid's own discretization error dominates away from the disk)
+    mu = extend_mu(STOCK["A4"][1], n=256)
+    qc = solve_beltrami(mu)
+    phi, increments = _full_grid_solve(pad)
     assert qc.iterations == len(increments)
-    assert np.abs(qc.increments - increments).max() <= 1e-12 * increments[0]
-    assert np.abs(qc.phi - phi).max() <= 1e-13
+    assert np.abs(qc.phi - phi).max() <= {1: 3e-3, 2: 2e-4, 4: 2e-4}[pad]
 
 
 def test_solve_residuals_catalog(catalog_maps):
@@ -318,20 +287,98 @@ def test_solve_nonconvergence_error():
             solve_beltrami(mu, max_iter=budget)
 
 
+def test_divergent_series_exhausts_budget_without_overflow():
+    # sup |mu| = 0.9998: the terms grow through all 200, in scaled powers
+    # that neither overflow nor warn
+    mu = extend_mu(np.diag([1.0, 1e8]), n=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BeltramiConvergenceError) as err:
+            solve_beltrami(mu)
+    assert err.value.iterations == 200
+    assert np.isfinite(err.value.last_increment)
+
+
 def test_padding_converges_to_exact_affine_map():
-    # inside the constant-coefficient disk the exact map is z + mu0 conj(z);
-    # the FFT solve deviates from it by periodization error, which padding
-    # suppresses (measured 2.2e-3, 1.4e-4, 9.9e-6 for pad 1, 2, 4)
-    mu = extend_mu(STOCK["A4"][1], r=2.0, blend=0.5, n=128, s=4.0)
+    # on the disk the series is the exact map z + mu0 conj(z), and the
+    # full-grid iteration approaches it as padding suppresses its
+    # periodization error (measured 2.2e-3, 1.4e-4, 8.7e-6 for pad 1, 2,
+    # 4); its first increment approaches the series' too
+    mu = extend_mu(STOCK["A4"][1], n=256)
+    qc = solve_beltrami(mu)
     X, Y = mu.meshgrid()
     Z = X + 1j * Y
     disk = np.abs(Z) <= 1.0
-    dev = []
+    assert np.abs(qc.phi - (Z + mu.mu0 * np.conj(Z)))[disk].max() <= 1e-13
+    dev, first = [], []
     for pad in (1, 2, 4):
-        phi = solve_beltrami(mu, pad=pad).phi
-        dev.append(np.abs(phi - (Z + mu.mu0 * np.conj(Z)))[disk].max())
+        phi, increments = _full_grid_solve(pad)
+        dev.append(np.abs(phi - qc.phi)[disk].max())
+        first.append(abs(increments[0] - qc.increments[0]))
     assert dev[1] * 5 <= dev[0] and dev[2] * 5 <= dev[1], dev
-    assert dev[2] <= 2e-5
+    assert dev[1] <= 2e-4 and dev[2] <= 2e-5
+    assert first[2] < first[1] < first[0], first
+
+
+@pytest.mark.parametrize("name", ["A1", "A3"])
+def test_halving_radial_nodes_moves_phi_below_1e8(monkeypatch, name):
+    # the radial quadrature is resolved: half its nodes give the same map
+    mu = extend_mu(STOCK[name][1])
+    full = solve_beltrami(mu)
+    monkeypatch.setattr(beltrami, "_NODES", beltrami._NODES // 2)
+    half = solve_beltrami(mu)
+    assert half.iterations == full.iterations
+    assert np.abs(half.phi - full.phi).max() <= 1e-8
+
+
+def _points_in_regions(mu, count=300, seed=9):
+    # as many points inside r - blend, on the ramp annulus and out to s
+    rng = np.random.default_rng(seed)
+    r0, R = mu.r - mu.blend, mu.r
+    radii = np.concatenate([rng.uniform(0, r0, count), rng.uniform(r0, R, count),
+                            rng.uniform(R, mu.s, count)])
+    t = 2 * np.pi * rng.random(3 * count)
+    return np.stack([radii * np.cos(t), radii * np.sin(t)], axis=1)
+
+
+def _difference_jacobian(qc, pts, eps=1e-6):
+    # centred difference quotients of the map itself
+    J = np.empty((len(pts), 2, 2))
+    for k in range(2):
+        step = np.zeros(2)
+        step[k] = eps
+        J[:, :, k] = (qc(pts + step) - qc(pts - step)) / (2 * eps)
+    return J
+
+
+@pytest.mark.parametrize("name", [*STOCK, "general"])
+def test_jacobian_matches_difference_quotients(maps, name):
+    qc = maps[name]
+    pts = _points_in_regions(qc.mu)
+    err = np.abs(qc.jacobian(pts) - _difference_jacobian(qc, pts)).max()
+    assert err <= 1e-8, f"{name}: {err:.2e}"
+
+
+@pytest.mark.parametrize("name", [*STOCK, "general"])
+def test_series_solves_beltrami_off_grid(maps, name):
+    # dbar Phi - mu d Phi from difference quotients of the map, at points
+    # anywhere in the plane, is the series' truncation and rounding error
+    qc = maps[name]
+    pts = _points_in_regions(qc.mu, seed=10)
+    J = _difference_jacobian(qc, pts)
+    fx, fy = J[:, 0, 0] + 1j * J[:, 1, 0], J[:, 0, 1] + 1j * J[:, 1, 1]
+    mu = qc.mu.mu0 * qc.mu.ramp(np.hypot(*pts.T))
+    res = np.abs(0.5 * (fx + 1j * fy) - mu * 0.5 * (fx - 1j * fy)).max()
+    assert res <= 1e-8, f"{name}: {res:.2e}"
+
+
+def test_map_continuous_across_ramp_edges(maps):
+    qc = maps["general"]
+    t = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+    ray = np.stack([np.cos(t), np.sin(t)], axis=1)
+    for radius in (qc.mu.r - qc.mu.blend, qc.mu.r):
+        inner, outer = qc(ray * radius * (1 - 1e-13)), qc(ray * radius * (1 + 1e-13))
+        assert np.abs(inner - outer).max() <= 1e-11, radius
 
 
 # ---------------------------------------------------------------------------
@@ -345,50 +392,21 @@ def test_evaluate_identity(identity_qcmap):
 
 
 def test_evaluate_grid_nodes_exact(catalog_maps):
-    qc = catalog_maps["A3"]
-    ax = qc.mu.axis()
-    i, j = 200, 300
-    out = qc(np.array([[ax[i], ax[j]]]))[0]
-    assert out[0] == pytest.approx(qc.phi[i, j].real, abs=1e-13)
-    assert out[1] == pytest.approx(qc.phi[i, j].imag, abs=1e-13)
+    # the grid samples are the series evaluated at the grid nodes
+    for name, qc in catalog_maps.items():
+        X, Y = qc.mu.meshgrid()
+        out = qc(np.stack([X.ravel(), Y.ravel()], axis=1))
+        assert np.array_equal(out[:, 0] + 1j * out[:, 1], qc.phi.ravel()), name
 
 
-def test_evaluate_rejects_outside_window(catalog_maps):
-    with pytest.raises(ValueError):
-        catalog_maps["A1"](np.array([[3.0, 0.0]]))
-    with pytest.raises(ValueError):
-        catalog_maps["A1"](np.array([[0.0, np.nan]]))
-
-
-@pytest.mark.parametrize("name", ["A1", "A3", "A4"])
-def test_bilinear_matches_scipy_interpolator(catalog_maps, name):
-    # scipy is only the reference here: the map and its gradients must
-    # interpolate bit for bit as scipy's linear RegularGridInterpolator does
-    from scipy.interpolate import RegularGridInterpolator
-    qc = catalog_maps[name]
-    ax, w = qc.mu.axis(), qc.window
-    nodes = ax[np.abs(ax) <= w]
-    gx, gy = np.meshgrid(nodes, nodes, indexing="ij")
-    rng = np.random.default_rng(7)
-    pts = np.concatenate([
-        np.stack([gx.ravel(), gy.ravel()], axis=1),
-        rng.uniform(-w, w, size=(20_000, 2)),
-        w * np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]),
-    ])
-    ref = RegularGridInterpolator((ax, ax), qc.phi, method="linear")(pts)
-    out = qc(pts)
-    assert np.array_equal(out, np.stack([ref.real, ref.imag], axis=1))
-    # the Jacobian also extrapolates past the grid edges, as scipy does
-    s = qc.mu.s
-    pts = np.concatenate([pts, [[-s - 0.3, 0.2], [s, s], [0.1, s - 0.01]]])
-    fx, fy = (RegularGridInterpolator((ax, ax), g, method="linear",
-                                      bounds_error=False, fill_value=None)(pts)
-              for g in _centred_gradient(qc.phi, qc.mu.spacing))
-    J = qc.jacobian(pts)
-    assert np.array_equal(J[:, 0, 0], fx.real)
-    assert np.array_equal(J[:, 0, 1], fy.real)
-    assert np.array_equal(J[:, 1, 0], fx.imag)
-    assert np.array_equal(J[:, 1, 1], fy.imag)
+def test_evaluate_rejects_nonfinite_point(catalog_maps):
+    qc = catalog_maps["A1"]
+    for bad in ([0.0, np.nan], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="not finite"):
+            qc(np.array([[0.3, 0.1], bad]))
+        with pytest.raises(ValueError, match="not finite"):
+            qc.jacobian(np.array([bad]))
+    assert np.isfinite(qc(np.array([[3.0, 0.0], [40.0, -7.0]]))).all()
 
 
 def test_far_field_decay(catalog_maps):
@@ -429,6 +447,14 @@ def test_pushforward_identity(identity_qcmap):
     assert np.abs(out - np.eye(2)).max() < 1e-10
 
 
+class _FixedJacobian:
+    def __init__(self, J):
+        self.J = J
+
+    def jacobian(self, pts):
+        return self.J
+
+
 def test_pushforward_matches_three_operand_product():
     rng = np.random.default_rng(5)
     J = rng.normal(size=(300, 2, 2))
@@ -436,18 +462,15 @@ def test_pushforward_matches_three_operand_product():
     J[flip] = J[flip][:, ::-1]                     # rows swapped: det > 0
     F = rng.normal(size=(300, 2, 2))
     A = F @ F.transpose(0, 2, 1) + 0.1 * np.eye(2)
-
-    class FixedJacobian:
-        def jacobian(self, pts):
-            return J
-
-    out = pushforward_tensor(lambda pts: A, FixedJacobian(), np.zeros((300, 2)))
+    out = pushforward_tensor(lambda pts: A, _FixedJacobian(J), np.zeros((300, 2)))
     det = np.linalg.det(J)[:, None, None]
     ref = np.einsum("nij,njk,nlk->nil", J, A, J) / det
     assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_pushforward_isotropizes_catalog(catalog_maps):
+    # the map is exact on the disk, so the flattened tensor is
+    # sqrt(det A0) I to rounding
     rng = np.random.default_rng(1)
     r = np.sqrt(rng.random(400)) * 0.95
     t = 2 * np.pi * rng.random(400)
@@ -460,23 +483,20 @@ def test_pushforward_isotropizes_catalog(catalog_maps):
         tr = np.abs(0.5 * (out[:, 0, 0] + out[:, 1, 1]) - sq) / sq
         eig = np.linalg.eigvalsh(0.5 * (out + np.swapaxes(out, 1, 2)))
         ratio = eig[:, 1] / eig[:, 0]
-        assert off.max() <= 0.05, name
-        assert tr.max() <= 0.05, name
-        assert ratio.max() <= 1.05, name
+        assert off.max() <= 1e-13, name
+        assert tr.max() <= 1e-13, name
+        assert ratio.max() <= 1 + 1e-13, name
 
 
 def test_pushforward_jacobian_positive_on_grid(catalog_maps):
     for name, qc in catalog_maps.items():
-        fx, fy = _centred_gradient(qc.phi, qc.mu.spacing)
-        det = fx.real * fy.imag - fy.real * fx.imag
         q = qc.mu.n // 8
-        assert (det[q:-q, q:-q] > 0).all(), name
+        X, Y = (g[q:-q, q:-q].ravel() for g in qc.mu.meshgrid())
+        assert (np.linalg.det(qc.jacobian(np.stack([X, Y], axis=1))) > 0).all(), name
 
 
-def test_pushforward_rejects_orientation_violation(identity_qcmap):
-    folded = QCMap(phi=np.conj(identity_qcmap.phi), mu=identity_qcmap.mu,
-                   residual=0.0, iterations=1,
-                   increments=np.array([0.0]))
+def test_pushforward_rejects_orientation_violation():
+    folded = _FixedJacobian(np.array([[[1.0, 0.0], [0.0, -1.0]]]))
     with pytest.raises(ValueError, match="orientation"):
         pushforward_tensor(np.eye(2), folded, np.array([[0.1, 0.1]]))
 
@@ -486,11 +506,9 @@ def test_pushforward_rejects_orientation_violation(identity_qcmap):
 
 
 def test_solver_matches_exact_affine_solution(catalog_maps):
-    # For the radially ramped constant coefficient, expanding the solution
-    # in angular modes e^{-i m theta} decouples the equation into first-
-    # order radial ODEs whose ramp-driven corrections vanish identically
-    # inside the constant-coefficient region; the principal solution there
-    # is exactly z + mu0 * conj(z).  Strong independent accuracy oracle.
+    # inside the constant-coefficient disk |z| <= r - blend every term of
+    # the series after the first vanishes, and the first is mu0 conj(z):
+    # the map on the unit circle is z + mu0 conj(z) to rounding
     t = np.linspace(0, 2 * np.pi, 64, endpoint=False)
     circle = np.stack([np.cos(t), np.sin(t)], axis=1)
     zc = circle[:, 0] + 1j * circle[:, 1]
@@ -498,18 +516,15 @@ def test_solver_matches_exact_affine_solution(catalog_maps):
         exact = zc + qc.mu.mu0 * np.conj(zc)
         got = qc(circle)
         dev = np.abs((got[:, 0] + 1j * got[:, 1]) - exact).max()
-        assert dev < 3e-4, f"{name}: map deviates {dev:.2e} from exact"
+        assert dev <= 1e-13, f"{name}: map deviates {dev:.2e} from exact"
 
 
 @pytest.mark.parametrize("name", [*STOCK, "general"])
-def test_affine_map_is_exact_flattening(catalog_maps, name):
+def test_affine_map_is_exact_flattening(maps, name):
     # the closed form fixes 0, pushes A0 forward to sqrt(det A0) I, and the
-    # FFT solve meets it on the unit disk within the oracle bound above
-    if name in STOCK:
-        A0, qc = STOCK[name][1], catalog_maps[name]
-    else:
-        A0 = np.array([[2.0, 0.7], [0.7, 1.1]])
-        qc = solve_beltrami(extend_mu(A0))
+    # solve meets it on the unit disk to rounding
+    A0 = STOCK[name][1] if name in STOCK else GENERAL
+    qc = maps[name]
     phi = affine_map(A0)
     assert np.array_equal(phi(np.zeros((1, 2))), np.zeros((1, 2)))
     J = np.stack([phi(np.array([[1.0, 0.0]]))[0],
@@ -522,7 +537,7 @@ def test_affine_map_is_exact_flattening(catalog_maps, name):
     r = np.sqrt(rng.random(400))
     r[:64] = 1.0
     disk = np.stack([r * np.cos(t), r * np.sin(t)], axis=1)
-    assert np.abs(phi(disk) - qc(disk)).max() < 3e-4
+    assert np.abs(phi(disk) - qc(disk)).max() <= 1e-13
 
 
 def test_affine_map_of_isotropic_tensor_is_identity():

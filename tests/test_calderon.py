@@ -260,14 +260,6 @@ def test_fhat_rejects_bad_lattice(dn_identity32):
         fhat_grid(dn_identity32, IDENTITY, R=2.0, m=32)
 
 
-def test_fhat_rejects_small_map_window(dn_identity32):
-    from anisoeit import extend_mu, solve_beltrami
-    # window [-s/2, s/2] with s = 1.6 does not cover the unit circle
-    small = solve_beltrami(extend_mu(np.eye(2), r=0.8, blend=0.3, n=64, s=1.6))
-    with pytest.raises(ValueError, match="window"):
-        fhat_grid(dn_identity32, small, R=1.0, m=9)
-
-
 # ---------------------------------------------------------------------------
 # truncated inverse transform
 

@@ -575,8 +575,9 @@ print(json.dumps([code, sorted(sys.modules)]))
 def test_pipeline_commands_skip_sparse_and_mesh_stack(workdir):
     # no command loads scipy's sparse, spatial, FFT or interpolation
     # modules: the mesher is closed-form, the forward solve is a dense
-    # front Cholesky (scipy.linalg only) and the Beltrami transforms run on
-    # numpy.fft; the commands after simulate load no scipy module at all
+    # front Cholesky (scipy.linalg only) and the Beltrami series is summed
+    # mode by mode in closed form; the commands after simulate load no
+    # scipy module and no numpy.fft at all
     write_config(workdir / "cfg.json", phantom="A3", target_h=0.2, L=8,
                  lattice=9, output_grid=21)
     env = _env_with_package()
@@ -588,8 +589,10 @@ def test_pipeline_commands_skip_sparse_and_mesh_stack(workdir):
             capture_output=True, text=True, env=env, check=True)
         code, modules = json.loads(run.stdout.splitlines()[-1])
         assert code == 0, (argv, run.stderr)
-        heavy = [m for m in modules if m.split(".")[0] == "scipy"]
+        heavy = [m for m in modules
+                 if m.split(".")[0] == "scipy" or m == "numpy.fft"]
         if argv[0] == "simulate":
+            # scipy.linalg imports numpy.fft itself
             heavy = [m for m in heavy if m.startswith(
                 ("scipy.fft", "scipy.sparse", "scipy.spatial",
                  "scipy.interpolate"))]
