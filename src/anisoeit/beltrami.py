@@ -28,6 +28,13 @@ constant, so Phi is a Laurent series in 1/z.  Between them, on the ramp
 annulus, F_j is the integral of the Legendre interpolant of its integrand
 on Gauss-Legendre nodes.
 
+Evaluating Phi (the grid samples, ``QCMap.__call__`` and
+``QCMap.jacobian`` share one code path) computes the interpolants and
+the scale (r / |z|)^{2j+2} once per distinct radius on the ramp annulus
+(the 22,520 ramp points of the stock 512 grid have 2,271 radii) and
+gathers them back to the points; the sums over j, in conj(z)/z on the
+annulus and in r^2/z^2 outside, run by Horner's rule in one buffer.
+
 All grid functions live on a uniform n x n lattice over [-s, s)^2 with
 the support of mu inside |z| <= r (s >= 2r).
 """
@@ -40,7 +47,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import legendre, polynomial
+from numpy.polynomial import legendre
 
 from .atomic import atomic_open, write_json
 from .phantoms import check_spd
@@ -149,11 +156,13 @@ def affine_map(A0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 class BeltramiConvergenceError(RuntimeError):
-    """The series did not reach the requested tolerance within its budget."""
+    """The series did not reach the requested tolerance within its budget,
+    or a term stopped being finite before it did (``reason`` says so)."""
 
-    def __init__(self, iterations: int, last_increment: float):
+    def __init__(self, iterations: int, last_increment: float,
+                 reason: str = ""):
         super().__init__(
-            f"no convergence after {iterations} iterations; "
+            reason or f"no convergence after {iterations} iterations; "
             f"last sup-norm increment {last_increment:.3e}")
         self.iterations = iterations
         self.last_increment = last_increment
@@ -210,13 +219,24 @@ def _complex_points(points: np.ndarray) -> np.ndarray:
 
 def _annulus_f(mu: MuGrid, modes: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(J, P) array of f_j = F_j / x^{2j+2} = (r / x)^{2j+2} Q_j at radii
-    x on the ramp annulus."""
+    x on the ramp annulus, evaluated once per distinct radius."""
     if not len(x):   # legvander loops over the degrees even for no points
         return np.zeros((modes.shape[1], 0), dtype=complex)
+    x, at = np.unique(x, return_inverse=True)
     u = (2.0 * (x - mu.r) + mu.blend) / mu.blend
     V = np.ascontiguousarray(legendre.legvander(u, len(modes) - 1))
     Q = (V @ np.ascontiguousarray(modes).view(float)).view(complex).T
-    return Q * (mu.r / x) ** (2 * np.arange(len(Q))[:, None] + 2)
+    return (Q * (mu.r / x) ** (2 * np.arange(len(Q))[:, None] + 2))[:, at]
+
+
+def _horner(w: np.ndarray, coefs) -> np.ndarray:
+    """sum_j coefs[j] w^j at the points w, by Horner's rule in one buffer;
+    each coefficient is a scalar or an array shaped like w."""
+    p = np.full_like(w, coefs[-1])
+    for c in coefs[-2::-1]:
+        p *= w
+        p += c
+    return p
 
 
 def _regions(mu: MuGrid, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,10 +252,10 @@ def _phi(mu: MuGrid, modes: np.ndarray, z: np.ndarray) -> np.ndarray:
     ring, far = _regions(mu, z)
     out = z + mu.mu0 * np.conj(z)
     zr = z[ring]
-    out[ring] = zr + 2.0 * np.conj(zr) * polynomial.polyval(
-        np.conj(zr) / zr, _annulus_f(mu, modes, np.abs(zr)), tensor=False)
+    out[ring] = zr + 2.0 * np.conj(zr) * _horner(
+        np.conj(zr) / zr, _annulus_f(mu, modes, np.abs(zr)))
     zf = z[far]
-    out[far] = zf + 2.0 * mu.r ** 2 / zf * polynomial.polyval(
+    out[far] = zf + 2.0 * mu.r ** 2 / zf * _horner(
         mu.r ** 2 / zf ** 2, modes.sum(axis=0))
     return out
 
@@ -254,9 +274,9 @@ def _beurling_sum(mu: MuGrid, modes: np.ndarray, z: np.ndarray) -> np.ndarray:
         c[j] = a - (4 * j + 2) * f[j]
         a = mu_r * c[j]
     u = np.conj(zr) / zr
-    h[ring] = u * polynomial.polyval(u, c, tensor=False)
+    h[ring] = u * _horner(u, c)
     w = mu.r ** 2 / z[far] ** 2
-    h[far] = w * polynomial.polyval(
+    h[far] = w * _horner(
         w, -(4 * np.arange(modes.shape[1]) + 2) * modes.sum(axis=0))
     return h
 
@@ -288,14 +308,25 @@ def _radial_modes(mu: MuGrid, tol: float, max_iter: int
         return q
 
     a, modes, increments = mu_x, [], []
-    for j in range(max_iter + 1):
-        modes.append(mode(a, j))
-        c = a - (4 * j + 2) * (R / x) ** (2 * j + 2) * (at_nodes @ modes[-1])
-        a = mu_x * c
-        if j:
-            # |T[g_j]| = |c_j| on the nodes and at |z| = r, where a_j = 0
+    # (R / x)^{2j+2} <= (r / (r - blend))^{2j+2} overflows for large j; the
+    # term it spoils is reported below instead of warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(max_iter + 1):
+            modes.append(mode(a, j))
+            c = a - ((4 * j + 2) * (R / x) ** (2 * j + 2)
+                     * (at_nodes @ modes[-1]))
+            a = mu_x * c
+            if not j:
+                continue
+            # |T[g_j]| = |c_j| on the nodes and at |z| = r, where a_j = 0;
+            # a non-finite modes[-1] makes c non-finite too
             increments.append(max(float(np.abs(c).max()),
                                   (4 * j + 2) * abs(modes[-1].sum())))
+            if not np.isfinite(increments[-1]):
+                raise BeltramiConvergenceError(
+                    j, increments[-1],
+                    f"series term {j} is not finite: its radial powers "
+                    f"overflow at r/(r - blend) = {R / r0:.6g}")
             if increments[-1] <= tol:
                 modes.append(mode(a, j + 1))
                 return np.stack(modes, axis=1), np.array(increments)
@@ -332,7 +363,11 @@ def solve_beltrami(mu: MuGrid, tol: float = 1e-10,
 
     Term j needs F_j on the annulus only: inside it F_0 = mu0 r^2 / 2 and
     F_j = 0 for j >= 1.  Its integrand carries the scaled power
-    (t / r)^{2j+1} <= 1, so no term overflows.  As Phi = z + P[mu (1 + h)],
+    (t / r)^{2j+1} <= 1, so no integral overflows; c_j carries
+    (r / |z|)^{2j+2} <= (r / (r - blend))^{2j+2}, which overflows at
+    j = 117 when r / (r - blend) = 20, and the first term it makes
+    non-finite raises BeltramiConvergenceError naming that term and the
+    ratio, without a RuntimeWarning.  As Phi = z + P[mu (1 + h)],
     the series keeps the term after the first increment <= tol.  A zero mu
     gives Phi = z and the single increment 0.  ``phi`` samples Phi on the
     grid of ``mu``, and the residual is ``_beltrami_residual`` of them.
@@ -390,7 +425,7 @@ def save_qcmap(qcmap: QCMap, path) -> None:
         f.write(struct.pack("<qddd", qcmap.mu.n, qcmap.mu.s, qcmap.mu.r,
                             qcmap.mu.blend))
         f.write(struct.pack("<dd", qcmap.mu.mu0.real, qcmap.mu.mu0.imag))
-        f.write(np.ascontiguousarray(qcmap.phi, dtype=np.complex128).tobytes())
+        f.write(np.ascontiguousarray(qcmap.phi, dtype=np.complex128))
     write_json(sidecar, {
         "format": "anisoeit-qcmap",
         "n": qcmap.mu.n, "s": qcmap.mu.s, "r": qcmap.mu.r,

@@ -299,6 +299,20 @@ def test_divergent_series_exhausts_budget_without_overflow():
     assert np.isfinite(err.value.last_increment)
 
 
+def test_overflowing_series_stops_at_first_nonfinite_term():
+    # r / (r - blend) = 20: the powers (r / |z|)^{2j+2} overflow at term
+    # 117 of a series that would converge in 15 terms at the default
+    # geometry, and the solve names that term and the ratio, silently
+    mu = extend_mu(np.diag([1.0, 4.0]), r=2.0, blend=1.9, n=32)
+    message = r"term 117 is not finite.*r/\(r - blend\) = 20$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BeltramiConvergenceError, match=message) as err:
+            solve_beltrami(mu)
+    assert err.value.iterations == 117
+    assert not np.isfinite(err.value.last_increment)
+
+
 def test_padding_converges_to_exact_affine_map():
     # on the disk the series is the exact map z + mu0 conj(z), and the
     # full-grid iteration approaches it as padding suppresses its
@@ -391,12 +405,50 @@ def test_evaluate_identity(identity_qcmap):
     assert np.abs(out - pts).max() < 1e-12
 
 
-def test_evaluate_grid_nodes_exact(catalog_maps):
+def test_evaluate_grid_nodes_exact(maps):
     # the grid samples are the series evaluated at the grid nodes
-    for name, qc in catalog_maps.items():
+    for name, qc in maps.items():
         X, Y = qc.mu.meshgrid()
         out = qc(np.stack([X.ravel(), Y.ravel()], axis=1))
         assert np.array_equal(out[:, 0] + 1j * out[:, 1], qc.phi.ravel()), name
+
+
+def test_evaluation_by_distinct_radius_keeps_each_point(maps):
+    # a shuffled set where radii repeat: whole ramp-annulus grid rings
+    # (4 or 8 nodes per radius), the ramp edges r - blend and r on the
+    # axes, and repeated far points; each value must go back to its own
+    # point, so the set evaluates as each point does alone
+    qc = maps["general"]
+    mu = qc.mu
+    rng = np.random.default_rng(12)
+    X, Y = mu.meshgrid()
+    radius = np.hypot(X, Y).ravel()
+    ring = (radius >= mu.r - mu.blend) & (radius <= mu.r)
+    chosen = rng.choice(np.unique(radius[ring]), 16, replace=False)
+    axes = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
+    far = rng.uniform(-mu.s, mu.s, (12, 2))
+    far = far[np.hypot(*far.T) > mu.r]
+    pts = np.concatenate([
+        np.stack([X.ravel(), Y.ravel()], axis=1)[np.isin(radius, chosen)],
+        (mu.r - mu.blend) * axes, mu.r * axes, far, far, 1.5 * mu.r * axes])
+    pts = pts[rng.permutation(len(pts))]
+    assert len(np.unique(np.hypot(*pts.T))) < len(pts) // 2
+    for evaluate in (qc, qc.jacobian):
+        whole = evaluate(pts)
+        alone = np.concatenate([evaluate(p[None]) for p in pts])
+        assert np.abs(whole - alone).max() <= 1e-15 * np.abs(whole).max()
+
+
+def test_horner_matches_polyval():
+    from numpy.polynomial import polynomial
+    rng = np.random.default_rng(13)
+    w = rng.uniform(0, 1, 500) * np.exp(2j * np.pi * rng.random(500))
+    scalars = rng.normal(size=17) + 1j * rng.normal(size=17)
+    arrays = rng.normal(size=(17, 500)) + 1j * rng.normal(size=(17, 500))
+    for coefs, tensor in ((scalars, True), (arrays, False)):
+        ref = polynomial.polyval(w, coefs, tensor=tensor)
+        got = beltrami._horner(w, coefs)
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 def test_evaluate_rejects_nonfinite_point(catalog_maps):
