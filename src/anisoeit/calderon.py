@@ -10,7 +10,12 @@ pairing B(phi1, phi2), and assembles
 
     Fhat(z) = -1 / (2 pi^2 |z|^2) * B(phi1, phi2)
 
-on a truncated frequency lattice |z| <= R.  The inverse transform of
+on a truncated frequency lattice |z| <= R.  The lattice is a masked
+m x m tensor grid whose axis is k * spacing, k = -m//2 .. m//2, and both
+stages work per lattice axis: the exponents are linear in z, so a trace
+is the product of the traces of (z1, 0) and (0, z2), and the inverse
+phase exp(-2 pi i z.y) is exp(-2 pi i z1 y1) exp(-2 pi i z2 y2), each
+factor a power of one exponential per point.  The inverse transform of
 Fhat approximates the scalar conductivity on the flattened domain; for
 anisotropic data the traces are composed with the flattening map Phi
 and the boundary map is rescaled by 1/sqrt(det A0) so the linearization
@@ -69,6 +74,8 @@ def bilinear_form(dn: DNMatrix, phi1: np.ndarray, phi2: np.ndarray):
 
     D is symmetric, so c1^T D c2 is evaluated in the symmetric form
     (c1^T D c2 + c2^T D c1) / 2: two matrix products and two column sums.
+    The projection and D are real, so each of the four products runs as a
+    real matrix product on the float64 view of the complex operand.
     The growing traces make the sum cancel heavily, and the average of the
     two one-sided products rounds less than either alone.  The form is
     exactly symmetric in its arguments, so the traces of -z, which are
@@ -84,22 +91,30 @@ def bilinear_form(dn: DNMatrix, phi1: np.ndarray, phi2: np.ndarray):
     w = np.full(dn.L, 2.0 * np.pi * dn.layout.radius / dn.L)
     den = (t_hat * w * t_hat).sum(axis=1)
     project = (t_hat * w) / den[:, None]
-    c1 = project @ phi1.reshape(dn.L, -1)
-    c2 = project @ phi2.reshape(dn.L, -1)
-    B = 0.5 * ((c1 * (dn.dn @ c2)).sum(axis=0)
-               + (c2 * (dn.dn @ c1)).sum(axis=0))
+    c1 = _real_times_complex(project, phi1.reshape(dn.L, -1))
+    c2 = _real_times_complex(project, phi2.reshape(dn.L, -1))
+    B = 0.5 * ((c1 * _real_times_complex(dn.dn, c2)).sum(axis=0)
+               + (c2 * _real_times_complex(dn.dn, c1)).sum(axis=0))
     return B if phi1.ndim == 2 else complex(B[0])
+
+
+def _real_times_complex(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """A @ Z for a real matrix A and a complex one Z, as one real matrix
+    product on the float64 view of Z's interleaved real and imaginary
+    parts (numpy would promote A and run a complex product)."""
+    Z = np.ascontiguousarray(Z, dtype=complex)
+    return (A @ Z.view(np.float64)).view(complex)
 
 
 def _lattice(R: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Axis of the m x m grid over [-R, R]^2 and its (m, m) mask
     0 < |z| <= R, indexed [z1, z2].
 
-    The centre of ``np.linspace(-R, R, m)`` can land at +-2.2e-16 rather
-    than 0; it is pinned to 0 so the z = 0 mode is always excluded.
+    The axis is k * spacing for k = -m//2 .. m//2 with spacing
+    R / (m//2) = 2R / (m - 1): its centre is exactly 0 and it is exactly
+    antisymmetric, so the mirror -z of a lattice point is a lattice point.
     """
-    axis = np.linspace(-R, R, m)
-    axis[m // 2] = 0.0
+    axis = (np.arange(m) - m // 2) * (R / (m // 2))
     rho = np.hypot(axis[:, None], axis[None, :])
     return axis, (rho > 0) & (rho <= R + 1e-12)
 
@@ -109,7 +124,31 @@ def masked_lattice(R: float, m: int) -> tuple[np.ndarray, float]:
     order, and the grid spacing."""
     axis, mask = _lattice(R, m)
     i, j = np.nonzero(mask)
-    return np.stack([axis[i], axis[j]], axis=1), float(axis[1] - axis[0])
+    return np.stack([axis[i], axis[j]], axis=1), float(axis[m // 2 + 1])
+
+
+def lattice_traces(R: float, m: int, points) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, P) traces ``cgo_traces(zs, points)`` at the P points ``zs``
+    of ``masked_lattice(R, m)``, built per lattice axis.
+
+    Both exponents are linear in z, so the trace of z = (z1, z2) is the
+    product of the traces of (z1, 0) and (0, z2).  ``cgo_traces`` is
+    evaluated on the 2(m - 1) nonzero axis points only; with the column
+    of ones for z = 0 they make one (N, m) table per axis, and each
+    lattice trace is the product of a column of each.
+    """
+    axis, mask = _lattice(R, m)
+    i, j = np.nonzero(mask)
+    c = m // 2
+    off = np.delete(axis, c)
+    zero = np.zeros_like(off)
+    on_axes = np.concatenate([np.stack([off, zero], axis=1),
+                              np.stack([zero, off], axis=1)])
+    # tables[:, :m] hold the (z1, 0) traces, tables[:, m:] the (0, z2) ones
+    tables = [np.insert(t, [c, 3 * c], 1.0, axis=1)
+              for t in cgo_traces(on_axes, points)]
+    phi1, phi2 = (t[:, i] * t[:, m + j] for t in tables)
+    return phi1, phi2
 
 
 @dataclass
@@ -131,14 +170,17 @@ def fhat_grid(dn: DNMatrix, flatten: Flattening, R: float, m: int = 33,
 
     The traces are the flattened-domain exponentials composed with the
     flattening map ``flatten`` at the electrode centers on the original
-    boundary.  The DN matrix is divided by sqrt(det_background) so the
-    background conductivity after flattening is one.  The z = 0 mode is
+    boundary, built per lattice axis by ``lattice_traces``.  The DN
+    matrix is divided by sqrt(det_background) so the background
+    conductivity after flattening is one.  The z = 0 mode is
     excluded; the missing mean is restored downstream by background
-    calibration.  A non-finite sample, as left by traces that overflow at
-    a large R, raises ``ValueError``.
+    calibration.  A radius that is not finite and positive, and a
+    non-finite sample, as left by traces that overflow at a large R,
+    raise ``ValueError``.
     """
-    if R <= 0:
-        raise ValueError(f"truncation radius must be positive, got {R}")
+    if not (np.isfinite(R) and R > 0):
+        raise ValueError(
+            f"truncation radius must be finite and positive, got {R}")
     if m < 3 or m % 2 == 0:
         raise ValueError(f"lattice size must be odd and >= 3, got {m}")
     y = flatten(dn.electrode_centers())
@@ -149,7 +191,7 @@ def fhat_grid(dn: DNMatrix, flatten: Flattening, R: float, m: int = 33,
     # traces that overflow leave non-finite samples, which the check
     # below reports in place of numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        phi1, phi2 = cgo_traces(zs, y)
+        phi1, phi2 = lattice_traces(R, m, y)
         values = -bilinear_form(scaled, phi1, phi2) \
             / (2.0 * np.pi ** 2 * rho ** 2)
     bad = np.count_nonzero(~np.isfinite(values))
@@ -170,9 +212,10 @@ def inverse_fourier(fhat: FhatGrid, eval_points: np.ndarray
     (small when the spectrum is Hermitian).
 
     The phase factors over the tensor lattice, exp(-2 pi i z1 y1) and
-    exp(-2 pi i z2 y2), are each (m, P) for P points, and the sum is
-    sum_j E1[j] * (F @ E2)[j] with F the m x m spectrum, zero off the
-    mask; no (lattice x points) array is formed.
+    exp(-2 pi i z2 y2), are each (m, P) for P points and take one exp per
+    point (``_phase_table``).  The sum is sum_j E1[j] * (F @ E2)[j] with F
+    the m x m spectrum, zero off the mask; no (lattice x points) array is
+    formed.
     """
     axis, mask = _lattice(fhat.R, fhat.m)
     if len(fhat.values) != np.count_nonzero(mask):
@@ -183,12 +226,27 @@ def inverse_fourier(fhat: FhatGrid, eval_points: np.ndarray
     pts = np.atleast_2d(np.asarray(eval_points, dtype=float))
     F = np.zeros((fhat.m, fhat.m), dtype=complex)
     F[mask] = fhat.values
-    phase = -2j * np.pi * axis[:, None]
-    E1 = np.exp(phase * pts[:, 0])
-    E2 = np.exp(phase * pts[:, 1])
+    E1 = _phase_table(pts[:, 0], axis)
+    E2 = _phase_table(pts[:, 1], axis)
     vals = (E1 * (F @ E2)).sum(axis=0) * fhat.spacing ** 2
     scale = max(np.abs(vals.real).max(), 1e-300)
     return vals.real, float(np.abs(vals.imag).max() / scale)
+
+
+def _phase_table(t: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """(m, P) table exp(-2 pi i axis[k] t[p]) on the lattice axis from one
+    exp per point: with w = exp(-2 pi i spacing t) the row of axis
+    position k * spacing is w^k, so the centre row is 1, the rows after
+    it are running products of w and the rows before it are their
+    conjugates, in mirror order."""
+    m = len(axis)
+    c = m // 2
+    w = np.exp(-2j * np.pi * axis[c + 1] * t)
+    E = np.empty((m, len(t)), dtype=complex)
+    E[c] = 1.0
+    np.cumprod(np.broadcast_to(w, (c, len(t))), axis=0, out=E[c + 1:])
+    E[:c] = np.conj(E[:c:-1])
+    return E
 
 
 def save_fhat(fhat: FhatGrid, json_path, bin_path) -> None:

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from anisoeit import (affine_map, cgo_traces, bilinear_form, fhat_grid,
                       save_field, load_field,
                       trig_current_patterns, place_electrodes)
 from anisoeit.calderon import (BG_RING_RADIUS, BG_RING_SAMPLES, FhatGrid,
-                               masked_lattice)
+                               lattice_traces, masked_lattice)
 from anisoeit.forward import DNMatrix
 
 IDENTITY = affine_map(np.eye(2))
@@ -163,17 +164,21 @@ def test_bilinear_rejects_wrong_length(dn_identity16):
         bilinear_form(dn_identity16, np.ones((16, 2, 2)), np.ones((16, 2, 2)))
 
 
+def _a4_flattened_centers(dn):
+    # electrode centers mapped onto the A4-flattened ellipse (semi-axes
+    # 2/3 and 4/3), where the traces grow most
+    return dn.electrode_centers() * [2.0 / 3.0, 4.0 / 3.0]
+
+
 def _flattened_a4_probe():
     """L=128 disk DN plus a small symmetric perturbation, and the R=2.3
-    lattice traces at the electrode centers mapped onto the A4-flattened
-    ellipse (semi-axes 2/3 and 4/3), where the traces grow most."""
+    lattice traces at the A4-flattened electrode centers."""
     dn = analytic_disk_dn_matrix(128)
     rng = np.random.default_rng(7)
     E = 1e-3 * dn.dn[0, 0] * rng.standard_normal(dn.dn.shape)
     dn = replace(dn, dn=dn.dn + E + E.T)
-    y = dn.electrode_centers() * [2.0 / 3.0, 4.0 / 3.0]
     zs, _ = masked_lattice(2.3, 33)
-    return dn, cgo_traces(zs, y)
+    return dn, cgo_traces(zs, _a4_flattened_centers(dn))
 
 
 def test_bilinear_matches_extended_precision():
@@ -188,6 +193,23 @@ def test_bilinear_matches_extended_precision():
     ref = (c1 * (dn.dn.astype(np.longdouble) @ c2)).sum(axis=0)
     scale = np.abs(ref).max()
     assert np.abs(B - ref).max() <= 1e-9 * scale
+
+
+def test_bilinear_ignores_memory_layout():
+    # Fortran-ordered and strided traces pair exactly as their contiguous
+    # copies do
+    dn, (phi1, phi2) = _flattened_a4_probe()
+    B = bilinear_form(dn, phi1, phi2)
+    fortran = bilinear_form(dn, np.asfortranarray(phi1),
+                            np.asfortranarray(phi2))
+    wide1 = np.repeat(phi1, 2, axis=1)
+    wide2 = np.repeat(phi2, 2, axis=1)
+    strided = bilinear_form(dn, wide1[:, ::2], wide2[:, 1::2])
+    assert np.array_equal(fortran, B)
+    assert np.array_equal(strided, B)
+    single = bilinear_form(dn, phi1[:, 5], phi2[:, 5])
+    assert single == bilinear_form(dn, np.ascontiguousarray(phi1[:, 5]),
+                                   np.ascontiguousarray(phi2[:, 5]))
 
 
 def test_bilinear_conjugate_symmetric():
@@ -234,8 +256,8 @@ def test_fhat_metadata(dn_identity32):
 
 @pytest.mark.parametrize("R,m", [(1.8, 49), (1.8, 41), (1.9, 61)])
 def test_fhat_lattice_centre_excluded(dn_identity32, R, m):
-    # np.linspace(-R, R, m) leaves the centre at +-2.2e-16 for these
-    # pairs; the z = 0 mode must still be dropped
+    # np.linspace(-R, R, m) would leave the centre at +-2.2e-16 for these
+    # pairs; the z = 0 mode must be dropped
     fh = fhat_grid(dn_identity32, IDENTITY, R=R, m=m)
     assert np.hypot(fh.zs[:, 0], fh.zs[:, 1]).min() >= fh.spacing * 0.999
     assert np.abs(fh.values).max() < 10.0
@@ -245,12 +267,27 @@ def test_fhat_lattice_centre_excluded(dn_identity32, R, m):
 
 
 def test_lattice_point_symmetric_and_hermitian_defect():
-    # the mirror -z of the k-th masked lattice point is the k-th from the
-    # end, which the Hermitian defect of test_fhat_hermitian relies on
+    # the mirror -z of the k-th masked lattice point is exactly the k-th
+    # from the end, which the Hermitian defect of test_fhat_hermitian
+    # relies on, and the axis centre is exactly 0
     for R in (1.6, 1.7, 1.8, 1.9, 2.0, 2.3, 3.1):
         for m in range(3, 98, 2):
-            zs, _ = masked_lattice(R, m)
-            assert np.abs(zs[::-1] + zs).max() <= 1e-12, (R, m)
+            zs, spacing = masked_lattice(R, m)
+            assert np.array_equal(zs[::-1], -zs), (R, m)
+            axis = np.unique(zs[:, 0])
+            assert len(axis) == m and axis[m // 2] == 0.0, (R, m)
+            assert axis[m // 2 + 1] == spacing, (R, m)
+
+
+@pytest.mark.parametrize("R", [1.8, 2.3, 3.1])
+@pytest.mark.parametrize("m", [21, 33, 49])
+def test_lattice_traces_match_cgo_traces(R, m):
+    # the per-axis products are the traces of the lattice points
+    y = _a4_flattened_centers(analytic_disk_dn_matrix(128))
+    zs, _ = masked_lattice(R, m)
+    for got, want in zip(lattice_traces(R, m, y), cgo_traces(zs, y)):
+        assert got.shape == want.shape == (128, len(zs))
+        assert (np.abs(got - want) / np.abs(want)).max() <= 1e-13
 
 
 def test_fhat_rejects_bad_lattice(dn_identity32):
@@ -258,6 +295,16 @@ def test_fhat_rejects_bad_lattice(dn_identity32):
         fhat_grid(dn_identity32, IDENTITY, R=-1.0)
     with pytest.raises(ValueError):
         fhat_grid(dn_identity32, IDENTITY, R=2.0, m=32)
+
+
+@pytest.mark.parametrize("R", [np.nan, np.inf])
+def test_nonfinite_radius_rejected(dn_identity16, R):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite and positive"):
+            fhat_grid(dn_identity16, IDENTITY, R=R)
+        with pytest.raises(ValueError, match="finite and positive"):
+            reconstruct_field(dn_identity16, IDENTITY, np.eye(2), R=R)
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +360,16 @@ def _direct_inverse(fh, pts):
     return (fh.values @ phases) * fh.spacing ** 2
 
 
-@pytest.mark.parametrize("m", [3, 33, 65])
-def test_inverse_separable_matches_direct_sum(m):
+# explicit ids keep the names of the m-only cases stable; the last two are
+# pairs where np.linspace(-R, R, m) puts the centre at +-2.2e-16
+@pytest.mark.parametrize("R,m", [pytest.param(2.3, m, id=str(m))
+                                 for m in (3, 33, 65)]
+                         + [(1.8, 49), (1.9, 61)])
+def test_inverse_separable_matches_direct_sum(R, m):
     rng = np.random.default_rng(m)
-    zs, spacing = masked_lattice(2.3, m)
+    zs, spacing = masked_lattice(R, m)
     values = rng.standard_normal(len(zs)) + 1j * rng.standard_normal(len(zs))
-    fh = FhatGrid(R=2.3, m=m, zs=zs, values=values, spacing=spacing,
+    fh = FhatGrid(R=R, m=m, zs=zs, values=values, spacing=spacing,
                   det_background=1.0)
     pts = rng.uniform(-1.3, 1.3, size=(257, 2))
     direct = _direct_inverse(fh, pts)
