@@ -29,7 +29,7 @@ patterns = trig_current_patterns(16)
 print(f"patterns: {patterns.T.shape[1]} columns, "
       f"column sums <= {np.abs(patterns.T.sum(axis=0)).max():.1e}")
 
-data = simulate_voltages(mesh, phantom.tensor, layout, patterns)
+data = simulate_voltages(mesh, phantom.tensor, layout)   # each of these patterns
 print(f"voltages: {data.U.shape}, ground condition "
       f"|sum U| <= {np.abs(data.U.sum(axis=0)).max():.1e}")
 

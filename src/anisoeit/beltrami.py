@@ -31,12 +31,14 @@ on Gauss-Legendre nodes.
 Evaluating Phi (the grid samples, ``QCMap.__call__`` and
 ``QCMap.jacobian`` share one code path) computes the interpolants and
 the scale (r / |z|)^{2j+2} once per distinct radius on the ramp annulus
-(the 22,520 ramp points of the stock 512 grid have 2,271 radii) and
+(the 22,520 ramp points of the 512 grid have 2,271 radii) and
 gathers them back to the points; the sums over j, in conj(z)/z on the
 annulus and in r^2/z^2 outside, run by Horner's rule in one buffer.
 
-All grid functions live on a uniform n x n lattice over [-s, s)^2 with
-the support of mu inside |z| <= r (s >= 2r).
+The geometry is fixed (``MuGrid``): mu ramps from mu0 at |z| = 1.5 to 0
+at |z| = r = 2, around the unit-disk domain, and Phi is sampled on the
+512 x 512 grid over [-4, 4)^2.  The series stops at the first increment
+<= 1e-10, within a budget of 200 terms.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -53,8 +55,11 @@ from .atomic import atomic_open, write_json
 from .phantoms import check_spd
 
 # Gauss-Legendre nodes of the radial integrals across the ramp annulus;
-# on the stock grid half as many move the sampled Phi by < 2e-15
+# on the 512 grid half as many move the sampled Phi by < 2e-15
 _NODES = 48
+# the series stops at the first increment <= _TOL, within _MAX_ITER terms
+_TOL = 1e-10
+_MAX_ITER = 200
 
 
 def beltrami_coefficient(A: np.ndarray) -> complex:
@@ -75,18 +80,16 @@ class MuGrid:
 
     rho is 1 inside |z| <= r - blend, 0 for |z| >= r, and a C^1
     smoothstep in between.  The grid covers [-s, s)^2 with n points per
-    axis and spacing 2s/n.
+    axis and spacing 2s/n.  Only mu0 varies; the geometry is fixed.
     """
 
-    n: int
-    s: float
-    r: float
-    blend: float
     mu0: complex
 
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.s / self.n
+    n: ClassVar[int] = 512
+    s: ClassVar[float] = 4.0
+    r: ClassVar[float] = 2.0
+    blend: ClassVar[float] = 0.5
+    spacing: ClassVar[float] = 2.0 * s / n
 
     def axis(self) -> np.ndarray:
         return -self.s + self.spacing * np.arange(self.n)
@@ -106,20 +109,14 @@ class MuGrid:
         return self.mu0 * self.ramp(np.hypot(*self.meshgrid()))
 
 
-def extend_mu(A0: np.ndarray, r: float = 2.0, blend: float = 0.5,
-              n: int = 512, s: float = 4.0) -> MuGrid:
+def extend_mu(A0: np.ndarray) -> MuGrid:
     """The compact C^1 extension of mu_{A0} and its solver grid.
 
     The constant tensor is blended to the identity between radii
     r - blend and r, which scales mu by a smoothstep ramp; the domain of
-    interest must sit inside |z| <= r - blend.
+    interest sits inside |z| <= r - blend.
     """
-    if blend <= 0 or blend >= r:
-        raise ValueError(f"blend width must lie in (0, r); got blend={blend}, r={r}")
-    if s < 2.0 * r:
-        raise ValueError(f"grid half-width s={s} must be at least 2r={2 * r}")
-    return MuGrid(n=int(n), s=float(s), r=float(r), blend=float(blend),
-                  mu0=beltrami_coefficient(A0))
+    return MuGrid(mu0=beltrami_coefficient(A0))
 
 
 def affine_map(A0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -128,9 +125,9 @@ def affine_map(A0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     (P, 2) points.
 
     It solves dbar Phi = mu d Phi exactly on |z| <= r - blend, where
-    ``extend_mu`` holds mu at mu0 (its defaults r=2, blend=0.5 make that
-    the disk |z| <= 1.5 around the unit-disk domain).  In the Neumann series
-    Phi = z + P[mu] + P[mu T(mu)] + ..., P[mu] = mu0 conj(z) on the disk
+    ``extend_mu`` holds mu at mu0: the disk |z| <= 1.5 around the
+    unit-disk domain.  In the Neumann series Phi = z + P[mu] +
+    P[mu T(mu)] + ..., P[mu] = mu0 conj(z) on the disk
     for the radial mu = mu0 rho(|z|), so T[mu] = d P[mu] = 0 there.  Each
     later term, mu T(mu T(... mu)) with k transforms, vanishes on the disk
     and carries only the angular mode e^{-2ik theta}, so its Cauchy
@@ -156,13 +153,11 @@ def affine_map(A0: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 class BeltramiConvergenceError(RuntimeError):
-    """The series did not reach the requested tolerance within its budget,
-    or a term stopped being finite before it did (``reason`` says so)."""
+    """The series did not reach its tolerance within its term budget."""
 
-    def __init__(self, iterations: int, last_increment: float,
-                 reason: str = ""):
+    def __init__(self, iterations: int, last_increment: float):
         super().__init__(
-            reason or f"no convergence after {iterations} iterations; "
+            f"no convergence after {iterations} iterations; "
             f"last sup-norm increment {last_increment:.3e}")
         self.iterations = iterations
         self.last_increment = last_increment
@@ -291,8 +286,7 @@ def _annulus_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return u, legendre.legint(to_coef, lbnd=-1, axis=0)
 
 
-def _radial_modes(mu: MuGrid, tol: float, max_iter: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _radial_modes(mu: MuGrid) -> tuple[np.ndarray, np.ndarray]:
     """``QCMap.modes`` and the increments sup |c_j| of the series."""
     r0, R = mu.r - mu.blend, mu.r
     u, integrate = _annulus_rule(_NODES)
@@ -308,29 +302,20 @@ def _radial_modes(mu: MuGrid, tol: float, max_iter: int
         return q
 
     a, modes, increments = mu_x, [], []
-    # (R / x)^{2j+2} <= (r / (r - blend))^{2j+2} overflows for large j; the
-    # term it spoils is reported below instead of warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(max_iter + 1):
-            modes.append(mode(a, j))
-            c = a - ((4 * j + 2) * (R / x) ** (2 * j + 2)
-                     * (at_nodes @ modes[-1]))
-            a = mu_x * c
-            if not j:
-                continue
-            # |T[g_j]| = |c_j| on the nodes and at |z| = r, where a_j = 0;
-            # a non-finite modes[-1] makes c non-finite too
-            increments.append(max(float(np.abs(c).max()),
-                                  (4 * j + 2) * abs(modes[-1].sum())))
-            if not np.isfinite(increments[-1]):
-                raise BeltramiConvergenceError(
-                    j, increments[-1],
-                    f"series term {j} is not finite: its radial powers "
-                    f"overflow at r/(r - blend) = {R / r0:.6g}")
-            if increments[-1] <= tol:
-                modes.append(mode(a, j + 1))
-                return np.stack(modes, axis=1), np.array(increments)
-    raise BeltramiConvergenceError(max_iter, increments[-1])
+    for j in range(_MAX_ITER + 1):
+        modes.append(mode(a, j))
+        c = a - ((4 * j + 2) * (R / x) ** (2 * j + 2)
+                 * (at_nodes @ modes[-1]))
+        a = mu_x * c
+        if not j:
+            continue
+        # |T[g_j]| = |c_j| on the nodes and at |z| = r, where a_j = 0
+        increments.append(max(float(np.abs(c).max()),
+                              (4 * j + 2) * abs(modes[-1].sum())))
+        if increments[-1] <= _TOL:
+            modes.append(mode(a, j + 1))
+            return np.stack(modes, axis=1), np.array(increments)
+    raise BeltramiConvergenceError(_MAX_ITER, increments[-1])
 
 
 def _beltrami_residual(phi: np.ndarray, mu: MuGrid) -> float:
@@ -345,38 +330,27 @@ def _beltrami_residual(phi: np.ndarray, mu: MuGrid) -> float:
     return float(np.abs(0.5 * (fx + 1j * fy) - mu_in * 0.5 * (fx - 1j * fy)).max())
 
 
-def solve_beltrami(mu: MuGrid, tol: float = 1e-10,
-                   max_iter: int = 200) -> QCMap:
-    """Sum the series for dbar Phi = mu d Phi mode by mode.
+def solve_beltrami(mu: MuGrid) -> QCMap:
+    """Sum the series for dbar Phi = mu d Phi mode by mode, for a radial
+    coefficient with |mu0| < 1.
 
-    Parameters
-    ----------
-    mu : MuGrid
-        Radial coefficient with |mu0| < 1.
-    tol : float
-        Termination threshold on the increment sup |T[g_j]| = sup |c_j|
-        over the ramp annulus r - blend <= |z| <= r, where the Beurling
-        sum h is read as mu h.
-    max_iter : int
-        Term budget, at least 1; exceeding it raises
-        BeltramiConvergenceError carrying the last increment.
+    The series stops at the first increment sup |T[g_j]| = sup |c_j| over
+    the ramp annulus r - blend <= |z| <= r (where the Beurling sum h is
+    read as mu h) that is <= 1e-10; if 200 terms do not reach it, it
+    raises BeltramiConvergenceError carrying the last increment.
 
     Term j needs F_j on the annulus only: inside it F_0 = mu0 r^2 / 2 and
     F_j = 0 for j >= 1.  Its integrand carries the scaled power
-    (t / r)^{2j+1} <= 1, so no integral overflows; c_j carries
-    (r / |z|)^{2j+2} <= (r / (r - blend))^{2j+2}, which overflows at
-    j = 117 when r / (r - blend) = 20, and the first term it makes
-    non-finite raises BeltramiConvergenceError naming that term and the
-    ratio, without a RuntimeWarning.  As Phi = z + P[mu (1 + h)],
-    the series keeps the term after the first increment <= tol.  A zero mu
-    gives Phi = z and the single increment 0.  ``phi`` samples Phi on the
-    grid of ``mu``, and the residual is ``_beltrami_residual`` of them.
+    (t / r)^{2j+1} <= 1, and c_j the power (r / |z|)^{2j+2}
+    <= (4/3)^{2j+2} < 1e51 within the budget, so no term overflows.  As
+    Phi = z + P[mu (1 + h)], the series keeps the term after the first
+    increment <= 1e-10.  A zero mu gives Phi = z and the single
+    increment 0.  ``phi`` samples Phi on the grid of ``mu``, and the
+    residual is ``_beltrami_residual`` of them.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if abs(mu.mu0) >= 1.0:
         raise ValueError(f"|mu0| = {abs(mu.mu0):g} >= 1: not quasi-conformal")
-    modes, increments = _radial_modes(mu, tol, max_iter)
+    modes, increments = _radial_modes(mu)
     X, Y = mu.meshgrid()
     phi = _phi(mu, modes, X + 1j * Y)
     return QCMap(phi=phi, mu=mu, residual=_beltrami_residual(phi, mu),

@@ -67,10 +67,11 @@ def bilinear_form(dn: DNMatrix, phi1: np.ndarray, phi2: np.ndarray):
     phi1 * (boundary map applied to phi2), for one (L,) trace pair or P
     pairs of (L, P) traces sampled at the electrode centers.
 
-    Each trace is projected onto the normalized trig pattern basis with
-    midpoint arc-length weights, <phi, t_m>_w / <t_m, t_m>_w, and the
-    coefficient vectors c1, c2 are contracted through the DN matrix D.  On
-    a homogeneous unit disk this gives pi * k for phi1 = phi2 = cos(k theta).
+    Each trace is projected onto the normalized trig pattern basis,
+    c = <phi, t_m> (the midpoint arc-length weights are equal and
+    cancel against <t_m, t_m> = 1), and the coefficient vectors c1, c2
+    are contracted through the DN matrix D.  On a homogeneous unit disk
+    this gives pi * k for phi1 = phi2 = cos(k theta).
 
     D is symmetric, so c1^T D c2 is evaluated in the symmetric form
     (c1^T D c2 + c2^T D c1) / 2: two matrix products and two column sums.
@@ -87,10 +88,7 @@ def bilinear_form(dn: DNMatrix, phi1: np.ndarray, phi2: np.ndarray):
         raise ValueError(
             f"trace samples must have shape (L,) or (L, P) with L={dn.L}; "
             f"got {phi1.shape} and {phi2.shape}")
-    t_hat = dn.patterns.normalized.T
-    w = np.full(dn.L, 2.0 * np.pi * dn.layout.radius / dn.L)
-    den = (t_hat * w * t_hat).sum(axis=1)
-    project = (t_hat * w) / den[:, None]
+    project = dn.patterns.normalized.T
     c1 = _real_times_complex(project, phi1.reshape(dn.L, -1))
     c2 = _real_times_complex(project, phi2.reshape(dn.L, -1))
     B = 0.5 * ((c1 * _real_times_complex(dn.dn, c2)).sum(axis=0)
@@ -188,9 +186,10 @@ def fhat_grid(dn: DNMatrix, flatten: Flattening, R: float, m: int = 33,
     zs, spacing = masked_lattice(R, m)
     scaled = replace(dn, dn=dn.dn / np.sqrt(det_background))
     rho = np.hypot(zs[:, 0], zs[:, 1])
-    # traces that overflow leave non-finite samples, which the check
-    # below reports in place of numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    # traces that overflow, or whose growth underflows to zero, leave
+    # non-finite samples, which the check below reports in place of
+    # numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         phi1, phi2 = lattice_traces(R, m, y)
         values = -bilinear_form(scaled, phi1, phi2) \
             / (2.0 * np.pi ** 2 * rho ** 2)

@@ -78,8 +78,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_map(cfg: RunConfig) -> int:
     """Solve the Beltrami equation for the config's background tensor, on
-    the grid and to the tolerance that ``extend_mu`` and ``solve_beltrami``
-    default to."""
+    the fixed grid and to the fixed tolerance of ``anisoeit.beltrami``."""
     qc = solve_beltrami(extend_mu(_phantom(cfg).A0))
     qc.config_sha256 = cfg.sha256()
     out = _outdir(cfg)

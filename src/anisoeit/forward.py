@@ -70,14 +70,13 @@ Conductivity = Callable[[np.ndarray], np.ndarray]
 class CurrentPatternSet:
     """Trigonometric current patterns T[l, k] for k = 1..L-1.
 
-    Column k injects amplitude*cos(k theta_l) on electrode l for
-    k <= L/2 and amplitude*sin((k - L/2) theta_l) for k > L/2.  Columns
-    sum to zero (conservation of current) and are pairwise orthogonal
-    for equispaced electrodes.
+    Column k injects cos(k theta_l) on electrode l for k <= L/2 and
+    sin((k - L/2) theta_l) for k > L/2.  Columns sum to zero
+    (conservation of current) and are pairwise orthogonal for
+    equispaced electrodes.
     """
 
     L: int
-    amplitude: float
     T: np.ndarray            # (L, L-1)
 
     @property
@@ -91,14 +90,14 @@ class CurrentPatternSet:
         return self.T / self.norms
 
 
-def trig_current_patterns(L: int, amplitude: float = 1.0) -> CurrentPatternSet:
+def trig_current_patterns(L: int) -> CurrentPatternSet:
     if L < 4 or L % 2 != 0:
         raise ValueError(f"electrode count must be even and >= 4, got L={L}")
     theta = 2.0 * np.pi * np.arange(L) / L
     k, half = np.arange(1, L), L // 2
     T = np.where(k <= half, np.cos(np.outer(theta, k)),
                  np.sin(np.outer(theta, k - half)))
-    return CurrentPatternSet(L=L, amplitude=float(amplitude), T=amplitude * T)
+    return CurrentPatternSet(L=L, T=T)
 
 
 def _ground_matrix(L: int) -> np.ndarray:
@@ -422,17 +421,16 @@ class VoltageData:
 
 def simulate_voltages(mesh: Mesh, A: Conductivity,
                       layout: ElectrodeLayout,
-                      patterns: Optional[CurrentPatternSet] = None,
                       noise: float = 0.0, seed: int = 0) -> VoltageData:
-    """Solve every current pattern and collect electrode voltages.
+    """Solve every trigonometric current pattern and collect electrode
+    voltages.
 
     ``noise`` adds independent Gaussian perturbations with standard
     deviation noise * max|U| to every entry (counter-based Philox
     generator, reproducible from ``seed``), after which each column is
     re-centered to preserve the ground condition.
     """
-    if patterns is None:
-        patterns = trig_current_patterns(layout.L)
+    patterns = trig_current_patterns(layout.L)
     U = solve_forward(assemble_cem_system(mesh, A, layout), patterns.T)
     if noise > 0.0:
         rng = np.random.Generator(np.random.Philox(seed))
@@ -540,8 +538,7 @@ def _layout_from_dict(d: dict) -> ElectrodeLayout:
 
 
 def _patterns_to_dict(p: CurrentPatternSet) -> dict:
-    return {"L": p.L, "amplitude": p.amplitude, "T": p.T.tolist(),
-            "normalization": "euclidean"}
+    return {"L": p.L, "T": p.T.tolist(), "normalization": "euclidean"}
 
 
 def save_voltages(data: VoltageData, path) -> None:
@@ -580,8 +577,9 @@ def load_dn(path) -> DNMatrix:
         raise ValueError(f"{path}: not a DN matrix file")
     layout = _layout_from_dict(doc["electrodes"])
     L = layout.L
-    pat = CurrentPatternSet(L=L, amplitude=float(doc["patterns"]["amplitude"]),
-                            T=_float_array(doc["patterns"], "T", (L, L - 1)))
+    # older files also record the pattern amplitude, which is not read
+    pat = CurrentPatternSet(L=L, T=_float_array(doc["patterns"], "T",
+                                                (L, L - 1)))
     return DNMatrix(dn=_float_array(doc, "dn_row_major", (L - 1, L - 1)),
                     nd=_float_array(doc, "nd_row_major", (L - 1, L - 1)),
                     asymmetry=float(doc["asymmetry"]),

@@ -307,6 +307,18 @@ def test_nonfinite_radius_rejected(dn_identity16, R):
             reconstruct_field(dn_identity16, IDENTITY, np.eye(2), R=R)
 
 
+def test_overflowing_traces_rejected_without_warning(dn_identity16):
+    # at R = 300 the growth exp(pi b.y) overflows to inf and its inverse
+    # underflows to 0, so phase / growth divides by zero: the non-finite
+    # samples raise ValueError and no numpy warning leaks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite samples"):
+            fhat_grid(dn_identity16, IDENTITY, R=300)
+        with pytest.raises(ValueError, match="non-finite samples"):
+            reconstruct_field(dn_identity16, IDENTITY, np.eye(2), R=300)
+
+
 # ---------------------------------------------------------------------------
 # truncated inverse transform
 

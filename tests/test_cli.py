@@ -424,8 +424,8 @@ def test_failure_stderr_is_one_json_record(workdir):
 
 def test_nonfinite_fhat_exit_3(workdir, capsys):
     # at R = 300 the probing traces overflow and every F-hat sample that
-    # touches them is NaN; no reconstruction may be written from it, nor
-    # from a radius before it in the same run
+    # touches them is NaN, without a numpy warning; no reconstruction may
+    # be written from it, nor from a radius before it in the same run
     for radii in ([300], [2.0, 300]):
         write_config(workdir / "cfg.json", phantom="A1", target_h=0.1,
                      truncation_radii=radii)
@@ -436,6 +436,7 @@ def test_nonfinite_fhat_exit_3(workdir, capsys):
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "numerical"
         assert "Fhat" in record["message"] and "R=300" in record["message"]
+        assert record["warnings"] == []
         for stem in ("recon_R", "fhat_R", "cross_section_R"):
             assert not list((workdir / "out").glob(stem + "*")), radii
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import sys
 
 import numpy as np
@@ -596,3 +597,18 @@ def test_dn_json_roundtrip(tmp_path, dn_identity16):
     assert np.array_equal(back.dn, dn_identity16.dn)
     assert np.array_equal(back.nd, dn_identity16.nd)
     assert back.asymmetry == dn_identity16.asymmetry
+    assert np.array_equal(back.patterns.T, dn_identity16.patterns.T)
+
+
+def test_dn_json_ignores_pattern_amplitude(tmp_path, dn_identity16):
+    # older files record the pattern amplitude; it is read past, and new
+    # files do not write it
+    path = tmp_path / "dn.json"
+    save_dn(dn_identity16, path)
+    doc = json.loads(path.read_text())
+    assert sorted(doc["patterns"]) == ["L", "T", "normalization"]
+    doc["patterns"]["amplitude"] = 1.0
+    path.write_text(json.dumps(doc))
+    back = load_dn(path)
+    assert np.array_equal(back.dn, dn_identity16.dn)
+    assert np.array_equal(back.patterns.T, dn_identity16.patterns.T)
