@@ -31,9 +31,14 @@ on Gauss-Legendre nodes.
 Evaluating Phi (the grid samples, ``QCMap.__call__`` and
 ``QCMap.jacobian`` share one code path) computes the interpolants and
 the scale (r / |z|)^{2j+2} once per distinct radius on the ramp annulus
-(the 22,520 ramp points of the 512 grid have 2,271 radii) and
-gathers them back to the points; the sums over j, in conj(z)/z on the
-annulus and in r^2/z^2 outside, run by Horner's rule in one buffer.
+and gathers them back to the points; the sums over j, in conj(z)/z on
+the annulus and in r^2/z^2 outside, run by Horner's rule in one buffer.
+Every term, like z + mu0 conj(z), is odd in z, and negation commutes
+with each floating-point step, so Phi(-z) = -Phi(z) bit for bit up to
+the sign of a zero.  The grid is its own mirror under index k -> n - k
+apart from its first row and column, so ``solve_beltrami`` evaluates
+the series on one half of it (132,094 of the 262,144 samples) and
+negates that half into the other.
 
 The geometry is fixed (``MuGrid``): mu ramps from mu0 at |z| = 1.5 to 0
 at |z| = r = 2, around the unit-disk domain, and Phi is sampled on the
@@ -43,6 +48,7 @@ at |z| = r = 2, around the unit-disk domain, and Phi is sampled on the
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,6 +66,10 @@ _NODES = 48
 # the series stops at the first increment <= _TOL, within _MAX_ITER terms
 _TOL = 1e-10
 _MAX_ITER = 200
+# past |z| = r * _W_LIMIT the far-field variable w = r^2 / z^2 has
+# |w| <= eps^2, below the rounding of every sum it enters, so it takes its
+# limit 0 there, where z^2 itself overflows at large finite points
+_W_LIMIT = 1.0 / np.finfo(float).eps
 
 
 def beltrami_coefficient(A: np.ndarray) -> complex:
@@ -234,24 +244,30 @@ def _horner(w: np.ndarray, coefs) -> np.ndarray:
     return p
 
 
-def _regions(mu: MuGrid, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the points on the ramp annulus and outside |z| = r."""
+def _regions(mu: MuGrid, z: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Masks of the points on the ramp annulus and outside |z| = r, the
+    points z_f outside and w = r^2 / z_f^2 at them."""
     x = np.abs(z)
-    return (x >= mu.r - mu.blend) & (x <= mu.r), x > mu.r
+    far = x > mu.r
+    zf = z[far]
+    w = np.zeros_like(zf)
+    near = x[far] < mu.r * _W_LIMIT
+    np.square(zf, out=w, where=near)
+    np.divide(mu.r ** 2, w, out=w, where=near)
+    return (x >= mu.r - mu.blend) & (x <= mu.r), far, zf, w
 
 
 def _phi(mu: MuGrid, modes: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Phi = z + sum_j 2 z^{-2j-1} F_j(|z|) at complex points z: the affine
     map inside r - blend, 2 conj(z) sum_j f_j (conj(z)/z)^j on the annulus
     and a series in r^2/z^2 outside."""
-    ring, far = _regions(mu, z)
+    ring, far, zf, w = _regions(mu, z)
     out = z + mu.mu0 * np.conj(z)
     zr = z[ring]
     out[ring] = zr + 2.0 * np.conj(zr) * _horner(
         np.conj(zr) / zr, _annulus_f(mu, modes, np.abs(zr)))
-    zf = z[far]
-    out[far] = zf + 2.0 * mu.r ** 2 / zf * _horner(
-        mu.r ** 2 / zf ** 2, modes.sum(axis=0))
+    out[far] = zf + 2.0 * mu.r ** 2 / zf * _horner(w, modes.sum(axis=0))
     return out
 
 
@@ -259,7 +275,7 @@ def _beurling_sum(mu: MuGrid, modes: np.ndarray, z: np.ndarray) -> np.ndarray:
     """h = sum_j T[g_j] = sum_j c_j(|z|) (conj(z)/z)^{j+1} at complex points
     z: zero inside r - blend, and c_j = -2 (2j+1) f_j outside r, where
     mu = 0."""
-    ring, far = _regions(mu, z)
+    ring, far, _, w = _regions(mu, z)
     h = np.zeros_like(z)
     zr = z[ring]
     f = _annulus_f(mu, modes, np.abs(zr))
@@ -270,28 +286,33 @@ def _beurling_sum(mu: MuGrid, modes: np.ndarray, z: np.ndarray) -> np.ndarray:
         a = mu_r * c[j]
     u = np.conj(zr) / zr
     h[ring] = u * _horner(u, c)
-    w = mu.r ** 2 / z[far] ** 2
     h[far] = w * _horner(
         w, -(4 * np.arange(modes.shape[1]) + 2) * modes.sum(axis=0))
     return h
 
 
-def _annulus_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes u on [-1, 1] and the (nodes + 1, nodes) matrix
+@functools.cache
+def _annulus_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes u on [-1, 1], the (nodes + 1, nodes) matrix
     from values at them to the Legendre coefficients of the integral from
-    -1 of their interpolant."""
+    -1 of their interpolant, and the (nodes, nodes + 1) matrix from those
+    coefficients back to values at the nodes.  Built on first use for
+    each node count and shared, so the arrays are read-only."""
     u, w = legendre.leggauss(nodes)
     to_coef = (legendre.legvander(u, nodes - 1).T * w
                * (np.arange(nodes) + 0.5)[:, None])
-    return u, legendre.legint(to_coef, lbnd=-1, axis=0)
+    rule = (u, legendre.legint(to_coef, lbnd=-1, axis=0),
+            legendre.legvander(u, nodes))
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def _radial_modes(mu: MuGrid) -> tuple[np.ndarray, np.ndarray]:
     """``QCMap.modes`` and the increments sup |c_j| of the series."""
     r0, R = mu.r - mu.blend, mu.r
-    u, integrate = _annulus_rule(_NODES)
+    u, integrate, at_nodes = _annulus_rule(_NODES)
     x = r0 + 0.5 * mu.blend * (u + 1.0)
-    at_nodes = legendre.legvander(u, _NODES)
     mu_x = mu.mu0 * mu.ramp(x)
 
     def mode(a, j):
@@ -318,16 +339,44 @@ def _radial_modes(mu: MuGrid) -> tuple[np.ndarray, np.ndarray]:
     raise BeltramiConvergenceError(_MAX_ITER, increments[-1])
 
 
+def _grid_phi(mu: MuGrid, modes: np.ndarray) -> np.ndarray:
+    """Phi on the grid of ``mu``: the series on the rows x >= 0, on the
+    first row and column (x or y = -s, which have no mirror on the grid)
+    and on y = 0, and -Phi(-z) on the rest.  On the negative real axis
+    the mirror would carry Im Phi = -0.0 where the series gives +0.0, so
+    the y = 0 column is evaluated too."""
+    n, h = mu.n, mu.n // 2
+    x = mu.axis()
+    phi = np.empty((n, n), dtype=complex)
+    phi[h:] = _phi(mu, modes, x[h:, None] + 1j * x)
+    np.negative(phi[:h:-1, :0:-1], out=phi[1:h, 1:])
+    # row 0, then column 0 and column h (y = 0) of rows 1 .. h - 1
+    i = np.r_[np.zeros(n, dtype=int), 1:h, 1:h]
+    j = np.r_[0:n, np.zeros(h - 1, dtype=int), np.full(h - 1, h)]
+    phi[i, j] = _phi(mu, modes, x[i] + 1j * x[j])
+    return phi
+
+
 def _beltrami_residual(phi: np.ndarray, mu: MuGrid) -> float:
-    """sup |dbar Phi - mu d Phi| over the inner half-grid, with derivatives
-    by centred differences."""
-    q = mu.n // 4
-    inner = slice(q, -q)
-    fx = (phi[q + 1:-q + 1, inner] - phi[q - 1:-q - 1, inner]) / (2 * mu.spacing)
-    fy = (phi[inner, q + 1:-q + 1] - phi[inner, q - 1:-q - 1]) / (2 * mu.spacing)
-    x = mu.axis()[inner]
-    mu_in = mu.mu0 * mu.ramp(np.hypot(x[:, None], x[None, :]))
-    return float(np.abs(0.5 * (fx + 1j * fy) - mu_in * 0.5 * (fx - 1j * fy)).max())
+    """sup |dbar Phi - mu d Phi| over the inner half-grid [q, n - q)^2,
+    q = n / 4, with derivatives by centred differences.
+
+    Phi is odd, so the residual is even under (i, j) -> (n - i, n - j),
+    which maps the block without its first row and column onto itself:
+    the sup is taken over its rows i >= n / 2 and over that first row and
+    column."""
+    n, q, h = mu.n, mu.n // 4, mu.n // 2
+    x = mu.axis()
+
+    def sup(i0, i1, j0, j1):
+        rows, cols = slice(i0, i1), slice(j0, j1)
+        fx = (phi[i0 + 1:i1 + 1, cols] - phi[i0 - 1:i1 - 1, cols]) / (2 * mu.spacing)
+        fy = (phi[rows, j0 + 1:j1 + 1] - phi[rows, j0 - 1:j1 - 1]) / (2 * mu.spacing)
+        mu_in = mu.mu0 * mu.ramp(np.hypot(x[rows, None], x[None, cols]))
+        return np.abs(0.5 * (fx + 1j * fy) - mu_in * 0.5 * (fx - 1j * fy)).max()
+
+    return float(max(sup(h, n - q, q, n - q), sup(q, q + 1, q, n - q),
+                     sup(q + 1, h, q, q + 1)))
 
 
 def solve_beltrami(mu: MuGrid) -> QCMap:
@@ -345,14 +394,15 @@ def solve_beltrami(mu: MuGrid) -> QCMap:
     <= (4/3)^{2j+2} < 1e51 within the budget, so no term overflows.  As
     Phi = z + P[mu (1 + h)], the series keeps the term after the first
     increment <= 1e-10.  A zero mu gives Phi = z and the single
-    increment 0.  ``phi`` samples Phi on the grid of ``mu``, and the
-    residual is ``_beltrami_residual`` of them.
+    increment 0.  ``phi`` samples Phi on the grid of ``mu``: the series
+    on one half of it, and its mirror image Phi(-z) = -Phi(z) on the
+    other (``_grid_phi``).  The residual is ``_beltrami_residual`` of
+    them, taken on the same half.
     """
     if abs(mu.mu0) >= 1.0:
         raise ValueError(f"|mu0| = {abs(mu.mu0):g} >= 1: not quasi-conformal")
     modes, increments = _radial_modes(mu)
-    X, Y = mu.meshgrid()
-    phi = _phi(mu, modes, X + 1j * Y)
+    phi = _grid_phi(mu, modes)
     return QCMap(phi=phi, mu=mu, residual=_beltrami_residual(phi, mu),
                  iterations=len(increments), increments=increments,
                  modes=modes)

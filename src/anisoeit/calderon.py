@@ -306,6 +306,17 @@ def on_unit_disk(dn: DNMatrix) -> DNMatrix:
     return dn
 
 
+def _median(values: np.ndarray) -> float:
+    """The mean of the two middle sorted values of an even-length sample,
+    as ``np.median`` gives it, and NaN when any value is NaN; it leaves
+    ``numpy.ma``, which ``np.median`` imports for its NaN check, unloaded."""
+    s = np.sort(values)
+    if np.isnan(s[-1]):    # np.sort places NaN last
+        return float("nan")
+    k = len(s) // 2
+    return float(np.mean(s[k - 1:k + 1]))
+
+
 def reconstruct_field(dn: DNMatrix, flatten: Flattening, A0: np.ndarray,
                       R: float, lattice: int = 33, grid: int = 101,
                       config_sha256: str = "") -> ReconstructedField:
@@ -337,7 +348,7 @@ def reconstruct_field(dn: DNMatrix, flatten: Flattening, A0: np.ndarray,
     inside = np.hypot(pts[:, 0], pts[:, 1]) <= 1.0
     vals, imag = inverse_fourier(
         fh, flatten(np.concatenate([ring, pts[inside]])))
-    offset = 1.0 - float(np.median(vals[:BG_RING_SAMPLES]))
+    offset = 1.0 - _median(vals[:BG_RING_SAMPLES])
     a_flat = np.full(len(pts), np.nan)
     a_flat[inside] = vals[BG_RING_SAMPLES:] + offset
     a_grid = a_flat.reshape(grid, grid)

@@ -389,12 +389,84 @@ def test_evaluate_identity(identity_qcmap):
     assert np.abs(out - pts).max() < 1e-12
 
 
-def test_evaluate_grid_nodes_exact(maps):
-    # the grid samples are the series evaluated at the grid nodes
-    for name, qc in maps.items():
+def test_evaluate_grid_nodes_exact(maps, identity_qcmap):
+    # the grid samples are the series evaluated at the grid nodes, byte for
+    # byte: np.array_equal would pass a mirrored -0.0 for the series' +0.0
+    for name, qc in {**maps, "identity": identity_qcmap}.items():
         X, Y = qc.mu.meshgrid()
         out = qc(np.stack([X.ravel(), Y.ravel()], axis=1))
-        assert np.array_equal(out[:, 0] + 1j * out[:, 1], qc.phi.ravel()), name
+        grid = np.stack([qc.phi.real.ravel(), qc.phi.imag.ravel()], axis=1)
+        assert out.tobytes() == grid.tobytes(), name
+
+
+def _odd_bit_for_bit(a, b):
+    # a == -b in every bit, except that a zero may carry either sign
+    a, b = (np.ascontiguousarray(v).view(float) for v in (a, b))
+    same = a.view(np.int64) == (-b).view(np.int64)
+    return bool((same | ((a == 0) & (b == 0))).all())
+
+
+def test_series_is_odd_bit_for_bit(maps, identity_qcmap):
+    # Phi(-z) = -Phi(z) exactly, at points anywhere in the plane, so the
+    # mirrored half of the grid is the series there
+    for name, qc in {**maps, "identity": identity_qcmap}.items():
+        pts = _points_in_regions(qc.mu, seed=15)
+        assert _odd_bit_for_bit(qc(-pts), qc(pts)), name
+        inner = qc.phi[1:, 1:]
+        assert _odd_bit_for_bit(inner, inner[::-1, ::-1]), name
+
+
+def _full_half_grid_residual(phi, mu):
+    # sup |dbar Phi - mu d Phi| over the whole inner half-grid
+    q = mu.n // 4
+    inner = slice(q, -q)
+    fx = (phi[q + 1:-q + 1, inner] - phi[q - 1:-q - 1, inner]) / (2 * mu.spacing)
+    fy = (phi[inner, q + 1:-q + 1] - phi[inner, q - 1:-q - 1]) / (2 * mu.spacing)
+    x = mu.axis()[inner]
+    mu_in = mu.mu0 * mu.ramp(np.hypot(x[:, None], x[None, :]))
+    return float(np.abs(0.5 * (fx + 1j * fy) - mu_in * 0.5 * (fx - 1j * fy)).max())
+
+
+def test_residual_on_half_grid_matches_full_half_grid(maps, identity_qcmap):
+    for name, qc in {**maps, "identity": identity_qcmap}.items():
+        assert qc.residual == _full_half_grid_residual(qc.phi, qc.mu), name
+    # odd fields whose residual peaks on the first row, or the first
+    # column, of the inner half-grid, which have no mirror inside it
+    qc = maps["general"]
+    n, q = qc.mu.n, qc.mu.n // 4
+    for i, j in ((q - 1, n // 2 + 7), (n // 2 - 7, q - 1)):
+        phi = qc.phi.copy()
+        phi[i, j] += 1.0
+        phi[n - i, n - j] -= 1.0
+        res = beltrami._beltrami_residual(phi, qc.mu)
+        assert res == _full_half_grid_residual(phi, qc.mu) > 1.0, (i, j)
+
+
+def test_annulus_rule_built_once_and_read_only():
+    rule = beltrami._annulus_rule(beltrami._NODES)
+    assert rule is beltrami._annulus_rule(beltrami._NODES)
+    assert [a.shape for a in rule] == [
+        (beltrami._NODES,), (beltrami._NODES + 1, beltrami._NODES),
+        (beltrami._NODES, beltrami._NODES + 1)]
+    for a in rule:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("name", ["A3", "general"])
+def test_map_finite_at_far_points(maps, name):
+    # past |z| ~ 1.3e154 z^2 overflows; r^2 / z^2 is then far below the
+    # rounding of the sums, so Phi = z and its Jacobian is I
+    qc = maps[name]
+    pts = np.array([[1e155, 1e155], [-1e300, 1e300], [1e200, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, J = qc(pts), qc.jacobian(pts)
+    assert np.isfinite(out).all()
+    size = np.abs(pts).max(axis=1, keepdims=True)
+    assert (np.abs(out - pts) <= np.finfo(float).eps * size).all()
+    assert np.array_equal(J, np.broadcast_to(np.eye(2), J.shape))
 
 
 def test_evaluation_by_distinct_radius_keeps_each_point(maps):

@@ -11,7 +11,7 @@ from anisoeit import (affine_map, cgo_traces, bilinear_form, fhat_grid,
                       save_field, load_field,
                       trig_current_patterns, place_electrodes)
 from anisoeit.calderon import (BG_RING_RADIUS, BG_RING_SAMPLES, FhatGrid,
-                               lattice_traces, masked_lattice)
+                               _median, lattice_traces, masked_lattice)
 from anisoeit.forward import DNMatrix
 
 IDENTITY = affine_map(np.eye(2))
@@ -449,6 +449,23 @@ def test_reconstruct_field_composes_with_map(dn_identity16):
     pts = np.stack([GX[field.mask], GY[field.mask]], axis=1)
     want = inverse_fourier(fh, shrink(pts))[0] + offset
     assert np.abs(field.a[field.mask] - want).max() <= 1e-12
+
+
+def test_ring_median_is_numpy_median_bit_for_bit():
+    # heavy-tailed ring samples over many scales, with ties and infinities
+    rng = np.random.default_rng(14)
+    for k in range(300):
+        v = rng.standard_cauchy(BG_RING_SAMPLES) * 10.0 ** rng.integers(-12, 12)
+        if k % 3 == 0:
+            v[rng.integers(0, len(v), 20)] = v[0]
+        if k % 5 == 0:
+            v[rng.integers(0, len(v), 3)] = rng.choice([np.inf, -np.inf], 3)
+        assert np.float64(_median(v)).tobytes() == \
+            np.float64(np.median(v)).tobytes(), v
+    for where in (0, 31, 32, BG_RING_SAMPLES - 1):
+        v = np.linspace(0.0, 1.0, BG_RING_SAMPLES)
+        v[where] = np.nan
+        assert np.isnan(_median(v)) and np.isnan(np.median(v))
 
 
 # ---------------------------------------------------------------------------

@@ -578,7 +578,7 @@ def test_pipeline_commands_skip_sparse_and_mesh_stack(workdir):
     # modules: the mesher is closed-form, the forward solve is a dense
     # front Cholesky (scipy.linalg only) and the Beltrami series is summed
     # mode by mode in closed form; the commands after simulate load no
-    # scipy module and no numpy.fft at all
+    # scipy module and neither numpy.fft nor numpy.ma at all
     write_config(workdir / "cfg.json", phantom="A3", target_h=0.2, L=8,
                  lattice=9, output_grid=21)
     env = _env_with_package()
@@ -591,9 +591,9 @@ def test_pipeline_commands_skip_sparse_and_mesh_stack(workdir):
         code, modules = json.loads(run.stdout.splitlines()[-1])
         assert code == 0, (argv, run.stderr)
         heavy = [m for m in modules
-                 if m.split(".")[0] == "scipy" or m == "numpy.fft"]
+                 if m.split(".")[0] == "scipy" or m in ("numpy.fft", "numpy.ma")]
         if argv[0] == "simulate":
-            # scipy.linalg imports numpy.fft itself
+            # scipy.linalg imports numpy.fft and numpy.ma itself
             heavy = [m for m in heavy if m.startswith(
                 ("scipy.fft", "scipy.sparse", "scipy.spatial",
                  "scipy.interpolate"))]
