@@ -104,19 +104,12 @@ class MuGrid:
     def axis(self) -> np.ndarray:
         return -self.s + self.spacing * np.arange(self.n)
 
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray]:
-        x = self.axis()
-        return np.meshgrid(x, x, indexing="ij")
-
     def ramp(self, radius: np.ndarray) -> np.ndarray:
-        """rho at the given radii."""
-        t = np.clip((radius - (self.r - self.blend)) / self.blend, 0.0, 1.0)
+        """rho at the given radii.  The offset into the annulus is clipped
+        before it is scaled, so no finite radius overflows."""
+        t = np.clip(radius - (self.r - self.blend), 0.0, self.blend)
+        t = t / self.blend
         return 1.0 - (3.0 * t * t - 2.0 * t ** 3)
-
-    @property
-    def mu(self) -> np.ndarray:
-        """(n, n) complex samples of mu on the grid, axis 0 = x, axis 1 = y."""
-        return self.mu0 * self.ramp(np.hypot(*self.meshgrid()))
 
 
 def extend_mu(A0: np.ndarray) -> MuGrid:

@@ -14,34 +14,39 @@ pattern I is
 where B = K + Kz is the conductivity stiffness plus the electrode mass
 terms, and Wz[l, k] is the integral of the basis function phi_k over
 electrode e_l divided by its contact impedance z_l.  B is symmetric
-positive definite (Kz is positive on constants).  ``build_disk_mesh``
-numbers the nodes by nested dissection, with the electrode-arc nodes
-last as the indices t = [k, N), and keeps the dissection tree as the
-mesh's fronts (``mesh.FrontTree``).  Eliminating u leaves the electrode
-Schur complement
+positive definite (Kz is positive on constants).
 
-    S = diag(|e_l| / z_l) - Wz B^-1 Wz^T,
+The solver writes the node unknowns on each electrode's arc as contact
+drops: u = x + E' U, with E' the N x L incidence of the arc nodes on the
+electrodes, so x is u off the arcs and u - U_l on arc l.  With
+Wz^T = Kz E' and E'^T Kz E' = diag(|e_l| / z_l), the contact energy is
+x^T Kz x, and the system becomes
+
+    [[B, C], [C^T, D]] (x, U) = (0, I),    C = K E',  D = E'^T K E':
+
+the voltages meet only the stiffness, through K's columns summed over
+each arc.  Eliminating x leaves the electrode matrix
+
+    S = D - C^T B^-1 C,
 
 an L x L symmetric positive semidefinite matrix whose null space is the
-constants.  The multifrontal Cholesky (Duff & Reid 1983) eliminates the
-nodes before t without forming B.  Each front gathers its element
-matrix entries and its children's update matrices into a dense matrix.
-It factors the block of its own nodes, F_11 = L_11 L_11^T, solves
-L_21 = F_21 L_11^-T and passes F_22 - L_21 L_21^T on to its parent.
-The last front ends up with Q, the stiffness part of the Schur
-complement of B onto t, and C = Q + Kz_tt is the whole Schur complement.
-Wz is zero outside the columns t.  With E the incidence of the electrode
-nodes on the electrodes, W_t = Wz[:, t]^T = Kz_tt E and
-diag(|e_l| / z_l) = E^T Kz_tt E, so
+constants, equal to diag(|e_l| / z_l) - Wz B^-1 Wz^T of the first form.
+No term of it grows as 1/z, so S keeps its accuracy as z -> 0.  As z
+grows, S falls as 1/z while D and C^T B^-1 C stay of order 1, so S
+loses about log10(z) digits to the cancellation.
 
-    S = diag(|e_l| / z_l) - W_t^T C^-1 W_t = W_t^T X,    X = C^-1 Q E.
-
-X takes two dense triangular solves of order N - k on the Cholesky
-factor L_c of C (80 at L=16, h=0.05; 512 at L=128, h=0.012).  W_t^T X
-sums only the few non-zeros of each column of W_t.  It does not cancel
-against diag(|e_l| / z_l), which grows as 1/z.  Against a long-double
-reference at L=128, h=0.012, z=2.5e-4 it is accurate to 2.6e-15 of
-max|S|, against 3.5e-14 for diag(ez) - W_t^T C^-1 W_t.
+``build_disk_mesh`` numbers every node by nested dissection and keeps
+the dissection tree, with the L voltages as its last front, as the
+mesh's fronts (``mesh.FrontTree``).  The multifrontal Cholesky (Duff &
+Reid 1983) eliminates the nodes without forming B.  Each front gathers
+its element and contact-mass entries and its children's update matrices
+into a dense matrix.  It factors the block of its own nodes,
+F_11 = L_11 L_11^T, solves L_21 = F_21 L_11^-T and passes
+F_22 - L_21 L_21^T on to its parent.  The last front, whose matrix then
+is S, is read and not factored (80 arc nodes became 16 voltages at
+L=16, h=0.05, and 512 became 128 at L=128, h=0.012).  At L=128,
+h=0.012 the factor takes 2.73e8 flops against 4.41e8 with the arc nodes
+as the last front, and S agrees with that form's to 5.1e-15 of max|S|.
 
 Writing U = G beta in the ground basis G = [1; -I] (L x (L-1)), whose
 columns sum to zero, every pattern is one dense solve
@@ -60,7 +65,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .atomic import write_json
-from .mesh import ElectrodeLayout, FrontTree, Mesh, boundary_edge_electrodes
+from .mesh import (ElectrodeLayout, FrontTree, Mesh, arc_electrodes,
+                   boundary_edge_electrodes)
 
 # a conductivity: points (N, 2) -> symmetric positive-definite tensors (N, 2, 2)
 Conductivity = Callable[[np.ndarray], np.ndarray]
@@ -112,8 +118,9 @@ def _residuals(AX: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _front_matrix(tree: FrontTree, f: int, vals: np.ndarray) -> np.ndarray:
-    """Front f's dense matrix of element entries, lower triangle filled;
-    ``vals`` holds the element matrix entries ordered as ``elem_src``."""
+    """Front f's dense matrix of the system's entries, lower triangle
+    filled; ``vals`` holds the element matrix and contact mass entries
+    ordered as ``elem_src``."""
     n = tree.index[f].size
     lo, hi = tree.elem_ptr[f], tree.elem_ptr[f + 1]
     return np.bincount(tree.elem_dst[lo:hi], vals[lo:hi],
@@ -122,33 +129,31 @@ def _front_matrix(tree: FrontTree, f: int, vals: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FrontFactor:
-    """Cholesky factor B = L L^T, held as each front's columns of L.
+    """The eliminated CEM system: B = L L^T on the mesh nodes, and S.
 
-    ``blocks[f]`` is (L_11, L_21): the rows of front f's own nodes and of
-    its boundary.  The last front's L_11 is L_c, the factor of the Schur
-    complement C = Q + Kz_tt onto the electrode nodes, and ``q`` is Q,
-    the part of C that comes from the stiffness K (symmetric, Q 1 = 0).
-    ``nnz`` counts the stored entries of L.
+    ``blocks[f]`` is (L_11, L_21) for each front f below the last: the
+    rows of front f's own nodes and of its boundary.  The rows of the
+    boundary's voltages make up L_Ux = C^T L^-T.  ``s`` is the last
+    front's matrix, the L x L electrode matrix S.  ``nnz`` counts the
+    stored entries of L and of S's lower triangle.
     """
 
     tree: FrontTree
     blocks: list
-    q: np.ndarray
+    s: np.ndarray
     nnz: int
 
-    def solve(self, rt: np.ndarray) -> np.ndarray:
-        """x = B^-1 r for the r that is ``rt`` on [k, N) and zero before.
+    def solve(self, c: np.ndarray) -> np.ndarray:
+        """[x; c] for the node values x = -B^-1 C c at the voltages c.
 
-        The forward substitution leaves such an r zero before k and
-        ``rt`` unchanged, so x_t = L_c^-T L_c^-1 rt, and the backward one
-        runs through the fronts in reverse order.
+        L^T x = -L_Ux^T c, so a front's own x follows from the x and the c
+        of its boundary, in one backward pass through the fronts.
         """
         import scipy.linalg
         t, trsv = self.tree, scipy.linalg.blas.dtrsv
         x = np.empty(t.start[-1])
-        Lc = self.blocks[-1][0]
-        x[t.start[-2]:] = trsv(Lc, trsv(Lc, rt, lower=1), lower=1, trans=1)
-        for f in range(len(self.blocks) - 2, -1, -1):
+        x[t.start[-2]:] = c
+        for f in range(len(self.blocks) - 1, -1, -1):
             L11, L21 = self.blocks[f]
             m = L11.shape[0]
             x[t.start[f]:t.start[f + 1]] = trsv(
@@ -156,16 +161,15 @@ class FrontFactor:
         return x
 
 
-def _factor_fronts(tree: FrontTree, ke: np.ndarray,
-                   kz: np.ndarray) -> FrontFactor:
-    """Multifrontal Cholesky of B from the element matrices ``ke`` and the
-    electrode mass block ``kz`` on [k, N), front by front in post-order.
-    Raises RuntimeError naming the node whose pivot is not positive."""
+def _factor_fronts(tree: FrontTree, vals: np.ndarray) -> FrontFactor:
+    """Multifrontal elimination of the mesh nodes from the entries
+    ``vals`` (element matrices, then contact masses), front by front in
+    post-order; the last front's matrix is S.  Raises RuntimeError naming
+    the node whose pivot is not positive."""
     import scipy.linalg
     potrf = scipy.linalg.lapack.dpotrf
     trsm, syrk = scipy.linalg.blas.dtrsm, scipy.linalg.blas.dsyrk
-    vals = ke.ravel()[tree.elem_src]
-    last = len(tree.index) - 1
+    vals = vals[tree.elem_src]
     updates = [[] for _ in tree.index]
     blocks, nnz = [], 0
     for f, idx in enumerate(tree.index):
@@ -177,123 +181,101 @@ def _factor_fronts(tree: FrontTree, ke: np.ndarray,
                       .ravel(), U.ravel(order="F"))
         updates[f] = None
         m = int(tree.start[f + 1] - tree.start[f])
-        if f == last:
-            q = np.tril(F) + np.tril(F, -1).T
-            F = q + kz
+        nnz += m * (m + 1) // 2 + (idx.size - m) * m
+        if f == len(tree.index) - 1:
+            return FrontFactor(tree=tree, blocks=blocks,
+                               s=np.tril(F) + np.tril(F, -1).T, nnz=nnz)
         L11, info = potrf(F[:m, :m], lower=1)
         if info:
             raise RuntimeError(f"node block is not positive definite: the "
                                f"front Cholesky fails at node "
                                f"{tree.start[f] + info - 1}")
-        L21 = F[m:, :m]
-        if f < last:           # fronts below the last one have a boundary
-            L21 = trsm(1.0, L11, L21, side=1, lower=1, trans_a=1)
-            updates[tree.parent[f]].append(
-                (tree.extend[f], syrk(-1.0, L21, beta=1.0, c=F[m:, m:],
-                                      lower=1)))
+        L21 = trsm(1.0, L11, F[m:, :m], side=1, lower=1, trans_a=1)
+        updates[tree.parent[f]].append(
+            (tree.extend[f], syrk(-1.0, L21, beta=1.0, c=F[m:, m:], lower=1)))
         blocks.append((L11, L21))
-        nnz += m * (m + 1) // 2 + L21.size
-    return FrontFactor(tree=tree, blocks=blocks, q=q, nnz=nnz)
 
 
 @dataclass
 class CEMSystem:
-    """Assembled CEM system, ready to factor and condense to the electrodes.
+    """Assembled CEM system, ready to eliminate onto the electrodes.
 
-    ``ke`` holds the (M, 3, 3) element stiffness matrices, ``arc`` the
-    electrode nodes in increasing order, ``kz`` the electrode mass terms
-    and ``wt`` the coupling W_t = Wz[:, arc]^T, both in the order of
-    ``arc``, and ``ez`` the electrode lengths over the contact
-    impedances.
+    ``ke`` holds the (M, 3, 3) element stiffness matrices, ``contact``
+    the electrode of each boundary edge (-1 in a gap) and ``kz`` the
+    (E, 2, 2) contact masses of the E electrode edges, in boundary order.
     """
 
     mesh: Mesh
     layout: ElectrodeLayout
     ke: np.ndarray                   # (M, 3, 3)
-    arc: np.ndarray                  # (N - k,) int
-    kz: np.ndarray                   # (N - k, N - k), symmetric
-    wt: np.ndarray                   # (N - k, L)
-    ez: np.ndarray                   # (L,) |e_l| / z_l
+    contact: np.ndarray              # (Nb,) int
+    kz: np.ndarray                   # (E, 2, 2)
     _factor: Optional[FrontFactor] = None
     _electrode: Optional[np.ndarray] = None
 
     def factor(self) -> FrontFactor:
-        """Cached multifrontal Cholesky factor of B on the mesh's fronts.
+        """Cached multifrontal factor of the system on the mesh's fronts.
 
-        The mesh must number its electrode nodes last, as [k, N), and its
-        front tree must end with them; a ValueError otherwise.
+        The mesh's front tree must end with the L electrode voltages and
+        must have been built for this layout's electrode edges; a
+        ValueError otherwise.
         """
         if self._factor is None:
-            N = self.mesh.n_nodes
-            k = N - self.arc.size
-            if self.arc[0] != k:
-                raise ValueError(f"mesh does not number its {N - k} electrode "
-                                 f"nodes last: node {self.arc[0]} lies on an "
-                                 f"electrode, below {k}")
-            tree = self.mesh.fronts
-            if tree is None or tree.start[-2] != k or tree.start[-1] != N:
-                raise ValueError(f"mesh has no front tree that ends with its "
-                                 f"electrode nodes [{k}, {N})")
-            self._factor = _factor_fronts(tree, self.ke, self.kz)
+            tree, N, L = self.mesh.fronts, self.mesh.n_nodes, self.layout.L
+            if tree is None or tree.start[-2] != N or tree.start[-1] != N + L:
+                raise ValueError(f"mesh has no front tree that ends with the "
+                                 f"{L} electrode voltages [{N}, {N + L})")
+            if not np.array_equal(tree.contact, self.contact):
+                raise ValueError("mesh's front tree was built for other "
+                                 "electrode edges")
+            self._factor = _factor_fronts(tree, np.concatenate(
+                [self.ke.ravel(), self.kz.ravel()]))
         return self._factor
 
     def electrode_matrix(self) -> np.ndarray:
-        """Cached L x L Schur complement S = W_t^T X, X = C^-1 Q E.
+        """Cached L x L electrode matrix S, the last front of the factor.
 
-        X is one dense forward and one dense backward triangular solve on
-        L_c (see the module docstring).  At L=8, h=0.2 and z=3e-5 this
-        form brings |S 1| from 1.2e-12 to 4e-15 of max|S|, against
-        diag(ez) - W_t^T C^-1 W_t.  Three checks certify S, each raising
-        with the failing quantity named:
-        (a) both triangular residuals of every electrode column on L_c
-            are within 1e-10 of their right-hand sides;
-        (c) for the fixed probe c = 1 + l/L, the node solve x = B^-1 Wz^T c
-            through the stored fronts meets the 1e-10 relative residual
-            bound on B, applied element by element, and S c matches
-            ez*c - Wz x within 1e-10 of max|ez*c|: this covers every
-            front of the factor, which all columns share, and as c has no
-            zero entry a fault in any one column of S moves S c;
-        (d) |S 1| <= 1e-12 max|S|, since Q 1 = 0 exactly.
+        Two checks certify S, each raising with the failing quantity
+        named:
+        (c) for the fixed probe voltages c = 1 + l/L, the node solve
+            x = -B^-1 C c through the stored fronts meets the 1e-10
+            relative residual bound on B x + C c, applied element by
+            element, and S c matches the electrode currents
+            E'^T K (x + E' c) within 1e-10 of max|E'^T K E' c|: this
+            covers every front of the factor, and as c has no zero entry
+            a fault in any one column of S moves S c;
+        (d) |S 1| <= 1e-12 max|S|, since the constants are S's null space.
+            |S 1| stays at a few eps max|D| while max|S| falls as 1/z, so
+            (d) fails at large z: at L=128, h=0.012 from z = 3.
         """
         if self._electrode is None:
-            import scipy.linalg
             fac = self.factor()
-            Lc, W = fac.blocks[-1][0], self.wt
-            # Q E: the sum of Q's columns on each electrode
-            n, L = W.shape
-            ex = W.argmax(axis=1)                # the electrode of each node
-            QE = np.bincount((np.arange(n)[:, None] * L + ex).ravel(),
-                             fac.q.ravel(), minlength=n * L).reshape(n, L)
-            Y = scipy.linalg.solve_triangular(Lc, QE, lower=True,
-                                              check_finite=False)
-            X = scipy.linalg.solve_triangular(Lc, Y, lower=True, trans="T",
-                                              check_finite=False)
-            trmm = scipy.linalg.blas.dtrmm
-            resid = np.maximum(_residuals(trmm(1.0, Lc, Y, lower=1), QE),
-                               _residuals(trmm(1.0, Lc, X, lower=1,
-                                               trans_a=1), Y))
-            if not (resid <= 1e-10).all():
-                j = int(np.argmin(resid <= 1e-10))
-                raise RuntimeError(
-                    f"triangular solve residual {resid[j]:.3e} of electrode "
-                    f"column {j} exceeds 1e-10")
-            S = W.T @ X
-
+            S, N, L = fac.s, self.mesh.n_nodes, self.layout.L
             c = 1.0 + np.arange(L) / L
-            r = W @ c
-            x = fac.solve(r)
+            ij = self.mesh.boundary_edges()[self.contact >= 0]
+            el = arc_electrodes(self.mesh.boundary_nodes, self.contact, N)
+            arc = np.flatnonzero(el >= 0)
+            ec = np.zeros(N)                    # E' c: c_l on arc l
+            ec[arc] = c[el[arc]]
+            x = fac.solve(c)[:N]
             tris = self.mesh.triangles
-            Bx = np.bincount(tris.ravel(),
-                             np.einsum("mij,mj->mi", self.ke, x[tris]).ravel(),
-                             minlength=x.size)
-            Bx[-r.size:] += self.kz @ x[-r.size:] - r
-            res = np.linalg.norm(Bx) / max(np.linalg.norm(r), 1e-300)
+
+            def stiffness(v, m):     # K v, element by element on triangles m
+                return np.bincount(tris[m].ravel(), np.einsum(
+                    "mij,mj->mi", self.ke[m], v[tris[m]]).ravel(),
+                    minlength=N)
+
+            Ku = stiffness(x + ec, slice(None))
+            Kc = stiffness(ec, (el[tris] >= 0).any(axis=1))
+            r = Ku + np.bincount(ij.ravel(), np.einsum(
+                "eij,ej->ei", self.kz, x[ij]).ravel(), minlength=N)
+            res = np.linalg.norm(r) / max(np.linalg.norm(Kc), 1e-300)
             if not res <= 1e-10:
                 raise RuntimeError(f"electrode probe: node solve residual "
                                    f"{res:.3e} exceeds 1e-10")
-            ezc = self.ez * c
-            dev = (np.abs(S @ c - (ezc - W.T @ x[-r.size:])).max()
-                   / np.abs(ezc).max())
+            Dc = np.bincount(el[arc], Kc[arc], minlength=L)
+            dev = (np.abs(S @ c - np.bincount(el[arc], Ku[arc], minlength=L))
+                   .max() / np.abs(Dc).max())
             if not dev <= 1e-10:
                 raise RuntimeError(f"electrode probe: S c deviates from the "
                                    f"node solve by {dev:.3e}, above 1e-10")
@@ -320,11 +302,15 @@ def element_stiffness(p: np.ndarray, A: np.ndarray) -> np.ndarray:
         bad = int(np.argmin(area2))
         raise ValueError(f"degenerate triangle {bad}: "
                          f"signed area {0.5 * area2[bad]:g}")
+    # grad phi_i = (b_i, c_i) / area2, so entry (i, j) is
+    # (b_i (A00 b_j + A01 c_j) + c_i (A10 b_j + A11 c_j)) / (2 area2)
     x, y = p[..., 0], p[..., 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    G = np.stack([b, c], axis=1) / area2[:, None, None]   # (M, 2, 3)
-    return 0.5 * area2[:, None, None] * (G.transpose(0, 2, 1) @ A @ G)
+    b = y[:, [1, 2, 0]] - y[:, [2, 0, 1]]
+    c = x[:, [2, 0, 1]] - x[:, [1, 2, 0]]
+    r0 = A[:, 0, 0, None] * b + A[:, 0, 1, None] * c
+    r1 = A[:, 1, 0, None] * b + A[:, 1, 1, None] * c
+    return ((0.5 / area2)[:, None, None]
+            * (b[:, :, None] * r0[:, None, :] + c[:, :, None] * r1[:, None, :]))
 
 
 def assemble_cem_system(mesh: Mesh, A: Conductivity,
@@ -342,27 +328,19 @@ def assemble_cem_system(mesh: Mesh, A: Conductivity,
     p = nodes[tris]                                    # (M, 3, 2)
     Ke = element_stiffness(p, A((p[:, 0] + p[:, 1] + p[:, 2]) / 3))
 
-    # electrode terms on the boundary edges (i, j) each electrode l covers
+    # contact masses s/(6 z) [[2, 1], [1, 2]] of the boundary edges that
+    # each electrode l covers
     z = layout.contact_impedances
-    owner = boundary_edge_electrodes(mesh, layout)
-    ij, l = mesh.boundary_edges()[owner >= 0], owner[owner >= 0]
+    contact = boundary_edge_electrodes(mesh, layout)
+    ij, l = mesh.boundary_edges()[contact >= 0], contact[contact >= 0]
     d = nodes[ij[:, 1]] - nodes[ij[:, 0]]
     s = np.sqrt(np.vecdot(d, d))                       # edge lengths |e|
-    m = s / 6 / z[l]                 # segment mass s/(6 z) [[2, 1], [1, 2]]
-    arc, at = np.unique(ij, return_inverse=True)       # at: (E, 2) positions
-    n = arc.size
-    kz = np.bincount((at[:, [0, 0, 1, 1]] * n + at[:, [0, 1, 0, 1]]).ravel(),
-                     np.stack([2 * m, m, m, 2 * m], axis=1).ravel(),
-                     minlength=n * n).reshape(n, n)
-    # W[l, k] = integral of phi_k over e_l, summed before dividing by z_l
-    wt = np.bincount((at * L + l[:, None]).ravel(), np.repeat(s / 2, 2),
-                     minlength=n * L).reshape(n, L) / z
-    arcs = np.bincount(l, weights=s, minlength=L)    # electrode lengths
-    if not (arcs > 0).all():
-        raise ValueError(f"electrode {int(np.argmin(arcs > 0))} covers no "
+    covered = np.bincount(l, minlength=L) > 0
+    if not covered.all():
+        raise ValueError(f"electrode {int(np.argmin(covered))} covers no "
                          f"boundary edge of the mesh")
-    return CEMSystem(mesh=mesh, layout=layout, ke=Ke, arc=arc, kz=kz, wt=wt,
-                     ez=arcs / z)
+    kz = (s / 6 / z[l])[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
+    return CEMSystem(mesh=mesh, layout=layout, ke=Ke, contact=contact, kz=kz)
 
 
 def solve_forward(system: CEMSystem, patterns: np.ndarray) -> np.ndarray:

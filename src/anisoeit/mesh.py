@@ -18,8 +18,9 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 # the nested dissection splits only parts of more than this many nodes,
 # and each part it leaves whole is one front: at L=128, h=0.012 the
-# numeric phase took 104 ms (64), 100 ms (128) and 137 ms (256) per
-# conductivity
+# factor with S and its probe took 60-93 ms (64), 59-88 ms (128) and
+# 87-122 ms (256) per conductivity (medians of 9 in each of three runs,
+# one BLAS thread, a shared 2-core host)
 FRONT_NODES = 128
 
 
@@ -95,33 +96,41 @@ def place_electrodes(L: int, coverage: float, z: float,
 
 @dataclass(frozen=True)
 class FrontTree:
-    """Multifrontal elimination of a mesh's node block in its node order.
+    """Multifrontal elimination of a mesh's CEM system in its node order.
 
-    Front f owns the nodes [start[f], start[f + 1]); the last front, F,
-    owns the electrode nodes [k, N).  The others are the separators and
-    the parts left whole (at most ``FRONT_NODES`` nodes) of the nested
-    dissection that numbered the nodes.  ``index[f]`` holds the nodes of
-    front f's dense matrix in increasing order: its own nodes, then its
-    boundary, the later nodes that its subtree is joined to by an edge.
-    Eliminating the own nodes leaves an update matrix on the boundary,
-    which ``extend[f]`` places in the matrix of ``parent[f]``.  Front F
-    takes the updates of the fronts under no separator; with its own
-    element entries they sum to the Schur complement onto [k, N).
+    The unknowns are the N mesh nodes, then the L electrode voltages
+    U_l = N + l.  On the electrode arcs the node unknowns are the drops
+    u - U_l across the contact layer, so each voltage is joined to the
+    nodes of every triangle that touches its arc.  Front f owns the
+    unknowns [start[f], start[f + 1]); the last front owns the L voltages,
+    and the others are the separators and the parts left whole (at most
+    ``FRONT_NODES`` nodes) of the nested dissection that numbered the
+    nodes.  ``index[f]`` holds the unknowns of front f's dense matrix in
+    increasing order: its own, then its boundary, the later unknowns that
+    its subtree is joined to.  Eliminating the own unknowns leaves an
+    update matrix on the boundary, which ``extend[f]`` places in the
+    matrix of ``parent[f]``.  The last front takes the updates of the
+    fronts under no separator; with its own entries they sum to the
+    Schur complement onto the voltages.
 
-    The gather maps place element matrix entries: entry ``elem_src[i]``
-    of the flattened (M, 3, 3) element matrices adds to entry
+    The gather maps place the system's entries: entry ``elem_src[i]`` of
+    the flattened (M, 3, 3) element matrices followed by the flattened
+    (E, 2, 2) contact masses of the E electrode edges (the boundary edges
+    with ``contact`` >= 0, in boundary order) adds to entry
     ``elem_dst[i]`` of the flattened matrix of the front that owns the
-    earlier of its two nodes, for the fronts in turn as ``elem_ptr``
+    earlier of its two unknowns, for the fronts in turn as ``elem_ptr``
     bounds them.  Only the lower triangle of each front is filled.
+    ``contact`` holds the electrode of each boundary edge, -1 in a gap.
     """
 
     start: np.ndarray        # (F + 2,)
-    parent: np.ndarray       # (F + 1,), -1 for front F
-    index: tuple             # F + 1 sorted node index arrays
+    parent: np.ndarray       # (F + 1,), -1 for the last front
+    index: tuple             # F + 1 sorted unknown index arrays
     extend: tuple            # F position arrays into the parent's index
-    elem_src: np.ndarray     # (6 M,) int
-    elem_dst: np.ndarray     # (6 M,) int
+    elem_src: np.ndarray     # int32, one per entry
+    elem_dst: np.ndarray     # int32, as elem_src
     elem_ptr: np.ndarray     # (F + 2,)
+    contact: np.ndarray      # (Nb,) int
 
 
 @dataclass(frozen=True)
@@ -130,12 +139,12 @@ class Mesh:
 
     ``boundary_nodes`` traverse the boundary circle counterclockwise; their
     angular positions strictly increase modulo 2*pi.  All triangles are
-    counterclockwise (positive signed area).  The forward solver factors
-    the node block in index order on the elimination tree ``fronts``, and
-    needs the electrode-arc nodes numbered last, as that tree's last
-    front; ``build_disk_mesh`` numbers them so and builds the tree.  A
-    mesh made otherwise has no fronts and can be validated and assembled,
-    but not factored.
+    counterclockwise (positive signed area).  The forward solver
+    eliminates the nodes in index order on the tree ``fronts``, whose last
+    front holds the electrode voltages; ``build_disk_mesh`` numbers the
+    nodes so and builds the tree for its electrode layout.  A mesh made
+    otherwise has no fronts and can be validated and assembled, but not
+    factored.
     """
 
     nodes: np.ndarray           # (N, 2)
@@ -199,13 +208,13 @@ def build_disk_mesh(radius: float, target_h: float,
     the mesh is its own image under x -> -x and y -> -y, and so are the
     data of conductivities that are.
 
-    The nodes are numbered for elimination: the nodes off the electrode
-    arcs in nested-dissection order, then the electrode-arc nodes in
-    boundary order.  The dissection tree becomes the mesh's ``fronts``
-    (``FrontTree``): the parts of at most ``FRONT_NODES`` nodes that the
-    dissection leaves whole and the separators above them, then the
-    electrode-arc nodes, with the node sets and gather maps that the
-    forward solver's multifrontal Cholesky uses for every conductivity.
+    The nodes are numbered for elimination, all of them in
+    nested-dissection order.  The dissection tree becomes the mesh's
+    ``fronts`` (``FrontTree``): the parts of at most ``FRONT_NODES`` nodes
+    that the dissection leaves whole and the separators above them, then
+    the L electrode voltages of ``layout`` as the last front, with the
+    index sets and gather maps that the forward solver's multifrontal
+    elimination uses for every conductivity.
 
     Raises
     ------
@@ -287,34 +296,31 @@ def build_disk_mesh(radius: float, target_h: float,
                                  axis=1))
     triangles = np.concatenate(tris)
 
-    # number the nodes for elimination: a relabeling of the triangulation
-    # above, with the electrode-arc nodes last
+    # number the nodes for elimination (a relabeling of the triangulation
+    # above); the L electrode voltages come after them
     loop = np.arange(len(theta_b))               # the boundary nodes
-    on_arc = np.zeros(len(nodes), dtype=bool)
-    edge = np.flatnonzero(owners >= 0)
-    on_arc[edge] = on_arc[(edge + 1) % loop.size] = True
     # counterclockwise triangles hold an interior edge in both directions,
     # so keep it once, but a boundary edge in one only: add the loop
     pairs = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
     edges = np.concatenate([pairs[pairs[:, 0] < pairs[:, 1]],
                             np.stack([loop, np.roll(loop, -1)], axis=1)])
-    order, start, parent = _dissection_order(nodes, edges, on_arc)
+    order, start, parent = _dissection_order(nodes, edges)
     label = np.empty_like(order)
     label[order] = np.arange(order.size)
     triangles = label[triangles]
+    fronts = _front_tree(triangles, label[loop], owners, layout.L,
+                         np.r_[start, start[-1] + layout.L], np.r_[parent, -1])
     mesh = Mesh(nodes=nodes[order], triangles=triangles,
                 boundary_nodes=label[loop], radius=float(radius),
-                fronts=_front_tree(triangles, len(nodes), start, parent))
+                fronts=fronts)
     mesh.validate()
     return mesh
 
 
-def _dissection_order(nodes: np.ndarray, edges: np.ndarray,
-                      last: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray]:
-    """Elimination order of a planar graph and its fronts: the nodes
-    outside the mask ``last`` by nested dissection (George 1973), then
-    those in ``last`` in index order.
+def _dissection_order(nodes: np.ndarray, edges: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elimination order of a planar graph by nested dissection (George
+    1973), and its fronts.
 
     Recursive coordinate bisection: every part of more than
     ``FRONT_NODES`` nodes is split at its median along the longer side of
@@ -322,11 +328,11 @@ def _dissection_order(nodes: np.ndarray, edges: np.ndarray,
     (E, 2)) in the lower half form a one-sided vertex separator, numbered
     after both halves.  Each pass splits every part of one level of the
     tree at once.  The fronts are the parts left whole and the
-    separators, in post-order, then the nodes in ``last`` as front F; the
-    parent of a front is the separator of its nearest ancestor part that
-    has one, or F.  Returns the node indices in elimination order,
-    ``start`` ((F + 2,): front f owns positions [start[f], start[f + 1]))
-    and ``parent`` ((F + 1,), -1 for front F).
+    separators, in post-order; the parent of a front is the separator of
+    its nearest ancestor part that has one.  Returns the node indices in
+    elimination order, ``start`` ((F + 1,): front f owns positions
+    [start[f], start[f + 1])) and ``parent`` ((F,)), which is F, the
+    front after the last, for the top front.
     """
     n = len(nodes)
     depth = n.bit_length()            # halving n nodes this often leaves <= 1
@@ -338,8 +344,8 @@ def _dissection_order(nodes: np.ndarray, edges: np.ndarray,
     key = np.full(n, 3 ** depth - 1, dtype=np.int64)
     part = np.zeros(n, dtype=np.int64)         # children of q: 2q, 2q + 1
     side = np.empty(n, dtype=np.int8)
-    idx = np.flatnonzero(~last)
-    box = np.stack([nodes[idx].min(axis=0), nodes[idx].max(axis=0)])[None]
+    idx = np.arange(n)
+    box = np.stack([nodes.min(axis=0), nodes.max(axis=0)])[None]
     i, j = edges.T
     for d in range(depth):
         if not idx.size:
@@ -370,41 +376,71 @@ def _dissection_order(nodes: np.ndarray, edges: np.ndarray,
         s = side[idx].astype(np.int64)
         key[idx] -= (2 - s) * 3 ** (depth - 1 - d)
         part[idx] = 2 * part[idx] + s
-    key[last] = 3 ** depth
     order = np.argsort(key, kind="stable")
     # each distinct key is one front; its ancestors' separators have the
     # keys of its leading digits followed by 2s
-    keys = key[order[:n - int(last.sum())]]
+    keys = key[order]
     start = np.flatnonzero(np.diff(keys, prepend=-1))
     own = keys[start]
     nf = own.size
-    parent = np.r_[np.full(nf, nf), -1]
+    parent = np.full(nf, nf)
     for d in range(depth):            # from the root down: the nearest wins
         w = 3 ** (depth - d)
         up = own - own % w + (w - 1)
         at = np.minimum(np.searchsorted(own, up), nf - 1)
         hit = (own[at] == up) & (up != own)
-        parent[:nf][hit] = at[hit]
-    return order, np.r_[start, keys.size, n], parent
+        parent[hit] = at[hit]
+    return order, np.r_[start, n], parent
 
 
-def _front_tree(triangles: np.ndarray, n: int, start: np.ndarray,
+def _front_tree(triangles: np.ndarray, boundary: np.ndarray,
+                contact: np.ndarray, L: int, start: np.ndarray,
                 parent: np.ndarray) -> FrontTree:
     """Index sets and gather maps of the fronts ``start`` / ``parent``
-    (as ``_dissection_order`` gives them) for the edge graph of the
-    triangles on ``n`` nodes."""
+    (those of ``_dissection_order`` with the L electrode voltages as the
+    last front) for the CEM system of the triangles and of the boundary
+    loop ``boundary``, whose edge k lies on electrode ``contact[k]`` (-1
+    in a gap)."""
     nf = parent.size
+    n = int(start[-1])                 # the N nodes, then the L voltages
+    N = n - L
     owner = np.repeat(np.arange(nf, dtype=np.int32), np.diff(start))
     end = start[1:]
-    # element entries (r, c) with r >= c: the diagonal and one per edge,
-    # placed in the front that owns c.  They are counted in int32, which
+    # entries (r, c) with r >= c, placed in the front that owns c, and the
+    # element matrix entry each takes.  They are counted in int32, which
     # halves the memory traffic; (front, node) keys are int64.
+    # The node entries: the diagonal and one per edge.
     a, b = np.array([[0, 1, 2, 0, 1, 0], [0, 1, 2, 1, 2, 2]])
     ta = triangles[:, a].astype(np.int32)
     tb = triangles[:, b].astype(np.int32)
     r, c = np.maximum(ta, tb).ravel(), np.minimum(ta, tb).ravel()
     src = (np.where(ta >= tb, 3 * a + b, 3 * b + a).astype(np.int32)
            + 9 * np.arange(len(ta), dtype=np.int32)[:, None]).ravel()
+    # The voltage entries: a vertex a on electrode l adds U_l = N + l to
+    # the nodes of its triangle and row a of the element matrix to U_l's
+    # row: (U_l, x_b) for each vertex b, and (U_l, U_l') for each vertex b
+    # on an electrode l' <= l
+    tv = arc_electrodes(boundary, contact, N)[triangles]
+    m = np.flatnonzero((tv >= 0).any(axis=1))     # the triangles at an arc
+    k = (9 * m[:, None, None] + 3 * np.arange(3)[:, None]
+         + np.arange(3)).astype(np.int32)           # entry (a, b) of each
+    va = np.broadcast_to(tv[m][:, :, None], k.shape)
+    vb = np.broadcast_to(tv[m][:, None, :], k.shape)
+    ux = va >= 0
+    uu = ux & (vb >= 0) & (va >= vb)
+    xb = np.broadcast_to(triangles[m][:, None, :].astype(np.int32), k.shape)
+    # The contact masses: electrode edge e = (i, j) adds its (2, 2) matrix,
+    # which follows the 9 M element entries, to (i, i), (j, j) and to the
+    # lower of (i, j) and (j, i)
+    i, j = np.stack([boundary, np.roll(boundary, -1)]).astype(np.int32)[
+        :, contact >= 0]
+    e = 9 * len(triangles) + 4 * np.arange(i.size, dtype=np.int32)[:, None]
+    r = np.concatenate([r, N + va[ux], N + va[uu],
+                        np.stack([i, j, np.maximum(i, j)], axis=1).ravel()])
+    c = np.concatenate([c, xb[ux], N + vb[uu],
+                        np.stack([i, j, np.minimum(i, j)], axis=1).ravel()])
+    src = np.concatenate([src, k[ux], k[uu],
+                          (e + np.array([0, 3, 1], np.int32)).ravel()])
     f = owner[c]
     first = start[f].astype(np.int32)
     row = r - first
@@ -447,7 +483,19 @@ def _front_tree(triangles: np.ndarray, n: int, start: np.ndarray,
     o = np.argsort(f.astype(np.min_scalar_type(nf)), kind="stable")
     ptr = np.r_[0, np.cumsum(np.bincount(f, minlength=nf))]
     return FrontTree(start=start, parent=parent, index=index, extend=extend,
-                     elem_src=src[o], elem_dst=dst[o], elem_ptr=ptr)
+                     elem_src=src[o], elem_dst=dst[o], elem_ptr=ptr,
+                     contact=contact)
+
+
+def arc_electrodes(boundary: np.ndarray, contact: np.ndarray,
+                   n: int) -> np.ndarray:
+    """(n,) electrode of each node on an electrode's arc, -1 elsewhere,
+    for the boundary loop ``boundary`` whose edge k lies on electrode
+    ``contact[k]`` (-1 in a gap)."""
+    el = np.full(n, -1, dtype=np.int32)
+    on = contact >= 0
+    el[boundary[on]] = el[np.roll(boundary, -1)[on]] = contact[on]
+    return el
 
 
 def boundary_edge_electrodes(mesh: Mesh, layout: ElectrodeLayout) -> np.ndarray:

@@ -70,18 +70,29 @@ def test_mu_rejects_bad_input():
         beltrami_coefficient(np.diag([1.0, -1.0]))
 
 
+def _grid(mu):
+    """(X, Y) of the map grid's nodes, axis 0 = x, axis 1 = y."""
+    x = mu.axis()
+    return np.meshgrid(x, x, indexing="ij")
+
+
+def _mu_samples(mu):
+    """(n, n) samples of mu = mu0 rho(|z|) on the map grid."""
+    return mu.mu0 * mu.ramp(np.hypot(*_grid(mu)))
+
+
 # ---------------------------------------------------------------------------
 # coefficient extension
 
 
 def test_extend_mu_identity_zero():
     mu = extend_mu(np.eye(2))
-    assert not np.abs(mu.mu).any()
+    assert not np.abs(_mu_samples(mu)).any()
 
 
 def test_extend_mu_center_value():
     mu = extend_mu(np.diag([1.0, 4.0]))
-    center = mu.mu[mu.n // 2, mu.n // 2]
+    center = _mu_samples(mu)[mu.n // 2, mu.n // 2]
     assert center.real == pytest.approx(0.3333, abs=5e-5)
 
 
@@ -93,23 +104,38 @@ def test_extend_mu_ramp_midpoint():
     ax = mu.axis()
     j = int(round((x_target + mu.s) / mu.spacing))
     assert ax[j] == pytest.approx(x_target, abs=1e-12)
-    val = mu.mu[j, mu.n // 2]
+    val = _mu_samples(mu)[j, mu.n // 2]
     assert val == pytest.approx(mu.mu0 / 2.0, abs=1e-12)
-    assert np.abs(mu.mu[np.hypot(*mu.meshgrid()) >= mu.r]).max() == 0.0
+    outside = np.hypot(*_grid(mu)) >= mu.r
+    assert np.abs(_mu_samples(mu)[outside]).max() == 0.0
 
 
 def test_mu_grid_is_radial_by_construction():
-    # a MuGrid holds no samples, only mu0 on its fixed geometry: its grid
-    # mu is mu0 rho(|z|), with the one ramp that the radial solve reads on
-    # its nodes
+    # a MuGrid holds no samples, only mu0 on its fixed geometry; the one
+    # ramp rho is what the radial solve and the map's Jacobian read
     mu = extend_mu(GENERAL)
     assert [f.name for f in fields(MuGrid)] == ["mu0"]
-    X, Y = mu.meshgrid()
-    assert np.array_equal(mu.mu, mu.mu0 * mu.ramp(np.hypot(X, Y)))
-    x = mu.axis()
-    assert np.array_equal(mu.mu[:, mu.n // 2], mu.mu0 * mu.ramp(np.abs(x)))
+    assert not hasattr(mu, "mu") and not hasattr(mu, "meshgrid")
     assert mu.ramp(np.array([0.0, 1.5, 1.75, 2.0, 3.0])).tolist() == \
         [1.0, 1.0, 0.5, 0.0, 0.0]
+
+
+def test_ramp_clips_before_scaling():
+    # clipping the offset into the annulus before dividing by blend gives
+    # the unclipped quotient's value bit for bit wherever that is finite
+    mu = extend_mu(GENERAL)
+    rng = np.random.default_rng(26)
+    radius = np.concatenate([np.hypot(*_grid(mu)).ravel(),
+                             rng.uniform(0.0, 4.0, 10_000),
+                             10.0 ** rng.uniform(0.0, 307.0, 1_000)])
+    t = np.clip((radius - (mu.r - mu.blend)) / mu.blend, 0.0, 1.0)
+    ref = 1.0 - (3.0 * t * t - 2.0 * t ** 3)
+    assert mu.ramp(radius).tobytes() == ref.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mu.ramp(np.array([1.5e308, np.inf])).tolist() == [0.0, 0.0]
+        J = solve_beltrami(mu).jacobian(np.array([[1e308, 1e308]]))
+    assert np.array_equal(J, np.eye(2)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +201,7 @@ def _full_grid_solve(pad):
     # A4 on every other node of the 512 grid (the 256 grid over the same
     # square); returns Phi and the sup-norm increments
     mu = extend_mu(STOCK["A4"][1])
-    m = mu.mu[::2, ::2]
+    m = _mu_samples(mu)[::2, ::2]
     h = tmu = _full_grid_hilbert(m, mu.s, pad)
     increments = []
     for _ in range(200):
@@ -184,7 +210,7 @@ def _full_grid_solve(pad):
         h = h_next
         if increments[-1] <= 1e-10:
             break
-    X, Y = (g[::2, ::2] for g in mu.meshgrid())
+    X, Y = (g[::2, ::2] for g in _grid(mu))
     return X + 1j * Y + _full_grid_cauchy(m * (h + 1.0), mu.s), increments
 
 
@@ -238,7 +264,7 @@ def test_cauchy_dbar_identity():
 
 def test_solve_zero_mu_is_identity(identity_qcmap):
     qc = identity_qcmap
-    X, Y = qc.mu.meshgrid()
+    X, Y = _grid(qc.mu)
     assert np.abs(qc.phi - (X + 1j * Y)).max() == 0.0
     assert qc.iterations == 1 and list(qc.increments) == [0.0]
     pts = np.random.default_rng(2).uniform(-4, 4, size=(200, 2))
@@ -266,7 +292,7 @@ def test_solve_residuals_catalog(catalog_maps):
 
 def test_solve_increments_geometric(catalog_maps):
     for name, qc in catalog_maps.items():
-        sup = float(np.abs(qc.mu.mu).max())
+        sup = abs(qc.mu.mu0)
         inc = qc.increments
         ratios = inc[1:] / inc[:-1]
         assert ratios.max() <= sup + 0.05, f"{name}: ratio {ratios.max():.3f}"
@@ -304,7 +330,7 @@ def test_padding_converges_to_exact_affine_map():
     # 4); its first increment approaches the series' too
     mu = extend_mu(STOCK["A4"][1])
     qc = solve_beltrami(mu)
-    X, Y = mu.meshgrid()
+    X, Y = _grid(mu)
     Z = X + 1j * Y
     disk = np.abs(Z) <= 1.0
     assert np.abs(qc.phi - (Z + mu.mu0 * np.conj(Z)))[disk].max() <= 1e-13
@@ -393,7 +419,7 @@ def test_evaluate_grid_nodes_exact(maps, identity_qcmap):
     # the grid samples are the series evaluated at the grid nodes, byte for
     # byte: np.array_equal would pass a mirrored -0.0 for the series' +0.0
     for name, qc in {**maps, "identity": identity_qcmap}.items():
-        X, Y = qc.mu.meshgrid()
+        X, Y = _grid(qc.mu)
         out = qc(np.stack([X.ravel(), Y.ravel()], axis=1))
         grid = np.stack([qc.phi.real.ravel(), qc.phi.imag.ravel()], axis=1)
         assert out.tobytes() == grid.tobytes(), name
@@ -477,7 +503,7 @@ def test_evaluation_by_distinct_radius_keeps_each_point(maps):
     qc = maps["general"]
     mu = qc.mu
     rng = np.random.default_rng(12)
-    X, Y = mu.meshgrid()
+    X, Y = _grid(mu)
     radius = np.hypot(X, Y).ravel()
     ring = (radius >= mu.r - mu.blend) & (radius <= mu.r)
     chosen = rng.choice(np.unique(radius[ring]), 16, replace=False)
@@ -599,7 +625,7 @@ def test_pushforward_isotropizes_catalog(catalog_maps):
 def test_pushforward_jacobian_positive_on_grid(catalog_maps):
     for name, qc in catalog_maps.items():
         q = qc.mu.n // 8
-        X, Y = (g[q:-q, q:-q].ravel() for g in qc.mu.meshgrid())
+        X, Y = (g[q:-q, q:-q].ravel() for g in _grid(qc.mu))
         assert (np.linalg.det(qc.jacobian(np.stack([X, Y], axis=1))) > 0).all(), name
 
 

@@ -385,7 +385,7 @@ def test_indefinite_element_exit_3(workdir, capsys, monkeypatch):
 
 # what a failing check on the electrode matrix names, in its message
 _FORWARD_FAILURES = ("row sums", "node solve residual", "S c deviates",
-                     "triangular solve residual", "front Cholesky")
+                     "front Cholesky")
 
 
 @pytest.mark.parametrize("z", [1e-9, 1e-6, 1e-5, 3e-5, 1e-4, 0.1, 1.0, 10.0,
@@ -407,10 +407,11 @@ def test_contact_impedance_range(workdir, capsys, z):
 
 
 def test_failure_stderr_is_one_json_record(workdir):
-    # a contact impedance of 1e-300 overflows inside numpy; its warnings
-    # go into the error record, not onto stderr ahead of it
+    # a subnormal contact impedance overflows the contact masses s/(6 z)
+    # inside numpy; its warnings go into the error record, not onto
+    # stderr ahead of it
     write_config(workdir / "cfg.json", target_h=0.3, L=8,
-                 contact_impedance=1e-300)
+                 contact_impedance=1e-320)
     env = _env_with_package()
     run = subprocess.run(
         [sys.executable, "-m", "anisoeit.cli", "simulate", "--config",
@@ -420,6 +421,20 @@ def test_failure_stderr_is_one_json_record(workdir):
     assert record["error"] == "numerical"
     assert any(w.startswith("RuntimeWarning") for w in record["warnings"])
     assert not (workdir / "out" / "dn.json").exists()
+
+
+def test_vanishing_contact_impedance_reaches_its_limit(workdir, capsys):
+    # in contact-drop variables the contact masses grow as 1/z but never
+    # meet the voltages, so z = 1e-300 gives the z -> 0 limit, which
+    # z = 1e-9 is within 1e-7 of
+    dns = []
+    for z in (1e-300, 1e-9):
+        write_config(workdir / "cfg.json", target_h=0.3, L=8,
+                     contact_impedance=z)
+        capsys.readouterr()
+        assert main(["simulate", "--config", "cfg.json"]) == 0
+        dns.append(load_dn(workdir / "out" / "dn.json").dn)
+    assert np.abs(dns[0] - dns[1]).max() <= 1e-7 * np.abs(dns[1]).max()
 
 
 def test_nonfinite_fhat_exit_3(workdir, capsys):

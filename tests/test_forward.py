@@ -11,7 +11,7 @@ import scipy.sparse.linalg
 from anisoeit import (build_disk_mesh, place_electrodes, constant_tensor,
                       trig_current_patterns, assemble_cem_system,
                       solve_forward, simulate_voltages, dn_matrix,
-                      save_dn, load_dn, phantom_by_name)
+                      save_dn, load_dn, phantom_by_name, make_phantom)
 from anisoeit.forward import element_stiffness, VoltageData, _front_matrix
 from anisoeit.mesh import Mesh, boundary_edge_electrodes, _front_tree
 
@@ -119,22 +119,45 @@ def _oracle(mesh, A, layout):
     return K, (K + Kz).tocsc(), scipy.sparse.csr_matrix(w / z[:, None])
 
 
-def _wz(system):
-    """The system's dense L x N coupling Wz, zero off the electrode nodes."""
-    wz = np.zeros((system.layout.L, system.mesh.n_nodes))
-    wz[:, system.arc] = system.wt.T
-    return wz
+def _incidence(mesh, layout):
+    """Dense N x L incidence E' of the electrode-arc nodes on the
+    electrodes."""
+    return (_edge_integrals(mesh, layout)[0].T > 0).astype(float)
 
 
-def _bordered_matrix(system, B):
+def _bordered_matrix(mesh, A, layout):
     """The bordered (N + L - 1) CEM matrix
     [[B, -Wz^T G], [-G^T Wz, G^T diag(|e|/z) G]] in the ground basis
-    G = [1; -I], built densely from the oracle B and the system's Wz."""
-    L = system.layout.L
+    G = [1; -I], built densely from the oracle."""
+    L = layout.L
+    _, B, wz = _oracle(mesh, A, layout)
+    ez = _edge_integrals(mesh, layout)[1] / layout.contact_impedances
     G = np.vstack([np.ones((1, L - 1)), -np.eye(L - 1)])
-    C = -_wz(system).T @ G
+    C = -wz.toarray().T @ G
     return np.block([[B.toarray(), C],
-                     [C.T, G.T @ np.diag(system.ez) @ G]]), G
+                     [C.T, G.T @ np.diag(ez) @ G]]), G
+
+
+def _contact_drop_oracle(mesh, A, layout):
+    """The dense (N + L) CEM matrix in contact-drop variables,
+    [[B, C], [C^T, D]] with C = K E' and D = E'^T K E', and its Schur
+    complement D - C^T B^-1 C onto the voltages."""
+    K, B, _ = _oracle(mesh, A, layout)
+    E = _incidence(mesh, layout)
+    C = K @ E
+    D = E.T @ C
+    B = B.toarray()
+    S = D - C.T @ scipy.linalg.cho_solve(scipy.linalg.cho_factor(B), C)
+    return np.block([[B, C], [C.T, D]]), S
+
+
+def _contact_masses(system):
+    """The system's contact masses scattered into a dense N x N matrix."""
+    N = system.mesh.n_nodes
+    ij = system.mesh.boundary_edges()[system.contact >= 0]
+    kz = np.zeros((N, N))
+    np.add.at(kz, (ij[:, :, None], ij[:, None, :]), system.kz)
+    return kz
 
 
 def test_c_block_structure(mesh16, layout16):
@@ -144,12 +167,16 @@ def test_c_block_structure(mesh16, layout16):
     A = constant_tensor(np.eye(2))
     system = assemble_cem_system(mesh16, A, layout)
     N, L = mesh16.n_nodes, layout.L
-    w, _ = _edge_integrals(mesh16, layout)
-    wz = w / layout.contact_impedances[:, None]
-    assert system.wt.shape == (system.arc.size, L)
-    assert np.array_equal(system.arc, np.flatnonzero(w.any(axis=0)))
-    assert np.allclose(_wz(system), wz, rtol=1e-12, atol=0.0)
-    M, _ = _bordered_matrix(system, _oracle(mesh16, A, layout)[1])
+    K, B, wz = _oracle(mesh16, A, layout)
+    wz = wz.toarray()
+    assert np.array_equal(system.contact,
+                          boundary_edge_electrodes(mesh16, layout))
+    kz = _contact_masses(system)
+    assert np.allclose(kz, (B - K).toarray(), rtol=1e-12, atol=0.0)
+    # W_t = Kz E': the identity that frees the contact energy of U
+    E = _incidence(mesh16, layout)
+    assert np.abs(kz @ E - wz.T).max() <= 1e-12 * np.abs(wz).max()
+    M, _ = _bordered_matrix(mesh16, A, layout)
     # C[k, j] = -w_1[k] / z_1 + w_{j+1}[k] / z_{j+1}
     expected = -wz[0][:, None] + wz[1:].T
     assert np.allclose(M[:N, N:], expected, rtol=1e-12, atol=0.0)
@@ -164,16 +191,19 @@ def test_d_block_structure(mesh16, layout16):
     N, L = mesh16.n_nodes, layout.L
     _, arc = _edge_integrals(mesh16, layout)
     z = layout.contact_impedances
-    assert np.allclose(system.ez, arc / z, rtol=1e-12, atol=0.0)
-    M, _ = _bordered_matrix(system, _oracle(mesh16, A, layout)[1])
+    # E'^T Kz E' = diag(|e| / z)
+    E = _incidence(mesh16, layout)
+    assert np.allclose(E.T @ _contact_masses(system) @ E, np.diag(arc / z),
+                       rtol=1e-12, atol=1e-12 * (arc / z).max())
+    M, _ = _bordered_matrix(mesh16, A, layout)
     expected = arc[0] / z[0] * np.ones((L - 1, L - 1)) + np.diag(arc[1:] / z[1:])
     assert np.allclose(M[N:, N:], expected, rtol=1e-12)
 
 
-def _bordered_voltages(system, B, P):
+def _bordered_voltages(mesh, A, layout, P):
     """U from a dense solve of the bordered CEM system."""
-    N, L = system.mesh.n_nodes, system.layout.L
-    M, G = _bordered_matrix(system, B)
+    N, L = mesh.n_nodes, layout.L
+    M, G = _bordered_matrix(mesh, A, layout)
     rhs = np.zeros((N + L - 1, P.shape[1]))
     rhs[N:] = G.T @ P
     return G @ np.linalg.solve(M, rhs)[N:]
@@ -185,7 +215,7 @@ def test_condensed_solve_matches_bordered_system(mesh16, layout16, A0):
     system = assemble_cem_system(mesh16, A, layout16)
     T = trig_current_patterns(16).T
     U = solve_forward(system, T)
-    ref = _bordered_voltages(system, _oracle(mesh16, A, layout16)[1], T)
+    ref = _bordered_voltages(mesh16, A, layout16, T)
     assert np.abs(U - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -216,8 +246,23 @@ def test_electrode_matrix_matches_dense_oracle(mesh16, layout16, name):
     S = system.electrode_matrix()
     _, B, wz = _oracle(mesh16, A, layout)
     wz = wz.toarray()
-    ref = np.diag(system.ez) - wz @ np.linalg.solve(B.toarray(), wz.T)
+    ez = _edge_integrals(mesh16, layout)[1] / layout.contact_impedances
+    ref = np.diag(ez) - wz @ np.linalg.solve(B.toarray(), wz.T)
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("L, h", [(16, 0.05), (32, 0.05)])
+def test_electrode_matrix_matches_contact_drop_oracle(L, h):
+    # the same bordered system in contact-drop variables, eliminated
+    # densely: the factor's S agrees to rounding
+    layout = dataclasses.replace(place_electrodes(L, 0.5, 0.01),
+                                 contact_impedances=np.linspace(0.005, 0.04, L))
+    mesh = build_disk_mesh(1.0, h, layout)
+    for name in ("A1", "A4"):
+        A = phantom_by_name(name).tensor
+        S = assemble_cem_system(mesh, A, layout).electrode_matrix()
+        ref = _contact_drop_oracle(mesh, A, layout)[1]
+        assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max(), name
 
 
 @pytest.mark.parametrize("L, h", [(16, 0.05), (32, 0.05)])
@@ -225,31 +270,43 @@ def test_front_scatter_covers_each_entry_once(L, h):
     layout = place_electrodes(L, 0.5, 0.01)
     mesh = build_disk_mesh(1.0, h, layout)
     tree, N = mesh.fronts, mesh.n_nodes
-    # the lower-triangle slots that receive an element entry, over all fronts
+    n = N + L
+    # the lower-triangle slots that receive an entry, over all fronts
     slots = []
     for f, idx in enumerate(tree.index):
         dst = tree.elem_dst[tree.elem_ptr[f]:tree.elem_ptr[f + 1]]
         i, j = np.divmod(np.unique(dst), idx.size)
-        slots.append(idx[i] * N + idx[j])
+        slots.append(idx[i] * n + idx[j])
     slots = np.concatenate(slots)
+    # the nodes' edges and diagonal; each voltage with the nodes of the
+    # triangles at its arc, and with the voltages those triangles touch
     t = mesh.triangles
     e = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    want = np.unique(np.r_[e.max(axis=1) * N + e.min(axis=1),
-                           np.arange(N) * (N + 1)])
+    on = _incidence(mesh, layout)[t]             # (M, 3, L)
+    at = on.any(axis=(1, 2))
+    tu = np.where(on.any(axis=2), N + on.argmax(axis=2), -1)[at]
+    ux = [(u, x) for us, xs in zip(tu, t[at]) for u in us if u >= 0
+          for x in xs]
+    uu = [(max(u, v), min(u, v)) for us in tu for u in us for v in us
+          if u >= 0 and v >= 0]
+    want = np.unique(np.r_[e.max(axis=1) * n + e.min(axis=1),
+                           np.arange(N) * (n + 1),
+                           [u * n + x for u, x in ux + uu]])
     assert slots.size == want.size                     # no slot twice
     assert np.array_equal(np.sort(slots), want)
     for name in ("A1", "A2", "A3", "A4"):
         A = phantom_by_name(name).tensor
         system = assemble_cem_system(mesh, A, layout)
-        K = _oracle(mesh, A, layout)[0]
-        vals = system.ke.ravel()[tree.elem_src]
-        scale = np.abs(K).max()
+        M = _contact_drop_oracle(mesh, A, layout)[0]
+        vals = np.concatenate([system.ke.ravel(),
+                               system.kz.ravel()])[tree.elem_src]
+        scale = np.abs(_oracle(mesh, A, layout)[0]).max()   # max|K|
         for f, idx in enumerate(tree.index):
             F = _front_matrix(tree, f, vals)
             # every slot of the lower triangle, the entries that cancel to
-            # 0 in K among them; the boundary block takes no entries
+            # 0 in M among them; the boundary block takes no entries
             m = tree.start[f + 1] - tree.start[f]
-            ref = np.tril(K[idx][:, idx].toarray())
+            ref = np.tril(M[np.ix_(idx, idx)])
             ref[m:, m:] = 0.0
             assert np.abs(F - ref).max() <= 1e-15 * scale, (name, f)
 
@@ -262,20 +319,25 @@ def _relabeled(mesh, order):
                 boundary_nodes=label[mesh.boundary_nodes], radius=mesh.radius)
 
 
-def test_electrode_nodes_numbered_last(layout16):
+def test_root_front_has_order_L(layout16):
     mesh = build_disk_mesh(1.0, 0.05, layout16)
-    N = mesh.n_nodes
-    edges = mesh.boundary_edges()[boundary_edge_electrodes(mesh, layout16) >= 0]
-    arc = np.unique(edges)
-    assert np.array_equal(arc, np.arange(N - arc.size, N))     # 80 of 1,597
+    tree, N = mesh.fronts, mesh.n_nodes
+    assert np.array_equal(tree.index[-1], np.arange(N, N + 16))
+    assert tree.start[-1] - tree.start[-2] == 16 and tree.start[-2] == N
+    assert np.array_equal(tree.contact,
+                          boundary_edge_electrodes(mesh, layout16))
+    # the electrode-arc nodes are dissected with the others, not last
+    arc = np.flatnonzero(_incidence(mesh, layout16).any(axis=1))
+    assert arc.size == 80 and arc[0] < N - 1000
     # any order of the nodes within each front gives the same DN map
-    start, parent = mesh.fronts.start, mesh.fronts.parent
+    start, parent = tree.start, tree.parent
     rng = np.random.default_rng(15)
     order = np.concatenate([a + rng.permutation(b - a)
-                            for a, b in zip(start[:-1], start[1:])])
+                            for a, b in zip(start[:-2], start[1:-1])])
     moved = _relabeled(mesh, order)
     moved = dataclasses.replace(moved, fronts=_front_tree(
-        moved.triangles, N, start, parent))
+        moved.triangles, moved.boundary_nodes, tree.contact, 16, start,
+        parent))
     A = phantom_by_name("A4").tensor
     ref = dn_matrix(simulate_voltages(mesh, A, layout16)).dn
     dn = dn_matrix(simulate_voltages(moved, A, layout16)).dn
@@ -283,27 +345,44 @@ def test_electrode_nodes_numbered_last(layout16):
 
 
 def test_electrode_nodes_not_last_raises(mesh16, layout16):
+    # the nodes relabeled without their front tree: no node order is
+    # required, but the voltages need a tree, so it raises before factoring
     order = np.roll(np.arange(mesh16.n_nodes), 1)    # last node becomes 0
     system = assemble_cem_system(_relabeled(mesh16, order),
                                  constant_tensor(np.eye(2)), layout16)
-    with pytest.raises(ValueError, match="electrode nodes last"):
+    with pytest.raises(ValueError, match="front tree that ends with the "
+                       "16 electrode voltages"):
         system.electrode_matrix()
     assert system._factor is None                     # raised before factoring
 
 
 def test_front_tree_must_end_with_electrode_nodes(mesh16, layout16):
+    # the last front holds the L electrode voltages, not the arc nodes
     A = constant_tensor(np.eye(2))
     bare = dataclasses.replace(mesh16, fronts=None)
     t = mesh16.fronts
     start = t.start.copy()
-    start[-2] -= 1                    # the last front takes one more node
+    start[-2] -= 1                    # the last front takes one node
     short = dataclasses.replace(mesh16, fronts=dataclasses.replace(
         t, start=start))
-    for mesh in (bare, short):
-        system = assemble_cem_system(mesh, A, layout16)
-        with pytest.raises(ValueError, match="front tree that ends with its "
-                           "electrode nodes"):
+    for mesh, layout in ((bare, layout16), (short, layout16),
+                         (mesh16, place_electrodes(8, 0.25, 0.01))):
+        system = assemble_cem_system(mesh, A, layout)
+        with pytest.raises(ValueError, match="front tree that ends with the "
+                           f"{layout.L} electrode voltages"):
             system.electrode_matrix()
+        assert system._factor is None             # raised before factoring
+
+
+def test_front_tree_of_other_electrodes_raises(mesh16, layout16):
+    # the same electrode count on other arcs: the tree's voltage entries
+    # and contact masses would land on the wrong nodes
+    layout = place_electrodes(16, 0.3, 0.01)
+    system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout)
+    assert (system.contact >= 0).sum() < (mesh16.fronts.contact >= 0).sum()
+    with pytest.raises(ValueError, match="built for other electrode edges"):
+        system.electrode_matrix()
+    assert system._factor is None
 
 
 @pytest.fixture(scope="module")
@@ -319,8 +398,22 @@ def test_electrode_matrix_l128_matches_full_solve(mesh128):
     S = system.electrode_matrix()
     _, B, wz = _oracle(mesh, A, layout)
     lu = scipy.sparse.linalg.splu(B)
-    ref = np.diag(system.ez) - wz @ lu.solve(wz.T.toarray())
+    ez = _edge_integrals(mesh, layout)[1] / layout.contact_impedances
+    ref = np.diag(ez) - wz @ lu.solve(wz.T.toarray())
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("z", [1e-300, 1.0])
+def test_contact_impedance_range_l128(mesh128, z):
+    # at the acceptance mesh every stock phantom's S passes checks (c) and
+    # (d) for z from 1e-300 to 1; from z = 3, check (d) fails for A3 and
+    # A4: |S 1| stays at a few eps max|D|, while max|S| falls as 1/z
+    mesh, layout = mesh128
+    layout = dataclasses.replace(layout, contact_impedances=np.full(128, z))
+    for name in ("A1", "A2", "A3", "A4"):
+        S = assemble_cem_system(mesh, phantom_by_name(name).tensor,
+                                layout).electrode_matrix()
+        assert np.isfinite(S).all(), name
 
 
 @pytest.mark.parametrize("L", [16, 128])
@@ -338,25 +431,54 @@ def test_electrode_matrix_commutes_with_both_mirrors(L, mesh16, layout16,
             assert np.abs(S[np.ix_(P, P)] - S).max() <= 1e-12 * np.abs(S).max()
 
 
-@pytest.mark.parametrize("value", [1.0, np.nan])
-def test_node_solve_residual_names_electrode_column(mesh16, layout16, value,
-                                                    monkeypatch):
-    # a spoiled trailing dense solve fails check (a)
-    solve = scipy.linalg.solve_triangular
+@pytest.mark.parametrize("L", [16, 32])
+def test_dn_separates_odd_and_even_harmonics(L):
+    # a radial scalar times any constant A0 is invariant under z -> -z,
+    # as is the mesh; that maps electrode l to l + L/2, and pattern
+    # cos(k theta) or sin(k theta) to (-1)^k times itself, so the DN map
+    # couples no odd harmonic to an even one
+    layout = place_electrodes(L, 0.5, 0.01)
+    mesh = build_disk_mesh(1.0, 0.05, layout)
+    k = np.arange(1, L)
+    odd = np.where(k <= L // 2, k, k - L // 2) % 2 == 1
+    for ph in (phantom_by_name("A4"),
+               make_phantom(4.0, np.array([[2.0, 0.7], [0.7, 1.1]]))):
+        dn = dn_matrix(simulate_voltages(mesh, ph.tensor, layout)).dn
+        assert np.abs(dn[np.ix_(odd, ~odd)]).max() <= 1e-13 * np.abs(dn).max()
 
-    def spoiled(*args, **kwargs):
-        Y = solve(*args, **kwargs)
-        Y[:, 13] += value
-        return Y
 
-    monkeypatch.setattr(scipy.linalg, "solve_triangular", spoiled)
+@pytest.mark.parametrize("spoil", ["voltage row", "leaf front", "root"])
+def test_spoiled_factor_entry_fails_probe(mesh16, layout16, spoil):
     system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
-    with pytest.raises(RuntimeError, match="electrode column 13 "):
+    fac = system.factor()
+    N = mesh16.n_nodes
+    if spoil == "root":                      # an entry of S, both halves
+        fac.s[3, 5] *= 1.0 + 1e-6
+        fac.s[5, 3] = fac.s[3, 5]
+        match = "S c deviates from the node solve"
+    else:
+        # the last row of the first front whose boundary holds a voltage,
+        # or the first row of leaf front 0 whose node lies off the arcs
+        # (the contact drops on them are small)
+        index = mesh16.fronts.index
+        off = ~_incidence(mesh16, layout16).any(axis=1)
+        if spoil == "voltage row":
+            f = next(f for f, idx in enumerate(index) if idx[-1] >= N)
+        else:
+            f = 0
+        L21 = fac.blocks[f][1]
+        bnd = index[f][-L21.shape[0]:]
+        row = -1 if spoil == "voltage row" else np.flatnonzero(
+            off[np.minimum(bnd, N - 1)] & (bnd < N))[0]
+        assert (bnd[row] >= N) == (spoil == "voltage row")
+        L21[row, np.argmax(np.abs(L21[row]))] *= 1.0 + 1e-6
+        match = "node solve residual"
+    with pytest.raises(RuntimeError, match=f"electrode probe: {match}"):
         system.electrode_matrix()
 
 
 def test_perturbed_factor_diagonal_fails_probe(mesh16, layout16):
-    # a leaf front, the top separator and the electrode block
+    # a leaf front, the front below the top separator and the top separator
     for front in (0, -2, -1):
         system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)),
                                      layout16)
@@ -392,9 +514,10 @@ def test_forward_residual_names_pattern_column(mesh16, layout16):
 
 
 def _dense_factor(lu):
-    """The dense lower-triangular L held front by front in ``lu``."""
+    """The dense lower-triangular L, with the identity on the voltages,
+    held front by front in ``lu``."""
     t = lu.tree
-    L = np.zeros((t.start[-1], t.start[-1]))
+    L = np.eye(t.start[-1])
     for f, (L11, L21) in enumerate(lu.blocks):
         own = np.arange(t.start[f], t.start[f + 1])
         L[own[:, None], own] = np.tril(L11)
@@ -406,11 +529,18 @@ def test_system_symmetric_positive_definite(layout16):
     mesh = build_disk_mesh(1.0, 0.2, layout16)
     A = constant_tensor(np.eye(2))
     system = assemble_cem_system(mesh, A, layout16)
-    M = _oracle(mesh, A, layout16)[1].toarray()
+    M, S = _contact_drop_oracle(mesh, A, layout16)
+    N = mesh.n_nodes
     assert np.allclose(M, M.T, atol=1e-12)
-    assert np.linalg.eigvalsh(M)[0] > 0
-    L = _dense_factor(system.factor())
-    assert np.abs(L @ L.T - M).max() <= 1e-13 * np.abs(M).max()
+    assert np.linalg.eigvalsh(M[:N, :N])[0] > 0
+    # M = L diag(I, S) L^T, S the last front
+    fac = system.factor()
+    L = _dense_factor(fac)
+    D = np.zeros_like(M)
+    D[:N, :N] = np.eye(N)
+    D[N:, N:] = fac.s
+    assert np.abs(L @ D @ L.T - M).max() <= 1e-13 * np.abs(M).max()
+    assert np.abs(fac.s - S).max() <= 1e-13 * np.abs(S).max()
 
 
 def test_forward_needs_no_scipy_sparse(layout16, monkeypatch):

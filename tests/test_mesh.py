@@ -198,15 +198,12 @@ def test_front_tree_matches_its_subtrees(L, h):
     layout = place_electrodes(L, 0.5, 0.01)
     mesh = build_disk_mesh(1.0, h, layout)
     t, N = mesh.fronts, mesh.n_nodes
-    nf = t.parent.size
-    # post-order fronts own consecutive ranges; the last owns the arc nodes
-    arc = np.unique(mesh.boundary_edges()[
-        boundary_edge_electrodes(mesh, layout) >= 0])
-    assert t.start[0] == 0 and t.start[-1] == N
+    nf, n = t.parent.size, N + L
+    # post-order fronts own consecutive ranges; the last owns the voltages
+    assert t.start[0] == 0 and t.start[-2] == N and t.start[-1] == n
     assert (np.diff(t.start) > 0).all()
-    assert np.array_equal(np.arange(t.start[-2], N), arc)
     assert (t.parent[:-1] > np.arange(nf - 1)).all() and t.parent[-1] == -1
-    assert np.diff(t.start).max() <= max(FRONT_NODES, arc.size)
+    assert np.diff(t.start).max() <= max(FRONT_NODES, L)
     # the boundary of a front: the later nodes joined by an edge to its
     # subtree, found here from the edges and the parent links alone
     below = [{f} for f in range(nf)]
@@ -222,12 +219,20 @@ def test_front_tree_matches_its_subtrees(L, h):
         else:
             assert own[f] <= FRONT_NODES
     owner = np.repeat(np.arange(nf), own)
-    adj = [set() for _ in range(N)]
-    for a, b in mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2):
-        adj[a].add(b)
-        adj[b].add(a)
+    # the graph: the triangles' edges, and voltage U_l = N + l joined to
+    # every vertex of the triangles at arc l, which takes the others' U
+    adj = [set() for _ in range(n)]
+    el = {}
+    for (i, j), l in zip(mesh.boundary_edges(),
+                         boundary_edge_electrodes(mesh, layout)):
+        if l >= 0:
+            el[i] = el[j] = N + l
+    for tri in mesh.triangles:
+        vs = set(tri) | {el[v] for v in tri if v in el}
+        for a in vs:
+            adj[a] |= vs - {a}
     for f, idx in enumerate(t.index):
-        sub = [v for v in range(N) if owner[v] in below[f]]
+        sub = [v for v in range(n) if owner[v] in below[f]]
         later = sorted({w for v in sub for w in adj[v]
                         if w >= t.start[f + 1]})
         assert np.array_equal(idx, np.r_[t.start[f]:t.start[f + 1], later])
