@@ -26,8 +26,8 @@ print(f"\nphantom A1: contrast M={phantom.M}, background diag(1, 1.3)")
 
 # --- trigonometric current patterns and the forward solve
 patterns = trig_current_patterns(16)
-print(f"patterns: {patterns.T.shape[1]} columns, "
-      f"column sums <= {np.abs(patterns.T.sum(axis=0)).max():.1e}")
+print(f"patterns: {patterns.shape[1]} columns, "
+      f"column sums <= {np.abs(patterns.sum(axis=0)).max():.1e}")
 
 data = simulate_voltages(mesh, phantom.tensor, layout)   # each of these patterns
 print(f"voltages: {data.U.shape}, ground condition "

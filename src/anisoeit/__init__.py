@@ -3,7 +3,7 @@ flattening, and linearized Fourier reconstruction of the conductivity
 multiplier."""
 
 from .mesh import Mesh, ElectrodeLayout, build_disk_mesh, place_electrodes
-from .forward import (CurrentPatternSet, CEMSystem, VoltageData, DNMatrix,
+from .forward import (CEMSystem, VoltageData, DNMatrix,
                       trig_current_patterns, assemble_cem_system,
                       solve_forward, simulate_voltages, dn_matrix,
                       save_voltages, save_dn, load_dn)

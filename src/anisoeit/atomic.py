@@ -1,4 +1,4 @@
-"""Atomic file output: every writer in the package goes through here."""
+"""Atomic file output, and the checks of the JSON documents read back."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import contextlib
 import json
 import os
 from pathlib import Path
+
+import numpy as np
 
 
 @contextlib.contextmanager
@@ -35,3 +37,35 @@ def write_json(path, doc) -> None:
     with atomic_open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def read_json(path, fmt: str) -> dict:
+    """The JSON object of format ``fmt`` in ``path``; a ValueError if none."""
+    with open(path) as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ValueError(f"{path}: not a JSON object of format {fmt!r}")
+    return doc
+
+
+def count(doc: dict, name: str) -> int:
+    """Entry ``name`` of a loaded document as an int; a ValueError naming
+    it if it is not a finite integer (JSON reads 1e400 as infinity)."""
+    v = doc[name]
+    whole = isinstance(v, int) or isinstance(v, float) and v.is_integer()
+    if isinstance(v, bool) or not whole:
+        raise ValueError(f"{name} is {v!r}, not a finite integer")
+    return int(v)
+
+
+def float_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
+    """Entry ``name`` of a loaded document as a finite float array of
+    ``shape``; raises ValueError naming the entry otherwise."""
+    try:
+        a = np.asarray(doc[name], dtype=float)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape != shape or not np.isfinite(a).all():
+        raise ValueError(f"{name} is not a finite float array of shape "
+                         f"{shape}")
+    return a

@@ -28,15 +28,16 @@ function from (P, 2) points to (P, 2) points: the exact
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .atomic import atomic_open, write_json
-from .forward import DNMatrix, _float_array
+from .atomic import atomic_open, count, float_array, read_json, write_json
+
+if TYPE_CHECKING:
+    from . import forward
 
 # a flattening map: points (P, 2) -> their images (P, 2)
 Flattening = Callable[[np.ndarray], np.ndarray]
@@ -62,7 +63,7 @@ def cgo_traces(zs, points) -> tuple[np.ndarray, np.ndarray]:
     return phase * growth, phase / growth
 
 
-def bilinear_form(dn: DNMatrix, phi1: np.ndarray, phi2: np.ndarray):
+def bilinear_form(dn: forward.DNMatrix, phi1: np.ndarray, phi2: np.ndarray):
     """Data-side pairing approximating the boundary integral of
     phi1 * (boundary map applied to phi2), for one (L,) trace pair or P
     pairs of (L, P) traces sampled at the electrode centers.
@@ -88,7 +89,7 @@ def bilinear_form(dn: DNMatrix, phi1: np.ndarray, phi2: np.ndarray):
         raise ValueError(
             f"trace samples must have shape (L,) or (L, P) with L={dn.L}; "
             f"got {phi1.shape} and {phi2.shape}")
-    project = dn.patterns.normalized.T
+    project = dn.basis.T
     c1 = _real_times_complex(project, phi1.reshape(dn.L, -1))
     c2 = _real_times_complex(project, phi2.reshape(dn.L, -1))
     B = 0.5 * ((c1 * _real_times_complex(dn.dn, c2)).sum(axis=0)
@@ -162,8 +163,8 @@ class FhatGrid:
     config_sha256: str = ""
 
 
-def fhat_grid(dn: DNMatrix, flatten: Flattening, R: float, m: int = 33,
-              det_background: float = 1.0) -> FhatGrid:
+def fhat_grid(dn: forward.DNMatrix, flatten: Flattening, R: float,
+              m: int = 33, det_background: float = 1.0) -> FhatGrid:
     """Assemble Fhat on the masked lattice 0 < |z| <= R.
 
     The traces are the flattened-domain exponentials composed with the
@@ -296,7 +297,7 @@ class ReconstructedField:
     fhat: Optional[FhatGrid] = None   # spectrum the field was built from
 
 
-def on_unit_disk(dn: DNMatrix) -> DNMatrix:
+def on_unit_disk(dn: forward.DNMatrix) -> forward.DNMatrix:
     """``dn`` itself if its electrodes lie on the unit circle; a ValueError
     naming their radius otherwise, since the reconstruction grid and its
     calibration ring are fixed on the unit disk."""
@@ -317,9 +318,10 @@ def _median(values: np.ndarray) -> float:
     return float(np.mean(s[k - 1:k + 1]))
 
 
-def reconstruct_field(dn: DNMatrix, flatten: Flattening, A0: np.ndarray,
-                      R: float, lattice: int = 33, grid: int = 101,
-                      config_sha256: str = "") -> ReconstructedField:
+def reconstruct_field(dn: forward.DNMatrix, flatten: Flattening,
+                      A0: np.ndarray, R: float, lattice: int = 33,
+                      grid: int = 101, config_sha256: str = ""
+                      ) -> ReconstructedField:
     """End-to-end reconstruction: Fhat, truncated inverse, background
     calibration, and pullback onto an odd ``grid`` x ``grid`` grid over
     [-1, 1]^2, whose middle column is the x-axis cross-section.
@@ -384,32 +386,31 @@ def save_field(fieldobj: ReconstructedField, json_path, bin_path) -> None:
 
 
 def load_field(json_path) -> ReconstructedField:
-    """Read a reconstruction written by ``save_field``.  Its grid must
-    span [-1, 1] and its cross-section lie on the grid's axis, as
-    ``reconstruct_field`` makes them; a ValueError otherwise."""
-    with open(json_path) as f:
-        doc = json.load(f)
-    if doc.get("format") != "anisoeit-recon":
-        raise ValueError(f"{json_path}: not a reconstruction file")
-    g = int(doc["grid"])
+    """Read a reconstruction written by ``save_field``: g x g grid values
+    (their count checked first) over [-1, 1], a cross-section on the grid
+    axis and a finite 2 x 2 A0, or a ValueError."""
+    doc = read_json(json_path, "anisoeit-recon")
+    g = count(doc, "grid")
     if doc["grid_axis_minmax"] != [-1.0, 1.0]:
         raise ValueError(f"grid_axis_minmax is {doc['grid_axis_minmax']}, "
                          f"not [-1.0, 1.0]")
+    A0 = float_array(doc, "A0", (2, 2))
+    raw = _beside(json_path, doc["grid_file"]).read_bytes()
+    if len(raw) != 8 * g * g:
+        raise ValueError(f"grid file holds {len(raw)} bytes, not 8 * {g}**2")
+    a = np.frombuffer(raw, dtype=np.float64).reshape(g, g).copy()
     axis = np.linspace(-1.0, 1.0, g)
-    with open(_beside(json_path, doc["grid_file"]), "rb") as f:
-        a = np.frombuffer(f.read(), dtype=np.float64).reshape(g, g).copy()
     GX, GY = np.meshgrid(axis, axis, indexing="ij")
     mask = np.hypot(GX, GY) <= 1.0
     if not np.isfinite(a[mask]).all():
         raise ValueError("grid holds a non-finite value inside the disk")
-    xs = _float_array(doc, "cross_section_x", (g,))
+    xs = float_array(doc, "cross_section_x", (g,))
     if not np.array_equal(xs, axis):
         raise ValueError("cross_section_x is not the grid axis")
     return ReconstructedField(
         grid_axis=axis, a=a, mask=mask, cross_section_x=xs,
-        cross_section=_float_array(doc, "cross_section", (g,)),
+        cross_section=float_array(doc, "cross_section", (g,)),
         background_offset=float(doc["background_offset"]),
         imag_residual=float(doc["imag_residual"]),
-        R=float(doc["R"]), lattice=int(doc["lattice"]),
-        A0=np.array(doc["A0"]),
+        R=float(doc["R"]), lattice=count(doc, "lattice"), A0=A0,
         config_sha256=doc.get("config_sha256", ""))

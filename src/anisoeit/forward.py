@@ -58,13 +58,12 @@ run, so only a simulation loads scipy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .atomic import write_json
+from .atomic import count, float_array, read_json, write_json
 from .mesh import (ElectrodeLayout, FrontTree, Mesh, arc_electrodes,
                    boundary_edge_electrodes)
 
@@ -72,38 +71,19 @@ from .mesh import (ElectrodeLayout, FrontTree, Mesh, arc_electrodes,
 Conductivity = Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass(frozen=True)
-class CurrentPatternSet:
-    """Trigonometric current patterns T[l, k] for k = 1..L-1.
+def trig_current_patterns(L: int) -> np.ndarray:
+    """(L, L-1) trigonometric current patterns T[l, k] for k = 1..L-1.
 
     Column k injects cos(k theta_l) on electrode l for k <= L/2 and
     sin((k - L/2) theta_l) for k > L/2.  Columns sum to zero
     (conservation of current) and are pairwise orthogonal for
     equispaced electrodes.
     """
-
-    L: int
-    T: np.ndarray            # (L, L-1)
-
-    @property
-    def norms(self) -> np.ndarray:
-        """Euclidean norm of each pattern column."""
-        return np.linalg.norm(self.T, axis=0)
-
-    @property
-    def normalized(self) -> np.ndarray:
-        """(L, L-1) columns T[:, k] / ||T[:, k]||."""
-        return self.T / self.norms
-
-
-def trig_current_patterns(L: int) -> CurrentPatternSet:
     if L < 4 or L % 2 != 0:
         raise ValueError(f"electrode count must be even and >= 4, got L={L}")
-    theta = 2.0 * np.pi * np.arange(L) / L
-    k, half = np.arange(1, L), L // 2
-    T = np.where(k <= half, np.cos(np.outer(theta, k)),
-                 np.sin(np.outer(theta, k - half)))
-    return CurrentPatternSet(L=L, T=T)
+    theta, half = 2.0 * np.pi * np.arange(L) / L, L // 2
+    return np.concatenate([np.cos(np.outer(theta, np.arange(1, half + 1))),
+                           np.sin(np.outer(theta, np.arange(1, half)))], 1)
 
 
 def _ground_matrix(L: int) -> np.ndarray:
@@ -378,23 +358,18 @@ def solve_forward(system: CEMSystem, patterns: np.ndarray) -> np.ndarray:
 
 @dataclass
 class VoltageData:
-    """Electrode voltages for a full set of current patterns.
+    """Electrode voltages for the full trigonometric pattern set.
 
-    Column k of ``U`` is the voltage response to pattern column k; every
-    column sums to zero (ground condition), re-imposed after optional
-    additive noise.
+    Column k of ``U`` is the voltage response to column k of
+    ``trig_current_patterns(layout.L)``; every column sums to zero (ground
+    condition), re-imposed after optional additive noise.
     """
 
     U: np.ndarray                  # (L, L-1)
-    patterns: CurrentPatternSet
     layout: ElectrodeLayout
     noise: float = 0.0
     seed: int = 0
     config_sha256: str = ""
-
-    @property
-    def L(self) -> int:
-        return self.patterns.L
 
 
 def simulate_voltages(mesh: Mesh, A: Conductivity,
@@ -408,41 +383,45 @@ def simulate_voltages(mesh: Mesh, A: Conductivity,
     generator, reproducible from ``seed``), after which each column is
     re-centered to preserve the ground condition.
     """
-    patterns = trig_current_patterns(layout.L)
-    U = solve_forward(assemble_cem_system(mesh, A, layout), patterns.T)
+    U = solve_forward(assemble_cem_system(mesh, A, layout),
+                      trig_current_patterns(layout.L))
     if noise > 0.0:
         rng = np.random.Generator(np.random.Philox(seed))
         U = U + noise * np.abs(U).max() * rng.standard_normal(U.shape)
         U = U - U.mean(axis=0, keepdims=True)
-    return VoltageData(U=U, patterns=patterns, layout=layout,
-                       noise=float(noise), seed=int(seed))
+    return VoltageData(U=U, layout=layout, noise=float(noise), seed=int(seed))
 
 
 @dataclass
 class DNMatrix:
     """Discrete Dirichlet-to-Neumann map in the normalized trig basis.
 
-    ``nd`` is the Neumann-to-Dirichlet matrix R with
-    R[m, n] = sum_l U^n_l T^m_l / (||T^m|| ||T^n||); ``dn`` is its inverse,
-    symmetrized, with the raw relative asymmetry recorded.  Basis vectors
-    are the Euclidean-normalized pattern columns; with the electrode
-    centers as midpoint quadrature nodes on the boundary circle, the
-    quadratic form  c1^T dn c2  approximates the boundary power pairing
-    integral of two traces, so the harmonic eigenvalue estimate of mode k
-    is  dn[k, k] * L / (2 pi)  (equals sigma*k on a homogeneous disk in
-    the many-electrode limit).
+    ``nd`` is the Neumann-to-Dirichlet matrix R with R[m, n] =
+    sum_l U^n_l T^m_l / (||T^m|| ||T^n||), T = trig_current_patterns(L);
+    ``dn`` is its inverse, symmetrized, with the raw relative asymmetry
+    recorded.  Basis vectors are the normalized columns ``basis``; with
+    the electrode centers as midpoint quadrature nodes on the boundary
+    circle, the quadratic form  c1^T dn c2  approximates the boundary
+    power pairing integral of two traces, so the harmonic eigenvalue
+    estimate of mode k is  dn[k, k] * L / (2 pi)  (equals sigma*k on a
+    homogeneous disk in the many-electrode limit).
     """
 
     dn: np.ndarray                 # (L-1, L-1), symmetrized
     nd: np.ndarray                 # (L-1, L-1)
     asymmetry: float               # ||dn_raw - dn_raw^T|| / ||dn_raw||
-    patterns: CurrentPatternSet
     layout: ElectrodeLayout
     config_sha256: str = ""
 
     @property
     def L(self) -> int:
-        return self.patterns.L
+        return self.layout.L
+
+    @property
+    def basis(self) -> np.ndarray:
+        """(L, L-1) columns T[:, k] / ||T[:, k]|| of T = the trig set."""
+        T = trig_current_patterns(self.L)
+        return T / np.linalg.norm(T, axis=0)
 
     def electrode_centers(self) -> np.ndarray:
         th = self.layout.centers
@@ -457,8 +436,8 @@ def dn_matrix(data: VoltageData) -> DNMatrix:
     e.g. from noise of 1e300, that the DN norm underflows), which signal
     degenerate data.
     """
-    T = data.patterns.T
-    norms = data.patterns.norms
+    T = trig_current_patterns(data.layout.L)
+    norms = np.linalg.norm(T, axis=0)
     R = (T.T @ data.U) / np.outer(norms, norms)
     cond = np.linalg.cond(R)
     if cond > 1e12:
@@ -469,8 +448,7 @@ def dn_matrix(data: VoltageData) -> DNMatrix:
     if not np.isfinite(asym):
         raise ValueError(f"DN asymmetry is {asym}: degenerate voltage data")
     dn = 0.5 * (dn_raw + dn_raw.T)
-    return DNMatrix(dn=dn, nd=R, asymmetry=float(asym),
-                    patterns=data.patterns, layout=data.layout,
+    return DNMatrix(dn=dn, nd=R, asymmetry=float(asym), layout=data.layout,
                     config_sha256=data.config_sha256)
 
 
@@ -488,35 +466,23 @@ def _layout_to_dict(layout: ElectrodeLayout) -> dict:
     }
 
 
-def _float_array(doc: dict, name: str, shape: tuple) -> np.ndarray:
-    """Entry ``name`` of a loaded document as a finite float array of
-    ``shape``; raises ValueError naming the entry otherwise."""
-    try:
-        a = np.asarray(doc[name], dtype=float)
-    except (TypeError, ValueError):
-        a = None
-    if a is None or a.shape != shape or not np.isfinite(a).all():
-        raise ValueError(f"{name} is not a finite float array of shape "
-                         f"{shape}")
-    return a
-
-
 def _layout_from_dict(d: dict) -> ElectrodeLayout:
-    L, radius = int(d["L"]), float(d["radius"])
+    L, radius = count(d, "L"), float(d["radius"])
     if L < 4 or L % 2:
         raise ValueError(f"electrode count L={L} is not even and >= 4")
     if not (np.isfinite(radius) and radius > 0):
         raise ValueError(f"electrode radius {radius} is not a finite "
                          f"positive number")
-    return ElectrodeLayout(L=L, centers=_float_array(d, "centers", (L,)),
+    return ElectrodeLayout(L=L, centers=float_array(d, "centers", (L,)),
                            angular_width=float(d["angular_width"]),
-                           contact_impedances=_float_array(
+                           contact_impedances=float_array(
                                d, "contact_impedances", (L,)),
                            radius=radius)
 
 
-def _patterns_to_dict(p: CurrentPatternSet) -> dict:
-    return {"L": p.L, "T": p.T.tolist(), "normalization": "euclidean"}
+def _patterns_to_dict(L: int) -> dict:
+    return {"L": L, "T": trig_current_patterns(L).tolist(),
+            "normalization": "euclidean"}
 
 
 def save_voltages(data: VoltageData, path) -> None:
@@ -524,7 +490,7 @@ def save_voltages(data: VoltageData, path) -> None:
         "format": "anisoeit-voltages",
         "version": 1,
         "electrodes": _layout_to_dict(data.layout),
-        "patterns": _patterns_to_dict(data.patterns),
+        "patterns": _patterns_to_dict(data.layout.L),
         "voltages_row_major": data.U.tolist(),
         "noise": data.noise,
         "seed": data.seed,
@@ -539,7 +505,7 @@ def save_dn(dn: DNMatrix, path) -> None:
         "format": "anisoeit-dn",
         "version": 1,
         "electrodes": _layout_to_dict(dn.layout),
-        "patterns": _patterns_to_dict(dn.patterns),
+        "patterns": _patterns_to_dict(dn.L),
         "dn_row_major": dn.dn.tolist(),
         "nd_row_major": dn.nd.tolist(),
         "asymmetry": dn.asymmetry,
@@ -549,17 +515,20 @@ def save_dn(dn: DNMatrix, path) -> None:
 
 
 def load_dn(path) -> DNMatrix:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != "anisoeit-dn":
-        raise ValueError(f"{path}: not a DN matrix file")
+    """Read a DN matrix written by ``save_dn``.  Its patterns must be the
+    trig set of its L up to a positive scale of each column (earlier
+    versions scaled them by an amplitude); a ValueError otherwise."""
+    doc = read_json(path, "anisoeit-dn")
     layout = _layout_from_dict(doc["electrodes"])
     L = layout.L
-    # older files also record the pattern amplitude, which is not read
-    pat = CurrentPatternSet(L=L, T=_float_array(doc["patterns"], "T",
-                                                (L, L - 1)))
-    return DNMatrix(dn=_float_array(doc, "dn_row_major", (L - 1, L - 1)),
-                    nd=_float_array(doc, "nd_row_major", (L - 1, L - 1)),
-                    asymmetry=float(doc["asymmetry"]),
-                    patterns=pat, layout=layout,
-                    config_sha256=doc.get("config_sha256", ""))
+    dn = DNMatrix(dn=float_array(doc, "dn_row_major", (L - 1, L - 1)),
+                  nd=float_array(doc, "nd_row_major", (L - 1, L - 1)),
+                  asymmetry=float(doc["asymmetry"]), layout=layout,
+                  config_sha256=doc.get("config_sha256", ""))
+    T = float_array(doc["patterns"], "T", (L, L - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero column
+        dev = np.abs(T / np.linalg.norm(T, axis=0) - dn.basis).max()
+    if not dev <= 1e-12:
+        raise ValueError(f"patterns T deviate from the trigonometric set of "
+                         f"L={L} by {dev:.3e} after column normalization")
+    return dn

@@ -62,9 +62,8 @@ class ElectrodeLayout:
         return out
 
 
-def place_electrodes(L: int, coverage: float, z: float,
-                     radius: float = 1.0) -> ElectrodeLayout:
-    """Equispaced electrode layout covering a fraction of the boundary.
+def place_electrodes(L: int, coverage: float, z: float) -> ElectrodeLayout:
+    """Equispaced electrode layout covering a fraction of the unit circle.
 
     Parameters
     ----------
@@ -73,11 +72,9 @@ def place_electrodes(L: int, coverage: float, z: float,
         current-pattern basis needs an L/2 cosine / L/2-1 sine split).
     coverage : float
         Fraction of the circle covered by electrodes, in (0, 1).
-        Each arc has length ``coverage * 2*pi*radius / L``.
+        Each arc has length ``coverage * 2*pi / L``.
     z : float
         Contact impedance, identical for all electrodes, > 0.
-    radius : float
-        Circle radius the layout lives on.
     """
     if L < 4:
         raise ValueError(f"need at least 4 electrodes, got L={L}")
@@ -90,8 +87,7 @@ def place_electrodes(L: int, coverage: float, z: float,
     centers = TWO_PI * np.arange(L) / L
     width = coverage * TWO_PI / L
     return ElectrodeLayout(L=L, centers=centers, angular_width=width,
-                           contact_impedances=np.full(L, float(z)),
-                           radius=float(radius))
+                           contact_impedances=np.full(L, float(z)))
 
 
 @dataclass(frozen=True)
@@ -150,7 +146,6 @@ class Mesh:
     nodes: np.ndarray           # (N, 2)
     triangles: np.ndarray       # (M, 3) int
     boundary_nodes: np.ndarray  # (Nb,) int, ordered by angle
-    radius: float = 1.0
     fronts: Optional[FrontTree] = None
 
     @property
@@ -311,8 +306,7 @@ def build_disk_mesh(radius: float, target_h: float,
     fronts = _front_tree(triangles, label[loop], owners, layout.L,
                          np.r_[start, start[-1] + layout.L], np.r_[parent, -1])
     mesh = Mesh(nodes=nodes[order], triangles=triangles,
-                boundary_nodes=label[loop], radius=float(radius),
-                fronts=fronts)
+                boundary_nodes=label[loop], fronts=fronts)
     mesh.validate()
     return mesh
 

@@ -124,7 +124,7 @@ def test_criterion_5_forward_physics(mesh32_fine, layout32_fine,
     system = assemble_cem_system(mesh32_fine, constant_tensor(np.eye(2)),
                                  layout32_fine)
     pat = trig_current_patterns(32)
-    U = solve_forward(system, pat.T[:, 2])
+    U = solve_forward(system, pat[:, 2])
     assert abs(U.sum()) <= 1e-12
 
     th = layout32_fine.centers

@@ -8,8 +8,7 @@ from scipy.special import j0, j1
 
 from anisoeit import (affine_map, cgo_traces, bilinear_form, fhat_grid,
                       inverse_fourier, reconstruct_field,
-                      save_field, load_field,
-                      trig_current_patterns, place_electrodes)
+                      save_field, load_field, place_electrodes)
 from anisoeit.calderon import (BG_RING_RADIUS, BG_RING_SAMPLES, FhatGrid,
                                _median, lattice_traces, masked_lattice)
 from anisoeit.forward import DNMatrix
@@ -21,13 +20,12 @@ def analytic_disk_dn_matrix(L: int, sigma: float = 1.0) -> DNMatrix:
     """Continuum boundary map of the homogeneous unit disk, expressed in
     the normalized trig pattern basis: diagonal with entries
     2*pi*sigma*k / L (harmonic k scaled by the midpoint cell measure)."""
-    pat = trig_current_patterns(L)
     half = L // 2
     freqs = np.concatenate([np.arange(1, half + 1), np.arange(1, half)])
     dn = np.diag(2.0 * np.pi * sigma * freqs / L)
     layout = place_electrodes(L, 0.5, 0.01)
     return DNMatrix(dn=dn, nd=np.linalg.inv(dn), asymmetry=0.0,
-                    patterns=pat, layout=layout)
+                    layout=layout)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +183,7 @@ def test_bilinear_matches_extended_precision():
     dn, (phi1, phi2) = _flattened_a4_probe()
     B = bilinear_form(dn, phi1, phi2)
     # c1^T D c2 with the projection and the pairing in long double
-    t_hat = dn.patterns.normalized.T.astype(np.longdouble)
+    t_hat = dn.basis.T.astype(np.longdouble)
     tw = t_hat * (2.0 * np.pi * dn.layout.radius / dn.L)
     project = tw / (tw * t_hat).sum(axis=1)[:, None]
     c1 = project @ phi1.astype(np.clongdouble)

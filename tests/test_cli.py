@@ -489,6 +489,44 @@ def _electrodes(**entries):
     return edit
 
 
+def _document(text):
+    """Replaces a whole JSON file with ``text``."""
+    def edit(path):
+        path.write_text(text)
+    return edit
+
+
+def _literal(name, text, block=None):
+    """Sets entry ``name`` of a JSON file, or of its object ``block``, to
+    the literal ``text``, such as 1e400, which JSON reads as infinity and
+    json.dumps cannot write."""
+    def edit(path):
+        doc = json.loads(path.read_text())
+        (doc[block] if block else doc)[name] = "@literal@"
+        path.write_text(json.dumps(doc).replace('"@literal@"', text))
+    return edit
+
+
+def _swapped_patterns(path):
+    """Swaps the first two pattern columns of an L = 16 dn.json file, and
+    the rows and columns of its matrices to match: a consistent file in
+    another basis."""
+    doc = json.loads(path.read_text())
+    k = [1, 0, *range(2, 15)]
+    doc["patterns"]["T"] = np.array(doc["patterns"]["T"])[:, k].tolist()
+    for name in ("dn_row_major", "nd_row_major"):
+        doc[name] = np.array(doc[name])[np.ix_(k, k)].tolist()
+    path.write_text(json.dumps(doc))
+
+
+def _zero_pattern(path):
+    # a zero column, which no column scale makes a trig pattern
+    doc = json.loads(path.read_text())
+    for row in doc["patterns"]["T"]:
+        row[4] = 0.0
+    path.write_text(json.dumps(doc))
+
+
 def _two_electrodes(path):
     # every array consistent with L = 2, which place_electrodes rejects
     doc = json.loads(path.read_text())
@@ -508,8 +546,15 @@ def _two_electrodes(path):
     _electrodes(radius=float("nan")),
     _electrodes(radius=0.8),                    # off the unit circle
     _two_electrodes,
+    _document("[1, 2]"),
+    _document("null"),
+    _literal("L", "1e400", block="electrodes"),
+    _swapped_patterns,
+    _zero_pattern,
 ], ids=["empty", "dn-string", "dn-3x3", "stamp-int", "radius-negative",
-        "radius-nan", "radius-0.8", "two-electrodes"])
+        "radius-nan", "radius-0.8", "two-electrodes", "document-list",
+        "document-null", "L-1e400", "patterns-swapped",
+        "patterns-zero-column"])
 def test_malformed_dn_exit_2(workdir, capsys, entries):
     _simulate(workdir)
     path = workdir / "out" / "dn.json"
@@ -524,6 +569,25 @@ def test_malformed_dn_exit_2(workdir, capsys, entries):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "config"
     assert "dn.json" in record["message"]
+    assert record["warnings"] == []
+
+
+def test_scaled_patterns_reconstruct_identically(workdir):
+    # the DN matrix is taken in the normalized basis, so patterns scaled
+    # by a positive factor, as earlier versions wrote them, change nothing
+    _simulate(workdir)
+    out = workdir / "out"
+
+    def outputs():
+        assert main(["reconstruct", "--config", "cfg.json"]) == 0
+        return {p.name: sha(p) for p in sorted(out.iterdir())
+                if p.name != "dn.json"}
+
+    before = outputs()
+    doc = json.loads((out / "dn.json").read_text())
+    doc["patterns"]["T"] = (3.0 * np.array(doc["patterns"]["T"])).tolist()
+    (out / "dn.json").write_text(json.dumps(doc))
+    assert outputs() == before
 
 
 def _nan_at_centre(path):
@@ -547,8 +611,18 @@ def _zero_section_x(path):
     {"grid_axis_minmax": [5, 6]},
     {"grid_axis_minmax": [-1, float("nan")]},
     _zero_section_x,                            # right length, off the axis
+    _document("[1, 2]"),
+    _document("null"),
+    _literal("grid", "1e400"),
+    _literal("lattice", "1e400"),
+    # 2**45 float64 values are 256 TiB, past any address space: the grid
+    # file's size must be checked before an axis of that length is built
+    {"grid": 2 ** 45},
+    {"A0": [[1.0, 0.0], [0.0, float("nan")]]},
 ], ids=["empty", "section-string", "section-x-short", "grid-nan",
-        "axis-shifted", "axis-nan", "section-x-zero"])
+        "axis-shifted", "axis-nan", "section-x-zero", "document-list",
+        "document-null", "grid-1e400", "lattice-1e400", "grid-2**45",
+        "A0-nan"])
 def test_malformed_recon_exit_2(workdir, capsys, entries):
     path = workdir / "out" / "recon_R2.json"
     if entries is None:

@@ -20,19 +20,21 @@ REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 def test_patterns_L4_columns():
     pat = trig_current_patterns(4)
-    assert np.allclose(pat.T[:, 0], [1.0, 0.0, -1.0, 0.0], atol=1e-15)
-    assert np.allclose(pat.T[:, 2], [0.0, 1.0, 0.0, -1.0], atol=1e-15)
+    assert pat.shape == (4, 3)
+    assert np.allclose(pat[:, 0], [1.0, 0.0, -1.0, 0.0], atol=1e-15)
+    assert np.allclose(pat[:, 2], [0.0, 1.0, 0.0, -1.0], atol=1e-15)
 
 
 def test_patterns_conserve_current():
     for L in (4, 8, 16, 32):
         pat = trig_current_patterns(L)
-        assert np.abs(pat.T.sum(axis=0)).max() < 1e-13
+        assert pat.shape == (L, L - 1)
+        assert np.abs(pat.sum(axis=0)).max() < 1e-13
 
 
 def test_patterns_orthogonal():
     pat = trig_current_patterns(16)
-    G = pat.T.T @ pat.T
+    G = pat.T @ pat
     off = G - np.diag(np.diag(G))
     assert np.abs(off).max() < 1e-12
 
@@ -213,7 +215,7 @@ def _bordered_voltages(mesh, A, layout, P):
 def test_condensed_solve_matches_bordered_system(mesh16, layout16, A0):
     A = constant_tensor(A0)
     system = assemble_cem_system(mesh16, A, layout16)
-    T = trig_current_patterns(16).T
+    T = trig_current_patterns(16)
     U = solve_forward(system, T)
     ref = _bordered_voltages(mesh16, A, layout16, T)
     assert np.abs(U - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -316,7 +318,7 @@ def _relabeled(mesh, order):
     label = np.empty_like(order)
     label[order] = np.arange(order.size)
     return Mesh(nodes=mesh.nodes[order], triangles=label[mesh.triangles],
-                boundary_nodes=label[mesh.boundary_nodes], radius=mesh.radius)
+                boundary_nodes=label[mesh.boundary_nodes])
 
 
 def test_root_front_has_order_L(layout16):
@@ -505,7 +507,7 @@ def test_indefinite_element_names_node(mesh16, layout16):
 
 def test_forward_residual_names_pattern_column(mesh16, layout16):
     system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
-    T = trig_current_patterns(16).T
+    T = trig_current_patterns(16)
     # an electrode matrix with a NaN entry fails the residual check
     system._electrode = system.electrode_matrix().copy()
     system._electrode[1, 1] = np.nan
@@ -559,14 +561,14 @@ def test_solve_ground_condition(mesh16, layout16):
     system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
     pat = trig_current_patterns(16)
     for k in (0, 7, 10):
-        U = solve_forward(system, pat.T[:, k])
+        U = solve_forward(system, pat[:, k])
         assert abs(U.sum()) < 1e-12
 
 
 def test_solve_cosine_symmetry(mesh16, layout16):
     system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
     pat = trig_current_patterns(16)
-    U = solve_forward(system, pat.T[:, 0])
+    U = solve_forward(system, pat[:, 0])
     # mirror across the y-axis maps electrode l to (L/2 - l) mod L and
     # flips the sign of a cos(theta) voltage profile
     mirror = [(8 - l) % 16 for l in range(16)]
@@ -584,7 +586,7 @@ def test_solve_rejects_nonconserving_pattern(mesh16, layout16):
 def test_block_solve_matches_single_columns(mesh16, layout16):
     system = assemble_cem_system(mesh16, constant_tensor(np.diag([1.0, 1.3])),
                                  layout16)
-    T = trig_current_patterns(16).T
+    T = trig_current_patterns(16)
     U = solve_forward(system, T)
     assert U.shape == (16, 15)
     for k in range(15):
@@ -595,7 +597,7 @@ def test_block_solve_matches_single_columns(mesh16, layout16):
 
 def test_block_solve_names_nonconserving_column(mesh16, layout16):
     system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout16)
-    T = trig_current_patterns(16).T.copy()
+    T = trig_current_patterns(16)
     T[3, 9] += 0.5
     with pytest.raises(ValueError, match="column 9 "):
         solve_forward(system, T)
@@ -608,7 +610,7 @@ def test_assemble_rejects_degenerate_triangle(mesh16, layout16):
     bad[3] = [bad[3][0], bad[3][0], bad[3][1]]
     from anisoeit.mesh import Mesh
     broken = Mesh(nodes=mesh16.nodes, triangles=bad,
-                  boundary_nodes=mesh16.boundary_nodes, radius=1.0)
+                  boundary_nodes=mesh16.boundary_nodes)
     with pytest.raises(ValueError, match="triangle 3"):
         assemble_cem_system(broken, constant_tensor(np.eye(2)), layout16)
 
@@ -714,8 +716,7 @@ def test_nd_loewner_monotonicity(mesh16, layout16):
 
 
 def test_dn_rejects_degenerate_data(mesh16, layout16):
-    pat = trig_current_patterns(16)
-    data = VoltageData(U=np.zeros((16, 15)), patterns=pat, layout=layout16)
+    data = VoltageData(U=np.zeros((16, 15)), layout=layout16)
     with pytest.raises(ValueError):
         dn_matrix(data)
 
@@ -727,18 +728,20 @@ def test_dn_json_roundtrip(tmp_path, dn_identity16):
     assert np.array_equal(back.dn, dn_identity16.dn)
     assert np.array_equal(back.nd, dn_identity16.nd)
     assert back.asymmetry == dn_identity16.asymmetry
-    assert np.array_equal(back.patterns.T, dn_identity16.patterns.T)
+    assert back.L == 16
+    doc = json.loads(path.read_text())
+    assert np.array_equal(doc["patterns"]["T"], trig_current_patterns(16))
 
 
 def test_dn_json_ignores_pattern_amplitude(tmp_path, dn_identity16):
-    # older files record the pattern amplitude; it is read past, and new
-    # files do not write it
+    # older files record the pattern amplitude and scale the patterns by
+    # it; both are read past, and new files write neither
     path = tmp_path / "dn.json"
     save_dn(dn_identity16, path)
     doc = json.loads(path.read_text())
     assert sorted(doc["patterns"]) == ["L", "T", "normalization"]
-    doc["patterns"]["amplitude"] = 1.0
+    doc["patterns"]["amplitude"] = 3.0
+    doc["patterns"]["T"] = (3.0 * np.array(doc["patterns"]["T"])).tolist()
     path.write_text(json.dumps(doc))
     back = load_dn(path)
     assert np.array_equal(back.dn, dn_identity16.dn)
-    assert np.array_equal(back.patterns.T, dn_identity16.patterns.T)

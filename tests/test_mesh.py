@@ -110,7 +110,7 @@ def test_validate_rejects_edge_shared_by_three_triangles():
     mesh = build_disk_mesh(1.0, 0.2, layout)
     tris = np.concatenate([mesh.triangles, mesh.triangles[:1]])
     bad = Mesh(nodes=mesh.nodes, triangles=tris,
-               boundary_nodes=mesh.boundary_nodes, radius=1.0)
+               boundary_nodes=mesh.boundary_nodes)
     with pytest.raises(ValueError, match="shared by more than two triangles"):
         bad.validate()
 
@@ -119,7 +119,7 @@ def test_validate_rejects_short_boundary_loop():
     layout = place_electrodes(8, 0.5, 0.01)
     mesh = build_disk_mesh(1.0, 0.2, layout)
     bad = Mesh(nodes=mesh.nodes, triangles=mesh.triangles,
-               boundary_nodes=np.delete(mesh.boundary_nodes, 3), radius=1.0)
+               boundary_nodes=np.delete(mesh.boundary_nodes, 3))
     with pytest.raises(ValueError, match="boundary loop does not match"):
         bad.validate()
 
