@@ -15,14 +15,17 @@ m x m tensor grid whose axis is k * spacing, k = -m//2 .. m//2, and both
 stages work per lattice axis: the exponents are linear in z, so a trace
 is the product of the traces of (z1, 0) and (0, z2), and the inverse
 phase exp(-2 pi i z.y) is exp(-2 pi i z1 y1) exp(-2 pi i z2 y2), each
-factor a power of one exponential per point.  The inverse transform of
-Fhat approximates the scalar conductivity on the flattened domain; for
-anisotropic data the traces are composed with the flattening map Phi
-and the boundary map is rescaled by 1/sqrt(det A0) so the linearization
-is around conductivity one.  Composing the flattened-domain field with
-Phi recovers the multiplier in the original coordinates.  Phi is any
-function from (P, 2) points to (P, 2) points: the exact
-``beltrami.affine_map(A0)``, a solved ``beltrami.QCMap``, or
+factor a power of one exponential per point.  The multiplier is real,
+so Fhat(-z) = conj Fhat(z): the pairing runs on one half of the
+point-symmetric lattice and the other half is its conjugate, which makes
+the spectrum Hermitian by construction, not only to rounding.  The
+inverse transform of Fhat approximates the scalar conductivity on the
+flattened domain; for anisotropic data the traces are composed with the
+flattening map Phi and the boundary map is rescaled by 1/sqrt(det A0) so
+the linearization is around conductivity one.  Composing the
+flattened-domain field with Phi recovers the multiplier in the original
+coordinates.  Phi is any function from (P, 2) points to (P, 2) points:
+the exact ``beltrami.affine_map(A0)``, a solved ``beltrami.QCMap``, or
 ``affine_map(np.eye(2))`` for isotropic data.
 """
 
@@ -80,8 +83,13 @@ def bilinear_form(dn: forward.DNMatrix, phi1: np.ndarray, phi2: np.ndarray):
     real matrix product on the float64 view of the complex operand.
     The growing traces make the sum cancel heavily, and the average of the
     two one-sided products rounds less than either alone.  The form is
-    exactly symmetric in its arguments, so the traces of -z, which are
-    conj(phi2) and conj(phi1), pair to exactly conj(B).
+    exactly symmetric in its arguments, so the exact conjugates conj(phi2),
+    conj(phi1) pair to exactly conj(B).  The traces that ``cgo_traces``
+    builds for -z are not those conjugates bit for bit: it forms exp(-x)
+    where the conjugates hold 1/exp(x), and the cancellation amplifies
+    the last-bit difference (up to 8e-11 of max|Fhat| for the
+    A4-flattened electrodes at R = 2.3, L = 128).  So ``fhat_grid`` pairs
+    one half of the lattice and conjugates it into the other.
     """
     phi1, phi2 = np.asarray(phi1), np.asarray(phi2)
     if phi1.shape != phi2.shape or phi1.shape[:1] != (dn.L,) \
@@ -127,26 +135,30 @@ def masked_lattice(R: float, m: int) -> tuple[np.ndarray, float]:
 
 
 def lattice_traces(R: float, m: int, points) -> tuple[np.ndarray, np.ndarray]:
-    """The (N, P) traces ``cgo_traces(zs, points)`` at the P points ``zs``
-    of ``masked_lattice(R, m)``, built per lattice axis.
+    """The (N, P/2) traces ``cgo_traces(zs[P//2:], points)`` at the upper
+    half of the P points ``zs`` of ``masked_lattice(R, m)``: the points
+    (i, j) > (c, c) in row-major order, c = m//2, built per lattice axis.
 
     Both exponents are linear in z, so the trace of z = (z1, z2) is the
-    product of the traces of (z1, 0) and (0, z2).  ``cgo_traces`` is
-    evaluated on the 2(m - 1) nonzero axis points only; with the column
-    of ones for z = 0 they make one (N, m) table per axis, and each
-    lattice trace is the product of a column of each.
+    product of the traces of (z1, 0) and (0, z2).  The upper half has
+    z1 >= 0, so ``cgo_traces`` is evaluated on the m//2 points z1 > 0 of
+    the first axis and the m - 1 nonzero points of the second only; with
+    the column of ones for 0 they make an (N, m//2 + 1) table for z1 and
+    an (N, m) table for z2, and each trace is the product of a column of
+    each.
     """
     axis, mask = _lattice(R, m)
     i, j = np.nonzero(mask)
+    i, j = i[len(i) // 2:], j[len(j) // 2:]
     c = m // 2
-    off = np.delete(axis, c)
-    zero = np.zeros_like(off)
-    on_axes = np.concatenate([np.stack([off, zero], axis=1),
-                              np.stack([zero, off], axis=1)])
-    # tables[:, :m] hold the (z1, 0) traces, tables[:, m:] the (0, z2) ones
-    tables = [np.insert(t, [c, 3 * c], 1.0, axis=1)
+    on_axes = np.zeros((3 * c, 2))
+    on_axes[:c, 0] = axis[c + 1:]
+    on_axes[c:, 1] = np.delete(axis, c)
+    # tables[:, :c + 1] hold the (z1, 0) traces for z1 >= 0, tables[:, c + 1:]
+    # the (0, z2) ones
+    tables = [np.insert(t, [0, 2 * c], 1.0, axis=1)
               for t in cgo_traces(on_axes, points)]
-    phi1, phi2 = (t[:, i] * t[:, m + j] for t in tables)
+    phi1, phi2 = (t[:, i - c] * t[:, c + 1 + j] for t in tables)
     return phi1, phi2
 
 
@@ -176,6 +188,14 @@ def fhat_grid(dn: forward.DNMatrix, flatten: Flattening, R: float,
     calibration.  A radius that is not finite and positive, and a
     non-finite sample, as left by traces that overflow at a large R,
     raise ``ValueError``.
+
+    The multiplier is real, so its spectrum is Hermitian, Fhat(-z) =
+    conj Fhat(z), and the mirror -z of the k-th lattice point is the k-th
+    from the end.  Fhat is paired on the upper half of the lattice only
+    and the lower half is its conjugate in mirror order, so ``values`` is
+    Hermitian bit for bit.  Pairing the lower half as well would not be:
+    its traces round differently from conj(phi2), conj(phi1) of the
+    upper half (``bilinear_form``).
     """
     if not (np.isfinite(R) and R > 0):
         raise ValueError(
@@ -186,14 +206,16 @@ def fhat_grid(dn: forward.DNMatrix, flatten: Flattening, R: float,
 
     zs, spacing = masked_lattice(R, m)
     scaled = replace(dn, dn=dn.dn / np.sqrt(det_background))
-    rho = np.hypot(zs[:, 0], zs[:, 1])
+    upper = zs[len(zs) // 2:]
+    rho = np.hypot(upper[:, 0], upper[:, 1])
     # traces that overflow, or whose growth underflows to zero, leave
     # non-finite samples, which the check below reports in place of
     # numpy's warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         phi1, phi2 = lattice_traces(R, m, y)
-        values = -bilinear_form(scaled, phi1, phi2) \
+        half = -bilinear_form(scaled, phi1, phi2) \
             / (2.0 * np.pi ** 2 * rho ** 2)
+    values = np.concatenate([np.conj(half[::-1]), half])
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
         raise ValueError(f"Fhat has {bad} non-finite samples of "
@@ -209,7 +231,8 @@ def inverse_fourier(fhat: FhatGrid, eval_points: np.ndarray
 
     Returns the real part of  sum_z Fhat(z) exp(-2 pi i z.y) dz^2  at each
     point together with the relative imaginary residual that was discarded
-    (small when the spectrum is Hermitian).
+    (for the Hermitian spectrum of ``fhat_grid``, the rounding of this
+    sum alone).
 
     The phase factors over the tensor lattice, exp(-2 pi i z1 y1) and
     exp(-2 pi i z2 y2), are each (m, P) for P points and take one exp per

@@ -240,7 +240,7 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             return_code, record = 2, {"error": "config", "message": str(exc)}
         except (BeltramiConvergenceError, np.linalg.LinAlgError, ValueError,
-                RuntimeError, OSError) as exc:
+                RuntimeError, OSError, MemoryError) as exc:
             return_code, record = 3, {"error": "numerical",
                                       "type": type(exc).__name__,
                                       "message": str(exc)}

@@ -59,6 +59,7 @@ run, so only a simulation loads scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -84,6 +85,18 @@ def trig_current_patterns(L: int) -> np.ndarray:
     theta, half = 2.0 * np.pi * np.arange(L) / L, L // 2
     return np.concatenate([np.cos(np.outer(theta, np.arange(1, half + 1))),
                            np.sin(np.outer(theta, np.arange(1, half)))], 1)
+
+
+@lru_cache(maxsize=8)
+def _trig_set(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The trig set T of L, its column norms and the normalized columns
+    T / norms, built once per L and read-only."""
+    T = trig_current_patterns(L)
+    norms = np.linalg.norm(T, axis=0)
+    basis = T / norms
+    for a in (T, norms, basis):
+        a.flags.writeable = False
+    return T, norms, basis
 
 
 def _ground_matrix(L: int) -> np.ndarray:
@@ -384,7 +397,7 @@ def simulate_voltages(mesh: Mesh, A: Conductivity,
     re-centered to preserve the ground condition.
     """
     U = solve_forward(assemble_cem_system(mesh, A, layout),
-                      trig_current_patterns(layout.L))
+                      _trig_set(layout.L)[0])
     if noise > 0.0:
         rng = np.random.Generator(np.random.Philox(seed))
         U = U + noise * np.abs(U).max() * rng.standard_normal(U.shape)
@@ -419,9 +432,9 @@ class DNMatrix:
 
     @property
     def basis(self) -> np.ndarray:
-        """(L, L-1) columns T[:, k] / ||T[:, k]|| of T = the trig set."""
-        T = trig_current_patterns(self.L)
-        return T / np.linalg.norm(T, axis=0)
+        """(L, L-1) columns T[:, k] / ||T[:, k]|| of T = the trig set,
+        read-only."""
+        return _trig_set(self.L)[2]
 
     def electrode_centers(self) -> np.ndarray:
         th = self.layout.centers
@@ -436,8 +449,7 @@ def dn_matrix(data: VoltageData) -> DNMatrix:
     e.g. from noise of 1e300, that the DN norm underflows), which signal
     degenerate data.
     """
-    T = trig_current_patterns(data.layout.L)
-    norms = np.linalg.norm(T, axis=0)
+    T, norms, _ = _trig_set(data.layout.L)
     R = (T.T @ data.U) / np.outer(norms, norms)
     cond = np.linalg.cond(R)
     if cond > 1e12:
@@ -481,7 +493,7 @@ def _layout_from_dict(d: dict) -> ElectrodeLayout:
 
 
 def _patterns_to_dict(L: int) -> dict:
-    return {"L": L, "T": trig_current_patterns(L).tolist(),
+    return {"L": L, "T": _trig_set(L)[0].tolist(),
             "normalization": "euclidean"}
 
 

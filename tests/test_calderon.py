@@ -237,10 +237,21 @@ def test_fhat_matches_disk_indicator(dn_identity32):
 
 
 def test_fhat_hermitian(dn_identity32):
-    # Fhat(-z) = conj(Fhat(z)); the mirror -z of the k-th lattice point is
-    # the k-th from the end
+    # Fhat(-z) = conj(Fhat(z)) bit for bit; the mirror -z of the k-th
+    # lattice point is the k-th from the end
     v = fhat_grid(dn_identity32, IDENTITY, R=1.5, m=21).values
-    assert np.abs(v[::-1] - np.conj(v)).max() / np.abs(v).max() < 1e-6
+    assert np.array_equal(v[::-1], np.conj(v))
+
+
+def test_half_lattice_fhat_matches_full_pairing():
+    # the spectrum paired on the upper half and mirrored agrees with the
+    # pairing of every lattice point's own traces
+    dn, (phi1, phi2) = _flattened_a4_probe()
+    fh = fhat_grid(dn, lambda p: p * [2.0 / 3.0, 4.0 / 3.0], R=2.3, m=33)
+    B = bilinear_form(dn, phi1, phi2)
+    rho = np.hypot(fh.zs[:, 0], fh.zs[:, 1])
+    got = -fh.values * (2.0 * np.pi ** 2 * rho ** 2)
+    assert np.abs(got - B).max() <= 1e-9 * np.abs(B).max()
 
 
 def test_fhat_metadata(dn_identity32):
@@ -266,8 +277,8 @@ def test_fhat_lattice_centre_excluded(dn_identity32, R, m):
 
 def test_lattice_point_symmetric_and_hermitian_defect():
     # the mirror -z of the k-th masked lattice point is exactly the k-th
-    # from the end, which the Hermitian defect of test_fhat_hermitian
-    # relies on, and the axis centre is exactly 0
+    # from the end, which fhat_grid's mirrored half relies on, and the
+    # axis centre is exactly 0
     for R in (1.6, 1.7, 1.8, 1.9, 2.0, 2.3, 3.1):
         for m in range(3, 98, 2):
             zs, spacing = masked_lattice(R, m)
@@ -280,11 +291,12 @@ def test_lattice_point_symmetric_and_hermitian_defect():
 @pytest.mark.parametrize("R", [1.8, 2.3, 3.1])
 @pytest.mark.parametrize("m", [21, 33, 49])
 def test_lattice_traces_match_cgo_traces(R, m):
-    # the per-axis products are the traces of the lattice points
+    # the per-axis products are the traces of the upper lattice half
     y = _a4_flattened_centers(analytic_disk_dn_matrix(128))
     zs, _ = masked_lattice(R, m)
-    for got, want in zip(lattice_traces(R, m, y), cgo_traces(zs, y)):
-        assert got.shape == want.shape == (128, len(zs))
+    upper = zs[len(zs) // 2:]
+    for got, want in zip(lattice_traces(R, m, y), cgo_traces(upper, y)):
+        assert got.shape == want.shape == (128, len(upper))
         assert (np.abs(got - want) / np.abs(want)).max() <= 1e-13
 
 

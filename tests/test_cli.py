@@ -456,6 +456,26 @@ def test_nonfinite_fhat_exit_3(workdir, capsys):
             assert not list((workdir / "out").glob(stem + "*")), radii
 
 
+def test_memory_error_exit_3(workdir, capsys, monkeypatch):
+    # an array too large to allocate is a numerical failure: one JSON
+    # record naming it, and no traceback
+    write_config(workdir / "cfg.json")
+
+    def too_large(cfg):
+        raise MemoryError("Unable to allocate 256. TiB for an array with "
+                          "shape (35184372088833,) and data type float64")
+
+    monkeypatch.setattr("anisoeit.cli.cmd_reconstruct", too_large)
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", "cfg.json"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    record = json.loads(err)
+    assert record["error"] == "numerical"
+    assert record["type"] == "MemoryError"
+    assert "256. TiB" in record["message"]
+
+
 def test_missing_input_exit_2(workdir, capsys):
     # a missing input file is malformed input, not a numerical failure
     write_config(workdir / "cfg.json", phantom="A1", target_h=0.1)
