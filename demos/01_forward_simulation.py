@@ -36,9 +36,9 @@ print(f"voltages: {data.U.shape}, ground condition "
 # --- the discrete boundary map and its physics
 dn = dn_matrix(data)
 print(f"\nDN matrix {dn.dn.shape}, reciprocity defect {dn.asymmetry:.2e}")
-# the DN diagonal rescaled by L / (2 pi R) estimates the harmonic
+# the DN diagonal rescaled by L / (2 pi) estimates the harmonic
 # eigenvalues; its first L/2 entries are the cos modes 1..L/2
-scale = layout.L / (2.0 * np.pi * layout.radius)
+scale = layout.L / (2.0 * np.pi)
 est = np.diag(dn.dn) * scale
 print("harmonic eigenvalue estimates vs the homogeneous-background values:")
 bg = dn_matrix(simulate_voltages(mesh, constant_tensor(phantom.A0), layout))

@@ -320,16 +320,6 @@ class ReconstructedField:
     fhat: Optional[FhatGrid] = None   # spectrum the field was built from
 
 
-def on_unit_disk(dn: forward.DNMatrix) -> forward.DNMatrix:
-    """``dn`` itself if its electrodes lie on the unit circle; a ValueError
-    naming their radius otherwise, since the reconstruction grid and its
-    calibration ring are fixed on the unit disk."""
-    if abs(dn.layout.radius - 1.0) > 1e-12:
-        raise ValueError(f"electrode radius {dn.layout.radius!r} is not 1: "
-                         "the reconstruction is on the unit disk")
-    return dn
-
-
 def _median(values: np.ndarray) -> float:
     """The mean of the two middle sorted values of an even-length sample,
     as ``np.median`` gives it, and NaN when any value is NaN; it leaves
@@ -356,14 +346,14 @@ def reconstruct_field(dn: forward.DNMatrix, flatten: Flattening,
     heavy-tailed directional artifacts that would bias the mean.  The
     ring and the grid points in the disk are mapped and inverted in one
     pass, and ``imag_residual`` is the relative imaginary residual of
-    that pass.
+    that pass.  The field and its spectrum carry ``config_sha256``.
     """
-    on_unit_disk(dn)
     if grid < 3 or grid % 2 == 0:
         raise ValueError(f"output grid must be odd and >= 3, got {grid}")
     A0 = np.asarray(A0, dtype=float)
     det = float(np.linalg.det(A0))
     fh = fhat_grid(dn, flatten, R=R, m=lattice, det_background=det)
+    fh.config_sha256 = config_sha256
 
     ring_t = np.linspace(0.0, 2.0 * np.pi, BG_RING_SAMPLES, endpoint=False)
     ring = BG_RING_RADIUS * np.stack([np.cos(ring_t), np.sin(ring_t)], axis=1)
@@ -410,8 +400,8 @@ def save_field(fieldobj: ReconstructedField, json_path, bin_path) -> None:
 
 def load_field(json_path) -> ReconstructedField:
     """Read a reconstruction written by ``save_field``: g x g grid values
-    (their count checked first) over [-1, 1], a cross-section on the grid
-    axis and a finite 2 x 2 A0, or a ValueError."""
+    (their count checked first) over [-1, 1], its middle column as the
+    cross-section on the grid axis and a finite 2 x 2 A0, or a ValueError."""
     doc = read_json(json_path, "anisoeit-recon")
     g = count(doc, "grid")
     if doc["grid_axis_minmax"] != [-1.0, 1.0]:
@@ -430,9 +420,11 @@ def load_field(json_path) -> ReconstructedField:
     xs = float_array(doc, "cross_section_x", (g,))
     if not np.array_equal(xs, axis):
         raise ValueError("cross_section_x is not the grid axis")
+    cs = float_array(doc, "cross_section", (g,))
+    if not np.array_equal(cs, a[:, g // 2]):
+        raise ValueError("cross_section is not the grid's middle column")
     return ReconstructedField(
-        grid_axis=axis, a=a, mask=mask, cross_section_x=xs,
-        cross_section=float_array(doc, "cross_section", (g,)),
+        grid_axis=axis, a=a, mask=mask, cross_section_x=xs, cross_section=cs,
         background_offset=float(doc["background_offset"]),
         imag_residual=float(doc["imag_residual"]),
         R=float(doc["R"]), lattice=count(doc, "lattice"), A0=A0,

@@ -34,7 +34,10 @@ def _phantom(cfg: RunConfig) -> PhantomSpec:
 
 def _outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create outdir {out}: {exc}") from exc
     return out
 
 
@@ -103,7 +106,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     dn_path = out / "dn.json"
     want = cfg.sha256()
-    dn = _read(lambda p: calderon.on_unit_disk(forward.load_dn(p)), dn_path)
+    dn = _read(forward.load_dn, dn_path)
     _same_config(dn.config_sha256, want, dn_path)
     ph = _phantom(cfg)
     flatten = affine_map(ph.A0)
@@ -116,7 +119,6 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         tag = radius_tag(R)
         calderon.save_field(fieldobj, out / f"recon_R{tag}.json",
                             out / f"recon_R{tag}.bin")
-        fieldobj.fhat.config_sha256 = want
         calderon.save_fhat(fieldobj.fhat, out / f"fhat_R{tag}.json",
                            out / f"fhat_R{tag}.bin")
         target = ph.true_scalar(

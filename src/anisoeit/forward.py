@@ -1,7 +1,7 @@
 """Complete electrode model forward solver and boundary-map extraction.
 
 Assembles the P1 finite-element system for the anisotropic conductivity
-equation with L finite electrodes, contact impedances and shunting,
+equation with L finite electrodes, one contact impedance and shunting,
 applies trigonometric current patterns, and condenses the simulated
 voltages into discrete Neumann-to-Dirichlet / Dirichlet-to-Neumann
 matrices in the normalized trigonometric basis.
@@ -9,17 +9,17 @@ matrices in the normalized trigonometric basis.
 With node potentials u and electrode voltages U, the model for a current
 pattern I is
 
-    [[B, -Wz^T], [-Wz, diag(|e_l| / z_l)]] (u, U) = (0, I)
+    [[B, -Wz^T], [-Wz, diag(|e_l| / z)]] (u, U) = (0, I)
 
 where B = K + Kz is the conductivity stiffness plus the electrode mass
 terms, and Wz[l, k] is the integral of the basis function phi_k over
-electrode e_l divided by its contact impedance z_l.  B is symmetric
+electrode e_l divided by the contact impedance z.  B is symmetric
 positive definite (Kz is positive on constants).
 
 The solver writes the node unknowns on each electrode's arc as contact
 drops: u = x + E' U, with E' the N x L incidence of the arc nodes on the
 electrodes, so x is u off the arcs and u - U_l on arc l.  With
-Wz^T = Kz E' and E'^T Kz E' = diag(|e_l| / z_l), the contact energy is
+Wz^T = Kz E' and E'^T Kz E' = diag(|e_l| / z), the contact energy is
 x^T Kz x, and the system becomes
 
     [[B, C], [C^T, D]] (x, U) = (0, I),    C = K E',  D = E'^T K E':
@@ -30,7 +30,7 @@ each arc.  Eliminating x leaves the electrode matrix
     S = D - C^T B^-1 C,
 
 an L x L symmetric positive semidefinite matrix whose null space is the
-constants, equal to diag(|e_l| / z_l) - Wz B^-1 Wz^T of the first form.
+constants, equal to diag(|e_l| / z) - Wz B^-1 Wz^T of the first form.
 No term of it grows as 1/z, so S keeps its accuracy as z -> 0.  As z
 grows, S falls as 1/z while D and C^T B^-1 C stay of order 1, so S
 loses about log10(z) digits to the cancellation.
@@ -65,7 +65,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .atomic import count, float_array, read_json, write_json
-from .mesh import (ElectrodeLayout, FrontTree, Mesh, arc_electrodes,
+from .mesh import (TWO_PI, ElectrodeLayout, FrontTree, Mesh, arc_electrodes,
                    boundary_edge_electrodes)
 
 # a conductivity: points (N, 2) -> symmetric positive-definite tensors (N, 2, 2)
@@ -323,7 +323,6 @@ def assemble_cem_system(mesh: Mesh, A: Conductivity,
 
     # contact masses s/(6 z) [[2, 1], [1, 2]] of the boundary edges that
     # each electrode l covers
-    z = layout.contact_impedances
     contact = boundary_edge_electrodes(mesh, layout)
     ij, l = mesh.boundary_edges()[contact >= 0], contact[contact >= 0]
     d = nodes[ij[:, 1]] - nodes[ij[:, 0]]
@@ -332,7 +331,8 @@ def assemble_cem_system(mesh: Mesh, A: Conductivity,
     if not covered.all():
         raise ValueError(f"electrode {int(np.argmin(covered))} covers no "
                          f"boundary edge of the mesh")
-    kz = (s / 6 / z[l])[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]])
+    kz = ((s / 6 / layout.contact_impedance)[:, None, None]
+          * np.array([[2.0, 1.0], [1.0, 2.0]]))
     return CEMSystem(mesh=mesh, layout=layout, ke=Ke, contact=contact, kz=kz)
 
 
@@ -438,7 +438,7 @@ class DNMatrix:
 
     def electrode_centers(self) -> np.ndarray:
         th = self.layout.centers
-        return self.layout.radius * np.stack([np.cos(th), np.sin(th)], axis=1)
+        return np.stack([np.cos(th), np.sin(th)], axis=1)
 
 
 def dn_matrix(data: VoltageData) -> DNMatrix:
@@ -469,27 +469,38 @@ def dn_matrix(data: VoltageData) -> DNMatrix:
 
 
 def _layout_to_dict(layout: ElectrodeLayout) -> dict:
+    # centres, radius and L impedances stay in the format, checked on read
     return {
         "L": layout.L,
         "centers": layout.centers.tolist(),
         "angular_width": layout.angular_width,
-        "contact_impedances": layout.contact_impedances.tolist(),
-        "radius": layout.radius,
+        "contact_impedances": [layout.contact_impedance] * layout.L,
+        "radius": 1.0,
     }
 
 
 def _layout_from_dict(d: dict) -> ElectrodeLayout:
+    """The layout of an ``electrodes`` block, which must be one that
+    ``place_electrodes`` makes: an even L >= 4, radius 1 and centres
+    2*pi*l/L (each within 1e-12), a width in (0, 2*pi/L) and L equal,
+    positive impedances; a ValueError otherwise."""
     L, radius = count(d, "L"), float(d["radius"])
+    width = float(d["angular_width"])
     if L < 4 or L % 2:
         raise ValueError(f"electrode count L={L} is not even and >= 4")
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError(f"electrode radius {radius} is not a finite "
-                         f"positive number")
-    return ElectrodeLayout(L=L, centers=float_array(d, "centers", (L,)),
-                           angular_width=float(d["angular_width"]),
-                           contact_impedances=float_array(
-                               d, "contact_impedances", (L,)),
-                           radius=radius)
+    if not abs(radius - 1.0) <= 1e-12:
+        raise ValueError(f"electrode radius {radius} is not 1")
+    if not 0.0 < width < TWO_PI / L:
+        raise ValueError(f"electrode width {width} is not in (0, 2 pi / L)")
+    z = float_array(d, "contact_impedances", (L,))
+    if not (0.0 < z[0] and (z == z[0]).all()):
+        raise ValueError("contact impedances are not equal and positive")
+    layout = ElectrodeLayout(L=L, angular_width=width,
+                             contact_impedance=float(z[0]))
+    dev = np.abs(float_array(d, "centers", (L,)) - layout.centers).max()
+    if not dev <= 1e-12:
+        raise ValueError(f"electrode centers are {dev:.3e} off 2 pi l / L")
+    return layout
 
 
 def _patterns_to_dict(L: int) -> dict:

@@ -31,18 +31,19 @@ def _wrap_angle(theta):
 
 @dataclass(frozen=True)
 class ElectrodeLayout:
-    """L electrode arcs on a circle, with contact impedances.
-
-    Arcs are stored by center angle and common angular width; they are
-    equispaced, pairwise disjoint and ordered counterclockwise starting
-    at angle 0.
-    """
+    """L electrode arcs on the unit circle with one contact impedance: arc
+    l is centred at angle 2*pi*l/L and all share one angular width below
+    2*pi/L, so they are equispaced, pairwise disjoint and ordered
+    counterclockwise starting at angle 0."""
 
     L: int
-    centers: np.ndarray        # (L,) center angles in [0, 2*pi)
     angular_width: float       # arc opening angle, identical for all arcs
-    contact_impedances: np.ndarray  # (L,) positive, Ohm*m nominal
-    radius: float = 1.0
+    contact_impedance: float   # positive, identical for all arcs, Ohm*m nominal
+
+    @property
+    def centers(self) -> np.ndarray:
+        """(L,) center angles 2*pi*l/L in [0, 2*pi)."""
+        return TWO_PI * np.arange(self.L) / self.L
 
     def arc_bounds(self) -> np.ndarray:
         """(L, 2) start/end angles of each arc (end may exceed 2*pi)."""
@@ -52,14 +53,10 @@ class ElectrodeLayout:
     def electrode_of_angle(self, theta) -> np.ndarray:
         """Electrode index covering each angle, or -1 in the gaps."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = np.full(theta.shape, -1, dtype=int)
-        # an arc that covers an angle is centred next to it
-        near = np.searchsorted(self.centers, _wrap_angle(theta))
-        for l in (near - 1, near % self.L):
-            d = np.abs(_wrap_angle(theta - self.centers[l] + np.pi) - np.pi)
-            out = np.where(d <= 0.5 * self.angular_width + 1e-12,
-                           l % self.L, out)
-        return out
+        # an arc that covers an angle is the one centred nearest to it
+        l = np.rint(_wrap_angle(theta) * self.L / TWO_PI).astype(int) % self.L
+        d = np.abs(_wrap_angle(theta - self.centers[l] + np.pi) - np.pi)
+        return np.where(d <= 0.5 * self.angular_width + 1e-12, l, -1)
 
 
 def place_electrodes(L: int, coverage: float, z: float) -> ElectrodeLayout:
@@ -82,12 +79,10 @@ def place_electrodes(L: int, coverage: float, z: float) -> ElectrodeLayout:
         raise ValueError(f"electrode count must be even, got L={L}")
     if not 0.0 < coverage < 1.0:
         raise ValueError(f"coverage must lie in (0, 1), got {coverage}")
-    if z <= 0.0:
+    if not z > 0.0:
         raise ValueError(f"contact impedance must be positive, got {z}")
-    centers = TWO_PI * np.arange(L) / L
-    width = coverage * TWO_PI / L
-    return ElectrodeLayout(L=L, centers=centers, angular_width=width,
-                           contact_impedances=np.full(L, float(z)))
+    return ElectrodeLayout(L=L, angular_width=coverage * TWO_PI / L,
+                           contact_impedance=float(z))
 
 
 @dataclass(frozen=True)
@@ -191,7 +186,7 @@ class Mesh:
 
 def build_disk_mesh(radius: float, target_h: float,
                     layout: ElectrodeLayout) -> Mesh:
-    """Triangulate a disk so that electrode arc endpoints are boundary nodes.
+    """Triangulate the unit disk so that the arc endpoints are boundary nodes.
 
     Boundary nodes are placed at every arc endpoint and filled along arcs
     and gaps at spacing <= ``target_h``; the interior is filled with
@@ -214,13 +209,14 @@ def build_disk_mesh(radius: float, target_h: float,
     Raises
     ------
     ValueError
-        If ``target_h`` is not smaller than the radius, the layout radius
-        disagrees, or an electrode arc ends up containing no boundary edge.
+        If ``radius`` is not 1 (the electrodes lie on the unit circle),
+        ``target_h`` is not in (0, 1), or an electrode arc ends up
+        containing no boundary edge.
     """
-    if target_h <= 0 or target_h >= radius:
-        raise ValueError(f"target_h must lie in (0, radius); got {target_h}")
-    if abs(layout.radius - radius) > 1e-12:
-        raise ValueError("layout radius does not match the requested disk radius")
+    if radius != 1.0:
+        raise ValueError(f"the disk radius must be 1.0, got {radius}")
+    if target_h <= 0 or target_h >= 1.0:
+        raise ValueError(f"target_h must lie in (0, 1); got {target_h}")
 
     # boundary breakpoints: all arc endpoints, sorted on the circle
     bounds = layout.arc_bounds()
@@ -232,8 +228,7 @@ def build_disk_mesh(radius: float, target_h: float,
         a1 = breakpoints[(i + 1) % len(breakpoints)]
         if i + 1 == len(breakpoints):
             a1 += TWO_PI
-        seg_len = (a1 - a0) * radius
-        nseg = max(1, int(np.ceil(seg_len / target_h)))
+        nseg = max(1, int(np.ceil((a1 - a0) / target_h)))
         thetas.append(a0 + (a1 - a0) * np.arange(nseg) / nseg)
     theta_b = _wrap_angle(np.concatenate(thetas))
     theta_b = np.sort(theta_b)
@@ -243,8 +238,8 @@ def build_disk_mesh(radius: float, target_h: float,
     # alternate from the boundary inward (the outermost ring has a node at
     # angle 0), keep the nodes invariant under both axis mirrors and no two
     # consecutive rings' arc ends (below) together on an axis.
-    n_rings = max(2, int(round(radius / (0.85 * target_h))))
-    dr = radius / n_rings
+    n_rings = max(2, int(round(1.0 / (0.85 * target_h))))
+    dr = 1.0 / n_rings
     rings = [np.zeros(1)]                     # the centre: a one-node ring
     for i in range(1, n_rings):
         n = 4 * max(2, int(np.ceil(np.pi * i * dr / (2 * target_h))))
@@ -254,7 +249,7 @@ def build_disk_mesh(radius: float, target_h: float,
     # ``first`` is each ring's first node
     in_order = rings[-1:] + rings[:-1]
     nodes = np.concatenate([r * np.stack([np.cos(t), np.sin(t)], axis=1) for
-                            r, t in zip([radius, *np.arange(n_rings) * dr],
+                            r, t in zip([1.0, *np.arange(n_rings) * dr],
                                         in_order)])
     first = np.roll(np.cumsum([0] + [t.size for t in in_order[:-1]]), -1)
     # a node owns the arc of its ring up to the midpoints to its neighbours

@@ -184,7 +184,7 @@ def test_bilinear_matches_extended_precision():
     B = bilinear_form(dn, phi1, phi2)
     # c1^T D c2 with the projection and the pairing in long double
     t_hat = dn.basis.T.astype(np.longdouble)
-    tw = t_hat * (2.0 * np.pi * dn.layout.radius / dn.L)
+    tw = t_hat * (2.0 * np.pi / dn.L)
     project = tw / (tw * t_hat).sum(axis=1)[:, None]
     c1 = project @ phi1.astype(np.clongdouble)
     c2 = project @ phi2.astype(np.clongdouble)
@@ -568,3 +568,11 @@ def test_field_serialization_roundtrip(tmp_path, dn_identity16):
     assert back.R == field.R and back.lattice == field.lattice
     assert back.background_offset == field.background_offset
     assert back.config_sha256 == "beef"
+
+
+def test_field_stamps_its_spectrum(dn_identity16):
+    # the spectrum carries the reconstruction's stamp, not the DN matrix's
+    assert dn_identity16.config_sha256 == ""
+    field = reconstruct_field(dn_identity16, IDENTITY, np.eye(2), R=1.8,
+                              lattice=9, grid=21, config_sha256="beef")
+    assert field.config_sha256 == field.fhat.config_sha256 == "beef"

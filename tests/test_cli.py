@@ -489,6 +489,20 @@ def test_missing_input_exit_2(workdir, capsys):
     assert rejected(["evaluate", "--recon", "none.json"], "none.json")
 
 
+def test_outdir_that_is_a_file_exit_2(workdir, capsys):
+    # an outdir that cannot be created is malformed input
+    write_config(workdir / "cfg.json", phantom="A1", target_h=0.1,
+                 outdir="taken")
+    (workdir / "taken").write_text("")
+    for argv in (["simulate"], ["reconstruct"]):
+        capsys.readouterr()
+        assert main([*argv, "--config", "cfg.json"]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        record = json.loads(err)
+        assert record["error"] == "config" and "taken" in record["message"]
+
+
 def _simulate(workdir):
     write_config(workdir / "cfg.json", phantom="A1", target_h=0.1)
     assert main(["simulate", "--config", "cfg.json"]) == 0
@@ -547,6 +561,14 @@ def _zero_pattern(path):
     path.write_text(json.dumps(doc))
 
 
+def _shifted_centers(path):
+    # a layout rotated by 0.3 rad, which the trig basis does not describe
+    doc = json.loads(path.read_text())
+    doc["electrodes"]["centers"] = [
+        c + 0.3 for c in doc["electrodes"]["centers"]]
+    path.write_text(json.dumps(doc))
+
+
 def _two_electrodes(path):
     # every array consistent with L = 2, which place_electrodes rejects
     doc = json.loads(path.read_text())
@@ -565,6 +587,11 @@ def _two_electrodes(path):
     _electrodes(radius=-1.0),
     _electrodes(radius=float("nan")),
     _electrodes(radius=0.8),                    # off the unit circle
+    _shifted_centers,
+    _electrodes(angular_width=-0.1),
+    _electrodes(angular_width=2 * np.pi / 16),  # arcs that touch
+    _electrodes(contact_impedances=[0.01] * 15 + [0.02]),
+    _electrodes(contact_impedances=[0.0] * 16),
     _two_electrodes,
     _document("[1, 2]"),
     _document("null"),
@@ -572,9 +599,10 @@ def _two_electrodes(path):
     _swapped_patterns,
     _zero_pattern,
 ], ids=["empty", "dn-string", "dn-3x3", "stamp-int", "radius-negative",
-        "radius-nan", "radius-0.8", "two-electrodes", "document-list",
-        "document-null", "L-1e400", "patterns-swapped",
-        "patterns-zero-column"])
+        "radius-nan", "radius-0.8", "centers-shifted", "width-negative",
+        "width-full", "impedances-unequal", "impedance-zero",
+        "two-electrodes", "document-list", "document-null", "L-1e400",
+        "patterns-swapped", "patterns-zero-column"])
 def test_malformed_dn_exit_2(workdir, capsys, entries):
     _simulate(workdir)
     path = workdir / "out" / "dn.json"
@@ -618,6 +646,12 @@ def _nan_at_centre(path):
     a.tofile(grid)
 
 
+def _section_off_grid(path):
+    # a cross-section that is not the grid's middle column
+    _edit_json(path, cross_section=[5.0] * json.loads(
+        path.read_text())["grid"])
+
+
 def _zero_section_x(path):
     _edit_json(path, cross_section_x=[0.0] * json.loads(
         path.read_text())["grid"])
@@ -631,6 +665,7 @@ def _zero_section_x(path):
     {"grid_axis_minmax": [5, 6]},
     {"grid_axis_minmax": [-1, float("nan")]},
     _zero_section_x,                            # right length, off the axis
+    _section_off_grid,
     _document("[1, 2]"),
     _document("null"),
     _literal("grid", "1e400"),
@@ -640,9 +675,9 @@ def _zero_section_x(path):
     {"grid": 2 ** 45},
     {"A0": [[1.0, 0.0], [0.0, float("nan")]]},
 ], ids=["empty", "section-string", "section-x-short", "grid-nan",
-        "axis-shifted", "axis-nan", "section-x-zero", "document-list",
-        "document-null", "grid-1e400", "lattice-1e400", "grid-2**45",
-        "A0-nan"])
+        "axis-shifted", "axis-nan", "section-x-zero", "section-off-grid",
+        "document-list", "document-null", "grid-1e400", "lattice-1e400",
+        "grid-2**45", "A0-nan"])
 def test_malformed_recon_exit_2(workdir, capsys, entries):
     path = workdir / "out" / "recon_R2.json"
     if entries is None:

@@ -107,18 +107,18 @@ def _oracle(mesh, A, layout):
     K = scipy.sparse.coo_matrix(
         (Ke.ravel(), (np.repeat(t, 3, axis=1).ravel(),
                       np.tile(t, (1, 3)).ravel())), shape=(N, N)).tocsr()
-    z = layout.contact_impedances
+    z = layout.contact_impedance
     Kz = scipy.sparse.lil_matrix((N, N))
     for (i, j), l in zip(mesh.boundary_edges(),
                          boundary_edge_electrodes(mesh, layout)):
         if l >= 0:
-            m = np.linalg.norm(mesh.nodes[j] - mesh.nodes[i]) / 6 / z[l]
+            m = np.linalg.norm(mesh.nodes[j] - mesh.nodes[i]) / 6 / z
             Kz[i, i] += 2 * m
             Kz[j, j] += 2 * m
             Kz[i, j] += m
             Kz[j, i] += m
     w, _ = _edge_integrals(mesh, layout)
-    return K, (K + Kz).tocsc(), scipy.sparse.csr_matrix(w / z[:, None])
+    return K, (K + Kz).tocsc(), scipy.sparse.csr_matrix(w / z)
 
 
 def _incidence(mesh, layout):
@@ -133,7 +133,7 @@ def _bordered_matrix(mesh, A, layout):
     G = [1; -I], built densely from the oracle."""
     L = layout.L
     _, B, wz = _oracle(mesh, A, layout)
-    ez = _edge_integrals(mesh, layout)[1] / layout.contact_impedances
+    ez = _edge_integrals(mesh, layout)[1] / layout.contact_impedance
     G = np.vstack([np.ones((1, L - 1)), -np.eye(L - 1)])
     C = -wz.toarray().T @ G
     return np.block([[B.toarray(), C],
@@ -163,9 +163,9 @@ def _contact_masses(system):
 
 
 def test_c_block_structure(mesh16, layout16):
-    # impedances that differ per electrode, so a wrong z index shows
-    layout = dataclasses.replace(layout16,
-                                 contact_impedances=np.linspace(0.01, 0.04, 16))
+    # an impedance other than the fixture's 0.01, so that z in place of
+    # 1/z shows
+    layout = dataclasses.replace(layout16, contact_impedance=0.025)
     A = constant_tensor(np.eye(2))
     system = assemble_cem_system(mesh16, A, layout)
     N, L = mesh16.n_nodes, layout.L
@@ -179,26 +179,25 @@ def test_c_block_structure(mesh16, layout16):
     E = _incidence(mesh16, layout)
     assert np.abs(kz @ E - wz.T).max() <= 1e-12 * np.abs(wz).max()
     M, _ = _bordered_matrix(mesh16, A, layout)
-    # C[k, j] = -w_1[k] / z_1 + w_{j+1}[k] / z_{j+1}
+    # C[k, j] = (-w_1[k] + w_{j+1}[k]) / z
     expected = -wz[0][:, None] + wz[1:].T
     assert np.allclose(M[:N, N:], expected, rtol=1e-12, atol=0.0)
     assert np.allclose(M[N:, :N], expected.T, rtol=1e-12, atol=0.0)
 
 
 def test_d_block_structure(mesh16, layout16):
-    layout = dataclasses.replace(layout16,
-                                 contact_impedances=np.linspace(0.01, 0.04, 16))
+    layout = dataclasses.replace(layout16, contact_impedance=0.025)
     A = constant_tensor(np.eye(2))
     system = assemble_cem_system(mesh16, A, layout)
     N, L = mesh16.n_nodes, layout.L
     _, arc = _edge_integrals(mesh16, layout)
-    z = layout.contact_impedances
+    z = layout.contact_impedance
     # E'^T Kz E' = diag(|e| / z)
     E = _incidence(mesh16, layout)
     assert np.allclose(E.T @ _contact_masses(system) @ E, np.diag(arc / z),
                        rtol=1e-12, atol=1e-12 * (arc / z).max())
     M, _ = _bordered_matrix(mesh16, A, layout)
-    expected = arc[0] / z[0] * np.ones((L - 1, L - 1)) + np.diag(arc[1:] / z[1:])
+    expected = arc[0] / z * np.ones((L - 1, L - 1)) + np.diag(arc[1:] / z)
     assert np.allclose(M[N:, N:], expected, rtol=1e-12)
 
 
@@ -222,8 +221,7 @@ def test_condensed_solve_matches_bordered_system(mesh16, layout16, A0):
 
 
 def test_electrode_matrix_symmetric_semidefinite(mesh16, layout16):
-    layout = dataclasses.replace(layout16,
-                                 contact_impedances=np.linspace(0.01, 0.04, 16))
+    layout = dataclasses.replace(layout16, contact_impedance=0.025)
     system = assemble_cem_system(mesh16, constant_tensor(np.diag([1.0, 1.3])),
                                  layout)
     S = system.electrode_matrix()
@@ -241,14 +239,13 @@ def test_electrode_matrix_symmetric_semidefinite(mesh16, layout16):
 
 @pytest.mark.parametrize("name", ["A1", "A4"])
 def test_electrode_matrix_matches_dense_oracle(mesh16, layout16, name):
-    layout = dataclasses.replace(layout16,
-                                 contact_impedances=np.linspace(0.01, 0.04, 16))
+    layout = dataclasses.replace(layout16, contact_impedance=0.025)
     A = phantom_by_name(name).tensor
     system = assemble_cem_system(mesh16, A, layout)
     S = system.electrode_matrix()
     _, B, wz = _oracle(mesh16, A, layout)
     wz = wz.toarray()
-    ez = _edge_integrals(mesh16, layout)[1] / layout.contact_impedances
+    ez = _edge_integrals(mesh16, layout)[1] / layout.contact_impedance
     ref = np.diag(ez) - wz @ np.linalg.solve(B.toarray(), wz.T)
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -257,8 +254,7 @@ def test_electrode_matrix_matches_dense_oracle(mesh16, layout16, name):
 def test_electrode_matrix_matches_contact_drop_oracle(L, h):
     # the same bordered system in contact-drop variables, eliminated
     # densely: the factor's S agrees to rounding
-    layout = dataclasses.replace(place_electrodes(L, 0.5, 0.01),
-                                 contact_impedances=np.linspace(0.005, 0.04, L))
+    layout = place_electrodes(L, 0.5, 0.025)
     mesh = build_disk_mesh(1.0, h, layout)
     for name in ("A1", "A4"):
         A = phantom_by_name(name).tensor
@@ -400,7 +396,7 @@ def test_electrode_matrix_l128_matches_full_solve(mesh128):
     S = system.electrode_matrix()
     _, B, wz = _oracle(mesh, A, layout)
     lu = scipy.sparse.linalg.splu(B)
-    ez = _edge_integrals(mesh, layout)[1] / layout.contact_impedances
+    ez = _edge_integrals(mesh, layout)[1] / layout.contact_impedance
     ref = np.diag(ez) - wz @ lu.solve(wz.T.toarray())
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -411,7 +407,7 @@ def test_contact_impedance_range_l128(mesh128, z):
     # (d) for z from 1e-300 to 1; from z = 3, check (d) fails for A3 and
     # A4: |S 1| stays at a few eps max|D|, while max|S| falls as 1/z
     mesh, layout = mesh128
-    layout = dataclasses.replace(layout, contact_impedances=np.full(128, z))
+    layout = dataclasses.replace(layout, contact_impedance=z)
     for name in ("A1", "A2", "A3", "A4"):
         S = assemble_cem_system(mesh, phantom_by_name(name).tensor,
                                 layout).electrode_matrix()
@@ -692,10 +688,10 @@ def test_dn_eigenvalues_approach_continuum_with_more_electrodes():
         layout = place_electrodes(L, 0.5, 0.002)
         mesh = build_disk_mesh(1.0, 0.03, layout)
         dn = dn_matrix(simulate_voltages(mesh, A, layout))
-        # the diagonal rescaled by L / (2 pi R); cos modes 1..L/2 first,
+        # the diagonal rescaled by L / (2 pi); cos modes 1..L/2 first,
         # then sin modes 1..L/2-1
         freqs = np.concatenate([np.arange(1, L // 2 + 1), np.arange(1, L // 2)])
-        est = np.diag(dn.dn) * L / (2.0 * np.pi * layout.radius)
+        est = np.diag(dn.dn) * L / (2.0 * np.pi)
         sel = freqs <= 2
         devs[L] = np.abs(est[sel] / freqs[sel] - 1.0).max()
     assert devs[32] < devs[16]

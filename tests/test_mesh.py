@@ -8,8 +8,7 @@ from anisoeit.mesh import FRONT_NODES, Mesh, boundary_edge_electrodes
 
 def test_place_electrodes_arc_length():
     layout = place_electrodes(16, 0.5, 0.01)
-    assert layout.angular_width * layout.radius == pytest.approx(np.pi / 16,
-                                                                 abs=1e-15)
+    assert layout.angular_width == pytest.approx(np.pi / 16, abs=1e-15)
 
 
 def test_place_electrodes_centers_L4():
@@ -23,6 +22,8 @@ def test_place_electrodes_rejects_odd_and_small():
     with pytest.raises(ValueError):
         place_electrodes(6, 0.5, -1.0)
     with pytest.raises(ValueError):
+        place_electrodes(6, 0.5, float("nan"))
+    with pytest.raises(ValueError):
         place_electrodes(10, 1.5, 0.01)
 
 
@@ -33,6 +34,28 @@ def test_total_coverage():
                                                          abs=1e-12)
         # arcs pairwise disjoint: width strictly below spacing
         assert layout.angular_width < 2 * np.pi / L
+
+
+@pytest.mark.parametrize("L", [4, 16, 128, 512])
+@pytest.mark.parametrize("coverage", [0.1, 0.5, 0.99])
+def test_electrode_of_angle_matches_every_centre(L, coverage):
+    # the nearest centre decides, as testing every centre does: on random
+    # angles, at the arc ends and just past them, and a turn away
+    layout = place_electrodes(L, coverage, 0.01)
+    rng = np.random.default_rng(L)
+    ends = layout.arc_bounds().ravel()
+    theta = np.concatenate([rng.uniform(0, 2 * np.pi, 4000), ends,
+                            ends + 1e-12, ends - 1e-12, ends + 2e-12,
+                            ends - 2e-12, layout.centers + np.pi / L])
+    theta = np.concatenate([theta, theta + 2 * np.pi, theta - 2 * np.pi])
+    ref, hits = np.full(theta.shape, -1), np.zeros(theta.shape, dtype=int)
+    for l, c in enumerate(layout.centers):
+        d = np.abs(np.mod(theta - c + np.pi, 2 * np.pi) - np.pi)
+        covered = d <= 0.5 * layout.angular_width + 1e-12
+        ref[covered] = l
+        hits += covered
+    assert hits.max() == 1
+    assert np.array_equal(layout.electrode_of_angle(theta), ref)
 
 
 def test_mesh_contains_electrode_endpoints():
@@ -153,7 +176,9 @@ def test_build_rejects_bad_h():
     with pytest.raises(ValueError):
         build_disk_mesh(1.0, 0.0, layout)
     with pytest.raises(ValueError):
-        build_disk_mesh(2.0, 0.1, layout)   # layout radius mismatch
+        build_disk_mesh(2.0, 0.1, layout)   # not the unit disk
+    with pytest.raises(ValueError):
+        build_disk_mesh(float("nan"), 0.1, layout)
 
 
 def test_tensor_identity():
