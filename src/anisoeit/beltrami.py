@@ -55,7 +55,6 @@ from pathlib import Path
 from typing import Callable, ClassVar
 
 import numpy as np
-from numpy.polynomial import legendre
 
 from .atomic import atomic_open, write_json
 from .phantoms import check_spd
@@ -220,6 +219,7 @@ def _annulus_f(mu: MuGrid, modes: np.ndarray, x: np.ndarray) -> np.ndarray:
     x on the ramp annulus, evaluated once per distinct radius."""
     if not len(x):   # legvander loops over the degrees even for no points
         return np.zeros((modes.shape[1], 0), dtype=complex)
+    from numpy.polynomial import legendre
     x, at = np.unique(x, return_inverse=True)
     u = (2.0 * (x - mu.r) + mu.blend) / mu.blend
     V = np.ascontiguousarray(legendre.legvander(u, len(modes) - 1))
@@ -291,6 +291,7 @@ def _annulus_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     -1 of their interpolant, and the (nodes, nodes + 1) matrix from those
     coefficients back to values at the nodes.  Built on first use for
     each node count and shared, so the arrays are read-only."""
+    from numpy.polynomial import legendre
     u, w = legendre.leggauss(nodes)
     to_coef = (legendre.legvander(u, nodes - 1).T * w
                * (np.arange(nodes) + 0.5)[:, None])

@@ -339,7 +339,7 @@ def test_exported_dataclass_type_hints_resolve():
     import dataclasses
     import typing
     import anisoeit
-    classes = [v for v in vars(anisoeit).values()
+    classes = [v for v in (getattr(anisoeit, n) for n in anisoeit.__all__)
                if isinstance(v, type) and dataclasses.is_dataclass(v)]
     assert RunConfig in classes
     for cls in classes:
@@ -717,12 +717,24 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
+# the package modules each command loads: only what it runs
+_COMMAND_MODULES = {
+    "simulate": ["atomic", "config", "forward", "mesh", "phantoms"],
+    "map": ["atomic", "beltrami", "config", "phantoms"],
+    "reconstruct": ["atomic", "beltrami", "calderon", "config", "forward",
+                    "mesh", "phantoms"],
+    "evaluate": ["atomic", "calderon", "config", "phantoms"],
+}
+
+
 def test_pipeline_commands_skip_sparse_and_mesh_stack(workdir):
     # no command loads scipy's sparse, spatial, FFT or interpolation
     # modules: the mesher is closed-form, the forward solve is a dense
     # front Cholesky (scipy.linalg only) and the Beltrami series is summed
     # mode by mode in closed form; the commands after simulate load no
-    # scipy module and neither numpy.fft nor numpy.ma at all
+    # scipy module and neither numpy.fft nor numpy.ma at all.  Each command
+    # loads exactly the package modules it runs, and numpy.polynomial only
+    # where the Beltrami series is summed (map) or scipy.linalg loads it
     write_config(workdir / "cfg.json", phantom="A3", target_h=0.2, L=8,
                  lattice=9, output_grid=21)
     env = _env_with_package()
@@ -742,6 +754,55 @@ def test_pipeline_commands_skip_sparse_and_mesh_stack(workdir):
                 ("scipy.fft", "scipy.sparse", "scipy.spatial",
                  "scipy.interpolate"))]
         assert heavy == [], (argv[0], heavy[:5])
+        assert [m for m in modules if m.split(".")[0] == "anisoeit"] == [
+            "anisoeit", *(f"anisoeit.{m}" for m in _COMMAND_MODULES[argv[0]])]
+        assert ("numpy.polynomial" in modules) == (
+            argv[0] in ("simulate", "map")), argv[0]
+
+
+def test_package_import_loads_no_submodule():
+    # a fresh process: `import anisoeit` loads no submodule and no numpy,
+    # and anisoeit.calderon then resolves with no prior import
+    code = ("import json, sys, anisoeit; before = sorted(sys.modules); "
+            "m = anisoeit.calderon; print(json.dumps([before, "
+            "m is sys.modules['anisoeit.calderon'], "
+            "anisoeit.fhat_grid is m.fhat_grid]))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=_env_with_package(), check=True)
+    before, is_module, same_name = json.loads(run.stdout)
+    assert [m for m in before if m.split(".")[0] in ("anisoeit", "numpy")] \
+        == ["anisoeit"]
+    assert is_module and same_name
+
+
+def test_lazy_namespace_resolves_every_exported_name():
+    import importlib
+    assert sorted(anisoeit.__all__) == sorted([
+        "Mesh", "ElectrodeLayout", "build_disk_mesh", "place_electrodes",
+        "CEMSystem", "VoltageData", "DNMatrix", "trig_current_patterns",
+        "assemble_cem_system", "solve_forward", "simulate_voltages",
+        "dn_matrix", "save_voltages", "save_dn", "load_dn",
+        "MuGrid", "QCMap", "BeltramiConvergenceError",
+        "beltrami_coefficient", "extend_mu", "affine_map", "solve_beltrami",
+        "pushforward_tensor", "save_qcmap",
+        "FhatGrid", "ReconstructedField", "cgo_traces", "bilinear_form",
+        "fhat_grid", "inverse_fourier", "reconstruct_field", "save_field",
+        "load_field", "save_fhat",
+        "PhantomSpec", "constant_tensor", "sigma_profile", "make_phantom",
+        "phantom_by_name", "RunConfig", "ConfigError", "load_config"])
+    for name in anisoeit.__all__:
+        value = getattr(anisoeit, name)
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("anisoeit."), name
+        assert getattr(home, name) is value, name
+    assert set(anisoeit.__all__) <= set(dir(anisoeit))
+    assert {"calderon", "cli", "__version__"} <= set(dir(anisoeit))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        anisoeit.no_such_name
+    assert not hasattr(anisoeit, "no_such_name")
+    star = {}
+    exec("from anisoeit import *", star)
+    assert set(star) - {"__builtins__"} == set(anisoeit.__all__)
 
 
 # ---------------------------------------------------------------------------
