@@ -173,7 +173,7 @@ def cmd_evaluate(cfg: RunConfig, recon_path) -> int:
 CONFIG_HELP = """\
 config keys (JSON object; every key optional, defaults in parentheses):
   phantom            "A1".."A4" or {"M": contrast, "A0": 2x2 SPD}  ("A1")
-  target_h           mesh edge-length target (0.05)
+  target_h           mesh edge-length target, at most 500,000 nodes (0.05)
   L                  electrode count, even (16)
   coverage           boundary fraction under electrodes (0.5)
   contact_impedance  contact impedance of every electrode (0.01)

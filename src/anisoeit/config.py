@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field, asdict
 from typing import Union, get_args, get_type_hints
@@ -25,6 +26,20 @@ class ConfigError(ValueError):
 def radius_tag(R: float) -> str:
     """The tag that names a truncation radius's output files."""
     return "%g" % R
+
+
+# the most mesh nodes a run may ask for, so that a tiny target_h is refused
+# rather than filling memory: simulations with L = 32 peaked at 197 MB on
+# 103,601 nodes (target_h = 0.006) and 424 MB on 232,313 (0.004)
+MAX_MESH_NODES = 500_000
+
+
+def mesh_nodes(target_h: float) -> float:
+    """The node count of ``build_disk_mesh`` at ``target_h``, in closed
+    form: about pi / (0.85 h^2) on its interior rings, spaced 0.85 h
+    apart, and 2 pi / h on the boundary (26,190 against 26,377 at
+    h = 0.012)."""
+    return math.pi / 0.85 / target_h / target_h + 2 * math.pi / target_h
 
 
 def _finite_number(value) -> bool:
@@ -83,6 +98,11 @@ class RunConfig:
                                   f"definite: {exc}") from exc
         if not (0 < self.target_h < 1):
             raise ConfigError("need 0 < target_h < 1")
+        nodes = mesh_nodes(self.target_h)
+        if nodes > MAX_MESH_NODES:
+            raise ConfigError(f"target_h={self.target_h:g} would make about "
+                              f"{nodes:.3g} mesh nodes, above the cap of "
+                              f"{MAX_MESH_NODES:,}")
         if self.L < 4 or self.L % 2:
             raise ConfigError("electrode count L must be even and >= 4")
         if not (0 < self.coverage < 1):

@@ -52,12 +52,23 @@ Writing U = G beta in the ground basis G = [1; -I] (L x (L-1)), whose
 columns sum to zero, every pattern is one dense solve
 (G^T S G) beta = G^T I.
 
-scipy.linalg (BLAS, LAPACK) is imported where the factor and the solves
-run, so only a simulation loads scipy.
+The factor and the node solve call four kernels, LAPACK's dpotrf and
+BLAS's dtrsm, dsyrk and dtrsv, through scipy's f2py wrappers.
+``_kernels`` loads only the two extension modules that hold them,
+``scipy.linalg._fblas`` and ``scipy.linalg._flapack``, from their files,
+and not the ``scipy.linalg`` package: importing the package takes about
+300 ms in a fresh process (it loads numpy.f2py, numpy.fft and numpy.ma),
+several times the work of a small simulation.  The modules are loaded
+under their full names, and the interpreter keeps one instance of each
+extension module, so they are the very modules that ``scipy.linalg``
+uses, whichever of the two loads first.  Only a simulation loads them.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -110,6 +121,26 @@ def _residuals(AX: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300))
 
 
+@lru_cache(maxsize=1)
+def _kernels() -> tuple:
+    """(blas, lapack): scipy's extension modules ``scipy.linalg._fblas``
+    and ``scipy.linalg._flapack``, loaded from their files without running
+    the ``scipy`` or ``scipy.linalg`` package.  Raises RuntimeError naming
+    a module that cannot be found."""
+    spec = importlib.util.find_spec("scipy")
+    where = [os.path.join(p, "linalg")
+             for p in (spec and spec.submodule_search_locations or [])]
+    mods = []
+    for name in ("scipy.linalg._fblas", "scipy.linalg._flapack"):
+        found = importlib.machinery.PathFinder.find_spec(name, where)
+        if found is None:
+            raise RuntimeError(f"BLAS/LAPACK wrappers not found: no module "
+                               f"{name}")
+        mods.append(importlib.util.module_from_spec(found))
+        found.loader.exec_module(mods[-1])
+    return tuple(mods)
+
+
 def _front_matrix(tree: FrontTree, f: int, vals: np.ndarray) -> np.ndarray:
     """Front f's dense matrix of the system's entries, lower triangle
     filled; ``vals`` holds the element matrix and contact mass entries
@@ -142,8 +173,7 @@ class FrontFactor:
         L^T x = -L_Ux^T c, so a front's own x follows from the x and the c
         of its boundary, in one backward pass through the fronts.
         """
-        import scipy.linalg
-        t, trsv = self.tree, scipy.linalg.blas.dtrsv
+        t, trsv = self.tree, _kernels()[0].dtrsv
         x = np.empty(t.start[-1])
         x[t.start[-2]:] = c
         for f in range(len(self.blocks) - 1, -1, -1):
@@ -159,9 +189,8 @@ def _factor_fronts(tree: FrontTree, vals: np.ndarray) -> FrontFactor:
     ``vals`` (element matrices, then contact masses), front by front in
     post-order; the last front's matrix is S.  Raises RuntimeError naming
     the node whose pivot is not positive."""
-    import scipy.linalg
-    potrf = scipy.linalg.lapack.dpotrf
-    trsm, syrk = scipy.linalg.blas.dtrsm, scipy.linalg.blas.dsyrk
+    blas, lapack = _kernels()
+    potrf, trsm, syrk = lapack.dpotrf, blas.dtrsm, blas.dsyrk
     vals = vals[tree.elem_src]
     updates = [[] for _ in tree.index]
     blocks, nnz = [], 0

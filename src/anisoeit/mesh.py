@@ -238,6 +238,8 @@ def build_disk_mesh(radius: float, target_h: float,
     # alternate from the boundary inward (the outermost ring has a node at
     # angle 0), keep the nodes invariant under both axis mirrors and no two
     # consecutive rings' arc ends (below) together on an axis.
+    # config.mesh_nodes counts these nodes in closed form from the same
+    # spacing, to cap target_h; change the two together.
     n_rings = max(2, int(round(1.0 / (0.85 * target_h))))
     dr = 1.0 / n_rings
     rings = [np.zeros(1)]                     # the centre: a one-node ring

@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import anisoeit
 from anisoeit.cli import main
-from anisoeit.config import RunConfig, load_config, ConfigError
+from anisoeit.config import (MAX_MESH_NODES, ConfigError, RunConfig,
+                             load_config, mesh_nodes)
 from anisoeit import affine_map, calderon, load_dn, phantom_by_name
 
 
@@ -327,6 +328,26 @@ def test_config_help_lists_exactly_the_config_keys():
     assert documented == set(RunConfig.__dataclass_fields__)
 
 
+def test_config_refuses_target_h_past_the_node_cap(workdir, capsys):
+    # a tiny target_h would fill the host's memory while the mesher fills
+    # the boundary; validation refuses it from the closed-form node count,
+    # so no command builds that mesh.  h_cap is the target_h whose mesh
+    # holds MAX_MESH_NODES nodes, the root of a / h^2 + b / h = cap
+    a, b = math.pi / 0.85, 2 * math.pi
+    h_cap = 2 * a / (math.sqrt(b * b + 4 * a * MAX_MESH_NODES) - b)
+    assert mesh_nodes(h_cap) == pytest.approx(MAX_MESH_NODES, rel=1e-12)
+    RunConfig(target_h=h_cap * (1 + 1e-6)).validate()
+    for h in (1e-9, h_cap * (1 - 1e-6)):
+        with pytest.raises(ConfigError, match="mesh nodes, above the cap"):
+            RunConfig(target_h=h).validate()
+        (workdir / "cfg.json").write_text(json.dumps({"target_h": h}))
+        for argv in (["simulate"], ["map"], ["reconstruct"],
+                     ["evaluate", "--recon", "out/recon_R2.json"]):
+            assert main([*argv, "--config", "cfg.json"]) == 2, argv
+            assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (workdir / "out").exists()
+
+
 def test_config_rejects_colliding_radius_tags():
     # both radii would write recon_R1.8.*, the second over the first
     for radii in ([1.8, 1.8000001], [2.0, 2]):
@@ -420,6 +441,37 @@ def test_failure_stderr_is_one_json_record(workdir):
     record = json.loads(run.stderr)
     assert record["error"] == "numerical"
     assert any(w.startswith("RuntimeWarning") for w in record["warnings"])
+    assert not (workdir / "out" / "dn.json").exists()
+
+
+@pytest.mark.parametrize("missing", ["scipy", "scipy.linalg._fblas",
+                                     "scipy.linalg._flapack"])
+def test_missing_blas_wrappers_exit_3(workdir, capsys, monkeypatch, missing):
+    # without scipy, or without one of its BLAS/LAPACK extension modules,
+    # simulate fails with exit 3 and one record that names the module
+    import importlib.machinery
+    import importlib.util
+    from anisoeit.forward import _kernels
+    find_spec, path_find_spec = (importlib.util.find_spec,
+                                 importlib.machinery.PathFinder.find_spec)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *a: (
+        None if name == missing else find_spec(name, *a)))
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        lambda name, *a: (None if name == missing
+                                          else path_find_spec(name, *a)))
+    write_config(workdir / "cfg.json", target_h=0.3, L=8)
+    capsys.readouterr()
+    _kernels.cache_clear()
+    try:
+        assert main(["simulate", "--config", "cfg.json"]) == 3
+    finally:
+        _kernels.cache_clear()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    record = json.loads(err)
+    assert record["type"] == "RuntimeError"
+    named = "scipy.linalg._fblas" if missing == "scipy" else missing
+    assert record["message"].endswith(f"no module {named}")
     assert not (workdir / "out" / "dn.json").exists()
 
 
@@ -728,16 +780,17 @@ _COMMAND_MODULES = {
 
 
 def test_pipeline_commands_skip_sparse_and_mesh_stack(workdir):
-    # no command loads scipy's sparse, spatial, FFT or interpolation
-    # modules: the mesher is closed-form, the forward solve is a dense
-    # front Cholesky (scipy.linalg only) and the Beltrami series is summed
-    # mode by mode in closed form; the commands after simulate load no
-    # scipy module and neither numpy.fft nor numpy.ma at all.  Each command
-    # loads exactly the package modules it runs, and numpy.polynomial only
-    # where the Beltrami series is summed (map) or scipy.linalg loads it
+    # no command loads a scipy package, numpy.fft or numpy.ma: the mesher
+    # is closed-form, the forward solve is a dense front Cholesky that
+    # calls scipy's BLAS and LAPACK wrappers from their two extension
+    # modules alone, and the Beltrami series is summed mode by mode in
+    # closed form.  Each command loads exactly the package modules it
+    # runs, and numpy.polynomial only where the Beltrami series is summed
+    # (map)
     write_config(workdir / "cfg.json", phantom="A3", target_h=0.2, L=8,
                  lattice=9, output_grid=21)
     env = _env_with_package()
+    wrappers = ["scipy.linalg._fblas", "scipy.linalg._flapack"]
     for argv in (["simulate"], ["map"], ["reconstruct"],
                  ["evaluate", "--recon", "out/recon_R2.json"]):
         run = subprocess.run(
@@ -746,18 +799,14 @@ def test_pipeline_commands_skip_sparse_and_mesh_stack(workdir):
             capture_output=True, text=True, env=env, check=True)
         code, modules = json.loads(run.stdout.splitlines()[-1])
         assert code == 0, (argv, run.stderr)
-        heavy = [m for m in modules
-                 if m.split(".")[0] == "scipy" or m in ("numpy.fft", "numpy.ma")]
-        if argv[0] == "simulate":
-            # scipy.linalg imports numpy.fft and numpy.ma itself
-            heavy = [m for m in heavy if m.startswith(
-                ("scipy.fft", "scipy.sparse", "scipy.spatial",
-                 "scipy.interpolate"))]
+        heavy = [m for m in modules if m not in wrappers and (
+            m.split(".")[0] == "scipy" or m in ("numpy.fft", "numpy.ma"))]
         assert heavy == [], (argv[0], heavy[:5])
+        assert [m for m in modules if m in wrappers] == (
+            wrappers if argv[0] == "simulate" else []), argv[0]
         assert [m for m in modules if m.split(".")[0] == "anisoeit"] == [
             "anisoeit", *(f"anisoeit.{m}" for m in _COMMAND_MODULES[argv[0]])]
-        assert ("numpy.polynomial" in modules) == (
-            argv[0] in ("simulate", "map")), argv[0]
+        assert ("numpy.polynomial" in modules) == (argv[0] == "map"), argv[0]
 
 
 def test_package_import_loads_no_submodule():

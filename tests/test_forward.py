@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -12,7 +14,9 @@ from anisoeit import (build_disk_mesh, place_electrodes, constant_tensor,
                       trig_current_patterns, assemble_cem_system,
                       solve_forward, simulate_voltages, dn_matrix,
                       save_dn, load_dn, phantom_by_name, make_phantom)
-from anisoeit.forward import element_stiffness, VoltageData, _front_matrix
+import anisoeit
+from anisoeit.forward import (element_stiffness, VoltageData, _front_matrix,
+                              _kernels)
 from anisoeit.mesh import Mesh, boundary_edge_electrodes, _front_tree
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -551,6 +555,39 @@ def test_forward_needs_no_scipy_sparse(layout16, monkeypatch):
         import scipy.sparse  # noqa: F401
     data = simulate_voltages(mesh, phantom_by_name("A3").tensor, layout16)
     assert np.isfinite(dn_matrix(data).dn).all()
+
+
+_KERNELS_FIRST = """\
+import json, sys
+from anisoeit.forward import _kernels
+blas, lapack = _kernels()
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import scipy.linalg
+print(json.dumps([loaded, [
+    lapack.dpotrf is scipy.linalg.lapack.dpotrf,
+    blas.dtrsm is scipy.linalg.blas.dtrsm,
+    blas.dsyrk is scipy.linalg.blas.dsyrk,
+    blas.dtrsv is scipy.linalg.blas.dtrsv]]))
+"""
+
+
+def test_kernels_are_scipys_wrappers():
+    # the factor calls the very wrappers that scipy.linalg exposes, in
+    # either load order: here scipy.linalg is imported first, and in a
+    # fresh process the kernels load first, without any scipy package
+    blas, lapack = _kernels()
+    assert lapack.dpotrf is scipy.linalg.lapack.dpotrf
+    assert blas.dtrsm is scipy.linalg.blas.dtrsm
+    assert blas.dsyrk is scipy.linalg.blas.dsyrk
+    assert blas.dtrsv is scipy.linalg.blas.dtrsv
+    src = os.path.dirname(os.path.dirname(anisoeit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _KERNELS_FIRST],
+                         capture_output=True, text=True, env=env, check=True)
+    loaded, same = json.loads(run.stdout)
+    assert loaded == ["scipy.linalg._fblas", "scipy.linalg._flapack"]
+    assert same == [True] * 4
 
 
 def test_solve_ground_condition(mesh16, layout16):

@@ -3,6 +3,7 @@ import pytest
 
 from anisoeit import (build_disk_mesh, place_electrodes, constant_tensor,
                       phantom_by_name)
+from anisoeit.config import mesh_nodes
 from anisoeit.mesh import FRONT_NODES, Mesh, boundary_edge_electrodes
 
 
@@ -167,6 +168,14 @@ def test_every_electrode_owns_boundary_edges():
     owners = boundary_edge_electrodes(mesh, layout)
     for l in range(16):
         assert (owners == l).sum() >= 1
+
+
+@pytest.mark.parametrize("L, h", [(8, 0.1), (16, 0.05), (32, 0.024),
+                                  (128, 0.012)])
+def test_closed_form_node_count_tracks_the_mesher(L, h):
+    # the run config caps target_h by this count, without building a mesh
+    mesh = build_disk_mesh(1.0, h, place_electrodes(L, 0.5, 0.01))
+    assert mesh_nodes(h) == pytest.approx(mesh.n_nodes, rel=0.05)
 
 
 def test_build_rejects_bad_h():
