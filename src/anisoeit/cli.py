@@ -60,18 +60,18 @@ def _same_config(stamp: str, want: str, path) -> None:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """Forward-simulate voltages and condense them to a DN matrix."""
-    from . import forward
+    from .forward import dn_matrix, save_dn, save_voltages, simulate_voltages
     from .mesh import build_disk_mesh, place_electrodes
     ph = _phantom(cfg)
     layout = place_electrodes(cfg.L, cfg.coverage, cfg.contact_impedance)
     mesh = build_disk_mesh(1.0, cfg.target_h, layout)
-    data = forward.simulate_voltages(mesh, ph.tensor, layout,
-                                     noise=cfg.noise, seed=cfg.seed)
+    data = simulate_voltages(mesh, ph.tensor, layout, noise=cfg.noise,
+                             seed=cfg.seed)
     data.config_sha256 = cfg.sha256()
-    dn = forward.dn_matrix(data)
+    dn = dn_matrix(data)
     out = _outdir(cfg)
-    forward.save_voltages(data, out / "voltages.json")
-    forward.save_dn(dn, out / "dn.json")
+    save_voltages(data, out / "voltages.json")
+    save_dn(dn, out / "dn.json")
     print(f"wrote {out / 'voltages.json'} and {out / 'dn.json'} "
           f"(L={cfg.L}, {mesh.n_nodes} nodes, noise={cfg.noise})")
     return 0
@@ -102,25 +102,27 @@ def cmd_map(cfg: RunConfig) -> int:
 def cmd_reconstruct(cfg: RunConfig) -> int:
     """Reconstruct the scalar multiplier for every truncation radius,
     flattening with the exact map z + mu0 conj(z) of the background."""
-    from . import beltrami, calderon, forward
+    from .beltrami import affine_map
+    from .calderon import reconstruct_field, save_fhat, save_field
+    from .forward import load_dn
     out = _outdir(cfg)
     dn_path = out / "dn.json"
     want = cfg.sha256()
-    dn = _read(forward.load_dn, dn_path)
+    dn = _read(load_dn, dn_path)
     _same_config(dn.config_sha256, want, dn_path)
     ph = _phantom(cfg)
-    flatten = beltrami.affine_map(ph.A0)
+    flatten = affine_map(ph.A0)
     # every radius is computed before any is written, so a radius that
     # fails leaves no partial set of outputs behind
-    fields = [calderon.reconstruct_field(
+    fields = [reconstruct_field(
         dn, flatten, ph.A0, R=R, lattice=cfg.lattice, grid=cfg.output_grid,
         config_sha256=want) for R in cfg.truncation_radii]
     for R, fieldobj in zip(cfg.truncation_radii, fields):
         tag = radius_tag(R)
-        calderon.save_field(fieldobj, out / f"recon_R{tag}.json",
-                            out / f"recon_R{tag}.bin")
-        calderon.save_fhat(fieldobj.fhat, out / f"fhat_R{tag}.json",
-                           out / f"fhat_R{tag}.bin")
+        save_field(fieldobj, out / f"recon_R{tag}.json",
+                   out / f"recon_R{tag}.bin")
+        save_fhat(fieldobj.fhat, out / f"fhat_R{tag}.json",
+                  out / f"fhat_R{tag}.bin")
         target = ph.true_scalar(
             np.stack([fieldobj.cross_section_x,
                       np.zeros_like(fieldobj.cross_section_x)], axis=1))
@@ -138,8 +140,8 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 
 def cmd_evaluate(cfg: RunConfig, recon_path) -> int:
     """Error metrics of a reconstruction against the true phantom."""
-    from . import calderon
-    fieldobj = _read(calderon.load_field, recon_path)
+    from .calderon import load_field
+    fieldobj = _read(load_field, recon_path)
     _same_config(fieldobj.config_sha256, cfg.sha256(), recon_path)
     ph = _phantom(cfg)
     axis = fieldobj.grid_axis

@@ -76,8 +76,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .atomic import count, float_array, read_json, write_json
-from .mesh import (TWO_PI, ElectrodeLayout, FrontTree, Mesh, arc_electrodes,
-                   boundary_edge_electrodes)
+from .mesh import ElectrodeLayout, FrontTree, Mesh, arc_electrodes
 
 # a conductivity: points (N, 2) -> symmetric positive-definite tensors (N, 2, 2)
 Conductivity = Callable[[np.ndarray], np.ndarray]
@@ -222,35 +221,23 @@ def _factor_fronts(tree: FrontTree, vals: np.ndarray) -> FrontFactor:
 class CEMSystem:
     """Assembled CEM system, ready to eliminate onto the electrodes.
 
-    ``ke`` holds the (M, 3, 3) element stiffness matrices, ``contact``
-    the electrode of each boundary edge (-1 in a gap) and ``kz`` the
-    (E, 2, 2) contact masses of the E electrode edges, in boundary order.
+    ``ke`` holds the (M, 3, 3) element stiffness matrices and ``kz`` the
+    (E, 2, 2) contact masses of the E electrode edges, in boundary order:
+    the edges with ``mesh.fronts.contact`` >= 0.
     """
 
     mesh: Mesh
     layout: ElectrodeLayout
     ke: np.ndarray                   # (M, 3, 3)
-    contact: np.ndarray              # (Nb,) int
     kz: np.ndarray                   # (E, 2, 2)
     _factor: Optional[FrontFactor] = None
     _electrode: Optional[np.ndarray] = None
 
     def factor(self) -> FrontFactor:
-        """Cached multifrontal factor of the system on the mesh's fronts.
-
-        The mesh's front tree must end with the L electrode voltages and
-        must have been built for this layout's electrode edges; a
-        ValueError otherwise.
-        """
+        """Cached multifrontal factor of the system on the mesh's fronts,
+        which ``assemble_cem_system`` checked against the layout."""
         if self._factor is None:
-            tree, N, L = self.mesh.fronts, self.mesh.n_nodes, self.layout.L
-            if tree is None or tree.start[-2] != N or tree.start[-1] != N + L:
-                raise ValueError(f"mesh has no front tree that ends with the "
-                                 f"{L} electrode voltages [{N}, {N + L})")
-            if not np.array_equal(tree.contact, self.contact):
-                raise ValueError("mesh's front tree was built for other "
-                                 "electrode edges")
-            self._factor = _factor_fronts(tree, np.concatenate(
+            self._factor = _factor_fronts(self.mesh.fronts, np.concatenate(
                 [self.ke.ravel(), self.kz.ravel()]))
         return self._factor
 
@@ -273,9 +260,10 @@ class CEMSystem:
         if self._electrode is None:
             fac = self.factor()
             S, N, L = fac.s, self.mesh.n_nodes, self.layout.L
+            contact = self.mesh.fronts.contact
             c = 1.0 + np.arange(L) / L
-            ij = self.mesh.boundary_edges()[self.contact >= 0]
-            el = arc_electrodes(self.mesh.boundary_nodes, self.contact, N)
+            ij = self.mesh.boundary_edges()[contact >= 0]
+            el = arc_electrodes(self.mesh.boundary_nodes, contact, N)
             arc = np.flatnonzero(el >= 0)
             ec = np.zeros(N)                    # E' c: c_l on arc l
             ec[arc] = c[el[arc]]
@@ -339,30 +327,33 @@ def assemble_cem_system(mesh: Mesh, A: Conductivity,
                         layout: ElectrodeLayout) -> CEMSystem:
     """Element matrices and electrode terms of the CEM system for tensor A.
 
-    The tensor is sampled once per triangle at the centroid (exact
-    integration of the piecewise-constant coefficient against the constant
-    P1 gradients); electrode mass terms are integrated exactly on the
-    boundary edges each electrode covers.  No global matrix is formed:
+    The mesh's front tree must end with the layout's L electrode voltages
+    after the N nodes and must have been built for arcs of the layout's
+    width (its contact impedance may differ); a ValueError otherwise,
+    before any element matrix is formed.  The tensor is sampled once per
+    triangle at the centroid (exact integration of the piecewise-constant
+    coefficient against the constant P1 gradients); electrode mass terms
+    are integrated exactly on the boundary edges that the tree's
+    ``contact`` puts on an electrode.  No global matrix is formed:
     ``CEMSystem.factor`` scatters these terms into the mesh's fronts.
     """
+    tree, N, L = mesh.fronts, mesh.n_nodes, layout.L
+    if (tree is None or tree.start[-2] != N or tree.start[-1] != N + L
+            or tree.width != layout.angular_width):
+        raise ValueError(f"mesh has no front tree that ends with the {L} "
+                         f"electrode voltages [{N}, {N + L}) and was built "
+                         f"for arcs of width {layout.angular_width:.17g}")
     nodes, tris = mesh.nodes, mesh.triangles
-    L = layout.L
     p = nodes[tris]                                    # (M, 3, 2)
     Ke = element_stiffness(p, A((p[:, 0] + p[:, 1] + p[:, 2]) / 3))
 
-    # contact masses s/(6 z) [[2, 1], [1, 2]] of the boundary edges that
-    # each electrode l covers
-    contact = boundary_edge_electrodes(mesh, layout)
-    ij, l = mesh.boundary_edges()[contact >= 0], contact[contact >= 0]
+    # contact masses s/(6 z) [[2, 1], [1, 2]] of the electrode edges
+    ij = mesh.boundary_edges()[tree.contact >= 0]
     d = nodes[ij[:, 1]] - nodes[ij[:, 0]]
     s = np.sqrt(np.vecdot(d, d))                       # edge lengths |e|
-    covered = np.bincount(l, minlength=L) > 0
-    if not covered.all():
-        raise ValueError(f"electrode {int(np.argmin(covered))} covers no "
-                         f"boundary edge of the mesh")
     kz = ((s / 6 / layout.contact_impedance)[:, None, None]
           * np.array([[2.0, 1.0], [1.0, 2.0]]))
-    return CEMSystem(mesh=mesh, layout=layout, ke=Ke, contact=contact, kz=kz)
+    return CEMSystem(mesh=mesh, layout=layout, ke=Ke, kz=kz)
 
 
 def solve_forward(system: CEMSystem, patterns: np.ndarray) -> np.ndarray:
@@ -509,23 +500,19 @@ def _layout_to_dict(layout: ElectrodeLayout) -> dict:
 
 
 def _layout_from_dict(d: dict) -> ElectrodeLayout:
-    """The layout of an ``electrodes`` block, which must be one that
-    ``place_electrodes`` makes: an even L >= 4, radius 1 and centres
-    2*pi*l/L (each within 1e-12), a width in (0, 2*pi/L) and L equal,
-    positive impedances; a ValueError otherwise."""
+    """The layout of an ``electrodes`` block: one that ``ElectrodeLayout``
+    accepts, on radius 1, with centres 2*pi*l/L (each within 1e-12) and L
+    equal impedances; a ValueError otherwise."""
     L, radius = count(d, "L"), float(d["radius"])
-    width = float(d["angular_width"])
-    if L < 4 or L % 2:
-        raise ValueError(f"electrode count L={L} is not even and >= 4")
     if not abs(radius - 1.0) <= 1e-12:
         raise ValueError(f"electrode radius {radius} is not 1")
-    if not 0.0 < width < TWO_PI / L:
-        raise ValueError(f"electrode width {width} is not in (0, 2 pi / L)")
     z = float_array(d, "contact_impedances", (L,))
-    if not (0.0 < z[0] and (z == z[0]).all()):
-        raise ValueError("contact impedances are not equal and positive")
-    layout = ElectrodeLayout(L=L, angular_width=width,
-                             contact_impedance=float(z[0]))
+    if not (z == z[:1]).all():
+        raise ValueError("contact impedances are not equal")
+    # L = 0 leaves no impedance to read; the layout refuses that L first
+    layout = ElectrodeLayout(L=L, angular_width=float(d["angular_width"]),
+                             contact_impedance=float(z[0]) if z.size
+                             else np.nan)
     dev = np.abs(float_array(d, "centers", (L,)) - layout.centers).max()
     if not dev <= 1e-12:
         raise ValueError(f"electrode centers are {dev:.3e} off 2 pi l / L")

@@ -34,11 +34,25 @@ class ElectrodeLayout:
     """L electrode arcs on the unit circle with one contact impedance: arc
     l is centred at angle 2*pi*l/L and all share one angular width below
     2*pi/L, so they are equispaced, pairwise disjoint and ordered
-    counterclockwise starting at angle 0."""
+    counterclockwise starting at angle 0.  Making a layout outside these
+    rules raises a ValueError: an even L >= 4 (the trigonometric current
+    patterns need an L/2 cosine / L/2 - 1 sine split),
+    0 < angular_width < 2*pi/L and contact_impedance > 0."""
 
     L: int
     angular_width: float       # arc opening angle, identical for all arcs
     contact_impedance: float   # positive, identical for all arcs, Ohm*m nominal
+
+    def __post_init__(self):
+        L, width, z = self.L, self.angular_width, self.contact_impedance
+        if not (L >= 4 and L % 2 == 0):
+            raise ValueError(f"electrode count must be even and >= 4, "
+                             f"got L={L}")
+        if not 0.0 < width < TWO_PI / L:
+            raise ValueError(f"electrode width {width} is not in "
+                             f"(0, 2 pi / L) for L={L}")
+        if not z > 0.0:
+            raise ValueError(f"contact impedance must be positive, got {z}")
 
     @property
     def centers(self) -> np.ndarray:
@@ -65,24 +79,20 @@ def place_electrodes(L: int, coverage: float, z: float) -> ElectrodeLayout:
     Parameters
     ----------
     L : int
-        Electrode count; must be even and >= 4 (the trigonometric
-        current-pattern basis needs an L/2 cosine / L/2-1 sine split).
+        Electrode count.
     coverage : float
         Fraction of the circle covered by electrodes, in (0, 1).
         Each arc has length ``coverage * 2*pi / L``.
     z : float
-        Contact impedance, identical for all electrodes, > 0.
+        Contact impedance, identical for all electrodes.
+
+    ``ElectrodeLayout`` refuses, with a ValueError, an L, a coverage or a
+    z outside its rules.
     """
-    if L < 4:
-        raise ValueError(f"need at least 4 electrodes, got L={L}")
-    if L % 2 != 0:
-        raise ValueError(f"electrode count must be even, got L={L}")
-    if not 0.0 < coverage < 1.0:
-        raise ValueError(f"coverage must lie in (0, 1), got {coverage}")
-    if not z > 0.0:
-        raise ValueError(f"contact impedance must be positive, got {z}")
-    return ElectrodeLayout(L=L, angular_width=coverage * TWO_PI / L,
-                           contact_impedance=float(z))
+    # L = 0 leaves a NaN width, and the layout refuses L before the width
+    return ElectrodeLayout(
+        L=L, angular_width=coverage * TWO_PI / (L or np.nan),
+        contact_impedance=float(z))
 
 
 @dataclass(frozen=True)
@@ -111,7 +121,11 @@ class FrontTree:
     ``elem_dst[i]`` of the flattened matrix of the front that owns the
     earlier of its two unknowns, for the fronts in turn as ``elem_ptr``
     bounds them.  Only the lower triangle of each front is filled.
-    ``contact`` holds the electrode of each boundary edge, -1 in a gap.
+
+    ``contact`` holds the electrode of each boundary edge, -1 in a gap,
+    for the arcs of angular width ``width`` centred at 2*pi*l/L: the one
+    table of which edge lies on which electrode that the forward solver
+    reads.
     """
 
     start: np.ndarray        # (F + 2,)
@@ -122,6 +136,7 @@ class FrontTree:
     elem_dst: np.ndarray     # int32, as elem_src
     elem_ptr: np.ndarray     # (F + 2,)
     contact: np.ndarray      # (Nb,) int
+    width: float             # the arcs' angular width
 
 
 @dataclass(frozen=True)
@@ -132,10 +147,10 @@ class Mesh:
     angular positions strictly increase modulo 2*pi.  All triangles are
     counterclockwise (positive signed area).  The forward solver
     eliminates the nodes in index order on the tree ``fronts``, whose last
-    front holds the electrode voltages; ``build_disk_mesh`` numbers the
+    front holds the electrode voltages and whose ``contact`` says which
+    boundary edge lies on which electrode; ``build_disk_mesh`` numbers the
     nodes so and builds the tree for its electrode layout.  A mesh made
-    otherwise has no fronts and can be validated and assembled, but not
-    factored.
+    otherwise has no fronts and can be validated, but not assembled.
     """
 
     nodes: np.ndarray           # (N, 2)
@@ -204,14 +219,17 @@ def build_disk_mesh(radius: float, target_h: float,
     that the dissection leaves whole and the separators above them, then
     the L electrode voltages of ``layout`` as the last front, with the
     index sets and gather maps that the forward solver's multifrontal
-    elimination uses for every conductivity.
+    elimination uses for every conductivity, and the electrode of each
+    boundary edge: the one whose arc holds the angle midway between the
+    edge's ends.  Every arc holds an edge, as its two ends are boundary
+    nodes.
 
     Raises
     ------
     ValueError
         If ``radius`` is not 1 (the electrodes lie on the unit circle),
-        ``target_h`` is not in (0, 1), or an electrode arc ends up
-        containing no boundary edge.
+        ``target_h`` is not in (0, 1), or arc ends or gaps so short that
+        they round away leave an invalid mesh (``Mesh.validate``).
     """
     if radius != 1.0:
         raise ValueError(f"the disk radius must be 1.0, got {radius}")
@@ -258,12 +276,7 @@ def build_disk_mesh(radius: float, target_h: float,
     ends = [_wrap_angle(t + np.diff(t, append=t[0] + TWO_PI) / 2)
             for t in rings]
 
-    # electrode arcs must own at least one full boundary edge
-    owners = layout.electrode_of_angle(ends[-1])
-    for l in range(layout.L):
-        if not (owners == l).any():
-            raise ValueError(
-                f"target_h={target_h:g} too coarse: electrode {l} contains no boundary edge")
+    owners = layout.electrode_of_angle(ends[-1])     # of each boundary edge
 
     # zip each pair of consecutive rings: crossing the arc end between
     # nodes j and j + 1 of one ring makes the triangle of those two and the
@@ -300,7 +313,7 @@ def build_disk_mesh(radius: float, target_h: float,
     label = np.empty_like(order)
     label[order] = np.arange(order.size)
     triangles = label[triangles]
-    fronts = _front_tree(triangles, label[loop], owners, layout.L,
+    fronts = _front_tree(triangles, label[loop], owners, layout.angular_width,
                          np.r_[start, start[-1] + layout.L], np.r_[parent, -1])
     mesh = Mesh(nodes=nodes[order], triangles=triangles,
                 boundary_nodes=label[loop], fronts=fronts)
@@ -385,16 +398,16 @@ def _dissection_order(nodes: np.ndarray, edges: np.ndarray
 
 
 def _front_tree(triangles: np.ndarray, boundary: np.ndarray,
-                contact: np.ndarray, L: int, start: np.ndarray,
+                contact: np.ndarray, width: float, start: np.ndarray,
                 parent: np.ndarray) -> FrontTree:
     """Index sets and gather maps of the fronts ``start`` / ``parent``
     (those of ``_dissection_order`` with the L electrode voltages as the
     last front) for the CEM system of the triangles and of the boundary
     loop ``boundary``, whose edge k lies on electrode ``contact[k]`` (-1
-    in a gap)."""
+    in a gap) of the arcs of angular width ``width``."""
     nf = parent.size
     n = int(start[-1])                 # the N nodes, then the L voltages
-    N = n - L
+    N = int(start[-2])
     owner = np.repeat(np.arange(nf, dtype=np.int32), np.diff(start))
     end = start[1:]
     # entries (r, c) with r >= c, placed in the front that owns c, and the
@@ -475,7 +488,7 @@ def _front_tree(triangles: np.ndarray, boundary: np.ndarray,
     ptr = np.r_[0, np.cumsum(np.bincount(f, minlength=nf))]
     return FrontTree(start=start, parent=parent, index=index, extend=extend,
                      elem_src=src[o], elem_dst=dst[o], elem_ptr=ptr,
-                     contact=contact)
+                     contact=contact, width=width)
 
 
 def arc_electrodes(boundary: np.ndarray, contact: np.ndarray,
@@ -487,11 +500,3 @@ def arc_electrodes(boundary: np.ndarray, contact: np.ndarray,
     on = contact >= 0
     el[boundary[on]] = el[np.roll(boundary, -1)[on]] = contact[on]
     return el
-
-
-def boundary_edge_electrodes(mesh: Mesh, layout: ElectrodeLayout) -> np.ndarray:
-    """Electrode index of each boundary edge (-1 for gap edges)."""
-    edges = mesh.boundary_edges()
-    mid = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
-    ang = _wrap_angle(np.arctan2(mid[:, 1], mid[:, 0]))
-    return layout.electrode_of_angle(ang)

@@ -621,8 +621,16 @@ def _shifted_centers(path):
     path.write_text(json.dumps(doc))
 
 
+def _electrode_count(L):
+    """Sets the electrode count of a dn.json file to L, with centres and
+    impedances of that length where it has one."""
+    n = max(L, 0)
+    return _electrodes(L=L, centers=[2 * np.pi * l / L for l in range(n)],
+                       contact_impedances=[0.01] * n)
+
+
 def _two_electrodes(path):
-    # every array consistent with L = 2, which place_electrodes rejects
+    # every array consistent with L = 2, which ElectrodeLayout refuses
     doc = json.loads(path.read_text())
     doc["electrodes"].update(L=2, centers=[0.0, np.pi],
                              contact_impedances=[0.01, 0.01])
@@ -644,6 +652,12 @@ def _two_electrodes(path):
     _electrodes(angular_width=2 * np.pi / 16),  # arcs that touch
     _electrodes(contact_impedances=[0.01] * 15 + [0.02]),
     _electrodes(contact_impedances=[0.0] * 16),
+    _electrodes(contact_impedances=[-1.0] * 16),
+    _electrodes(contact_impedances=[float("nan")] * 16),
+    _electrodes(angular_width=float("nan")),
+    _electrode_count(0),
+    _electrode_count(-2),
+    _electrode_count(15),
     _two_electrodes,
     _document("[1, 2]"),
     _document("null"),
@@ -653,7 +667,8 @@ def _two_electrodes(path):
 ], ids=["empty", "dn-string", "dn-3x3", "stamp-int", "radius-negative",
         "radius-nan", "radius-0.8", "centers-shifted", "width-negative",
         "width-full", "impedances-unequal", "impedance-zero",
-        "two-electrodes", "document-list", "document-null", "L-1e400",
+        "impedance-negative", "impedance-nan", "width-nan", "L-0",
+        "L-negative", "L-odd", "two-electrodes", "document-list", "document-null", "L-1e400",
         "patterns-swapped", "patterns-zero-column"])
 def test_malformed_dn_exit_2(workdir, capsys, entries):
     _simulate(workdir)
@@ -809,6 +824,27 @@ def test_pipeline_commands_skip_sparse_and_mesh_stack(workdir):
         assert ("numpy.polynomial" in modules) == (argv[0] == "map"), argv[0]
 
 
+def test_import_timer_names_every_module_a_command_loads(workdir):
+    # `python -X importtime -m anisoeit.cli <command>` profiles exactly the
+    # package modules the command loads: the import timer sees import
+    # statements, not the importlib call of the lazy namespace, so the
+    # commands import their names from the modules themselves
+    write_config(workdir / "cfg.json", phantom="A3", target_h=0.2, L=8,
+                 lattice=9, output_grid=21)
+    for argv in (["simulate"], ["map"], ["reconstruct"],
+                 ["evaluate", "--recon", "out/recon_R2.json"]):
+        run = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "anisoeit.cli", *argv,
+             "--config", "cfg.json"], capture_output=True, text=True,
+            env=_env_with_package(), check=True)
+        timed = sorted(line.rsplit("|", 1)[-1].strip()
+                       for line in run.stderr.splitlines()
+                       if line.startswith("import time:"))
+        assert [m for m in timed if m.split(".")[0] == "anisoeit"] == [
+            "anisoeit", *(f"anisoeit.{m}" for m in _COMMAND_MODULES[argv[0]])
+        ], argv[0]
+
+
 def test_package_import_loads_no_submodule():
     # a fresh process: `import anisoeit` loads no submodule and no numpy,
     # and anisoeit.calderon then resolves with no prior import
@@ -868,7 +904,12 @@ _VALID = {
                 lambda t: [[t[0], t[1]], [t[1], t[2]]])})),
     "target_h": st.floats(0.2, 0.4),
     "L": st.sampled_from([4, 6, 8]),
-    "coverage": st.floats(0.2, 0.8),
+    # the whole of (0, 1), with values within 1e-14 of either end, where
+    # arc ends or gaps round away and simulate exits 3
+    "coverage": st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(0.0, 1e-14, exclude_min=True),
+        st.floats(1.0 - 1e-14, 1.0, exclude_max=True)),
     "contact_impedance": st.floats(-6.0, 3.0).map(lambda e: 10.0 ** e),
     "truncation_radii": st.lists(st.floats(0.5, 4.0), min_size=1, max_size=2),
     "lattice": st.sampled_from([3, 5, 7, 9]),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ from anisoeit import (build_disk_mesh, place_electrodes, constant_tensor,
 import anisoeit
 from anisoeit.forward import (element_stiffness, VoltageData, _front_matrix,
                               _kernels)
-from anisoeit.mesh import Mesh, boundary_edge_electrodes, _front_tree
+from anisoeit.mesh import Mesh, _front_tree
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -89,10 +90,8 @@ def _edge_integrals(mesh, layout):
     """w[l, k] = integral of phi_k over electrode l (half of each edge
     length); arc[l] = polygonal length of electrode l."""
     N, L = mesh.n_nodes, layout.L
-    edges = mesh.boundary_edges()
-    owner = boundary_edge_electrodes(mesh, layout)
     w, arc = np.zeros((L, N)), np.zeros(L)
-    for (i, j), l in zip(edges, owner):
+    for (i, j), l in zip(mesh.boundary_edges(), mesh.fronts.contact):
         if l >= 0:
             s = np.linalg.norm(mesh.nodes[j] - mesh.nodes[i])
             w[l, i] += s / 2
@@ -113,8 +112,7 @@ def _oracle(mesh, A, layout):
                       np.tile(t, (1, 3)).ravel())), shape=(N, N)).tocsr()
     z = layout.contact_impedance
     Kz = scipy.sparse.lil_matrix((N, N))
-    for (i, j), l in zip(mesh.boundary_edges(),
-                         boundary_edge_electrodes(mesh, layout)):
+    for (i, j), l in zip(mesh.boundary_edges(), mesh.fronts.contact):
         if l >= 0:
             m = np.linalg.norm(mesh.nodes[j] - mesh.nodes[i]) / 6 / z
             Kz[i, i] += 2 * m
@@ -160,7 +158,7 @@ def _contact_drop_oracle(mesh, A, layout):
 def _contact_masses(system):
     """The system's contact masses scattered into a dense N x N matrix."""
     N = system.mesh.n_nodes
-    ij = system.mesh.boundary_edges()[system.contact >= 0]
+    ij = system.mesh.boundary_edges()[system.mesh.fronts.contact >= 0]
     kz = np.zeros((N, N))
     np.add.at(kz, (ij[:, :, None], ij[:, None, :]), system.kz)
     return kz
@@ -175,8 +173,6 @@ def test_c_block_structure(mesh16, layout16):
     N, L = mesh16.n_nodes, layout.L
     K, B, wz = _oracle(mesh16, A, layout)
     wz = wz.toarray()
-    assert np.array_equal(system.contact,
-                          boundary_edge_electrodes(mesh16, layout))
     kz = _contact_masses(system)
     assert np.allclose(kz, (B - K).toarray(), rtol=1e-12, atol=0.0)
     # W_t = Kz E': the identity that frees the contact energy of U
@@ -326,8 +322,6 @@ def test_root_front_has_order_L(layout16):
     tree, N = mesh.fronts, mesh.n_nodes
     assert np.array_equal(tree.index[-1], np.arange(N, N + 16))
     assert tree.start[-1] - tree.start[-2] == 16 and tree.start[-2] == N
-    assert np.array_equal(tree.contact,
-                          boundary_edge_electrodes(mesh, layout16))
     # the electrode-arc nodes are dissected with the others, not last
     arc = np.flatnonzero(_incidence(mesh, layout16).any(axis=1))
     assert arc.size == 80 and arc[0] < N - 1000
@@ -338,53 +332,71 @@ def test_root_front_has_order_L(layout16):
                             for a, b in zip(start[:-2], start[1:-1])])
     moved = _relabeled(mesh, order)
     moved = dataclasses.replace(moved, fronts=_front_tree(
-        moved.triangles, moved.boundary_nodes, tree.contact, 16, start,
-        parent))
+        moved.triangles, moved.boundary_nodes, tree.contact, tree.width,
+        start, parent))
     A = phantom_by_name("A4").tensor
     ref = dn_matrix(simulate_voltages(mesh, A, layout16)).dn
     dn = dn_matrix(simulate_voltages(moved, A, layout16)).dn
     assert np.abs(dn - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def _unsampled(points):
+    """A conductivity that fails the test if an element matrix is formed."""
+    raise AssertionError("the conductivity was sampled")
+
+
+def _refused(mesh, layout):
+    """The message of the ValueError with which the assembly refuses a mesh
+    whose front tree does not fit the layout, raised before any element
+    matrix is formed."""
+    N, L = mesh.n_nodes, layout.L
+    return re.escape(f"mesh has no front tree that ends with the {L} "
+                     f"electrode voltages [{N}, {N + L}) and was built for "
+                     f"arcs of width {layout.angular_width:.17g}")
+
+
 def test_electrode_nodes_not_last_raises(mesh16, layout16):
     # the nodes relabeled without their front tree: no node order is
-    # required, but the voltages need a tree, so it raises before factoring
+    # required, but the voltages need a tree, so the assembly refuses it
     order = np.roll(np.arange(mesh16.n_nodes), 1)    # last node becomes 0
-    system = assemble_cem_system(_relabeled(mesh16, order),
-                                 constant_tensor(np.eye(2)), layout16)
-    with pytest.raises(ValueError, match="front tree that ends with the "
-                       "16 electrode voltages"):
-        system.electrode_matrix()
-    assert system._factor is None                     # raised before factoring
+    mesh = _relabeled(mesh16, order)
+    with pytest.raises(ValueError, match=_refused(mesh, layout16)):
+        assemble_cem_system(mesh, _unsampled, layout16)
 
 
 def test_front_tree_must_end_with_electrode_nodes(mesh16, layout16):
     # the last front holds the L electrode voltages, not the arc nodes
-    A = constant_tensor(np.eye(2))
-    bare = dataclasses.replace(mesh16, fronts=None)
+    cases = [(dataclasses.replace(mesh16, fronts=None), layout16),
+             (mesh16, place_electrodes(8, 0.25, 0.01))]
     t = mesh16.fronts
-    start = t.start.copy()
-    start[-2] -= 1                    # the last front takes one node
-    short = dataclasses.replace(mesh16, fronts=dataclasses.replace(
-        t, start=start))
-    for mesh, layout in ((bare, layout16), (short, layout16),
-                         (mesh16, place_electrodes(8, 0.25, 0.01))):
-        system = assemble_cem_system(mesh, A, layout)
-        with pytest.raises(ValueError, match="front tree that ends with the "
-                           f"{layout.L} electrode voltages"):
-            system.electrode_matrix()
-        assert system._factor is None             # raised before factoring
+    for k, shift in ((-2, -1), (-1, 1)):   # the last front takes one node,
+        start = t.start.copy()              # or one more unknown
+        start[k] += shift
+        cases.append((dataclasses.replace(mesh16, fronts=dataclasses.replace(
+            t, start=start)), layout16))
+    for mesh, layout in cases:
+        with pytest.raises(ValueError, match=_refused(mesh, layout)):
+            assemble_cem_system(mesh, _unsampled, layout)
 
 
 def test_front_tree_of_other_electrodes_raises(mesh16, layout16):
     # the same electrode count on other arcs: the tree's voltage entries
     # and contact masses would land on the wrong nodes
-    layout = place_electrodes(16, 0.3, 0.01)
-    system = assemble_cem_system(mesh16, constant_tensor(np.eye(2)), layout)
-    assert (system.contact >= 0).sum() < (mesh16.fronts.contact >= 0).sum()
-    with pytest.raises(ValueError, match="built for other electrode edges"):
-        system.electrode_matrix()
-    assert system._factor is None
+    for coverage in (0.3, np.nextafter(0.5, 1.0)):
+        layout = place_electrodes(16, coverage, 0.01)
+        assert layout.angular_width != mesh16.fronts.width
+        with pytest.raises(ValueError, match=_refused(mesh16, layout)):
+            assemble_cem_system(mesh16, _unsampled, layout)
+
+
+def test_assembly_accepts_a_layout_of_other_impedance(mesh16, layout16):
+    # the tree fixes the arcs, not the contact impedance
+    A = constant_tensor(np.eye(2))
+    ref = assemble_cem_system(mesh16, A, layout16)
+    other = assemble_cem_system(mesh16, A, dataclasses.replace(
+        layout16, contact_impedance=0.025))
+    assert np.array_equal(other.ke, ref.ke)
+    assert np.abs(other.kz * 2.5 - ref.kz).max() <= 1e-15 * ref.kz.max()
 
 
 @pytest.fixture(scope="module")
@@ -641,9 +653,7 @@ def test_block_solve_names_nonconserving_column(mesh16, layout16):
 def test_assemble_rejects_degenerate_triangle(mesh16, layout16):
     bad = mesh16.triangles.copy()
     bad[3] = [bad[3][0], bad[3][0], bad[3][1]]
-    from anisoeit.mesh import Mesh
-    broken = Mesh(nodes=mesh16.nodes, triangles=bad,
-                  boundary_nodes=mesh16.boundary_nodes)
+    broken = dataclasses.replace(mesh16, triangles=bad)   # keeps its tree
     with pytest.raises(ValueError, match="triangle 3"):
         assemble_cem_system(broken, constant_tensor(np.eye(2)), layout16)
 

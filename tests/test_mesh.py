@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from anisoeit import (build_disk_mesh, place_electrodes, constant_tensor,
                       phantom_by_name)
 from anisoeit.config import mesh_nodes
-from anisoeit.mesh import FRONT_NODES, Mesh, boundary_edge_electrodes
+from anisoeit.mesh import FRONT_NODES, ElectrodeLayout, Mesh
 
 
 def test_place_electrodes_arc_length():
@@ -26,6 +28,34 @@ def test_place_electrodes_rejects_odd_and_small():
         place_electrodes(6, 0.5, float("nan"))
     with pytest.raises(ValueError):
         place_electrodes(10, 1.5, 0.01)
+
+
+@pytest.mark.parametrize("L, coverage, z, match", [
+    (0, 0.5, 0.01, "count must be even and >= 4, got L=0$"),
+    (-2, 0.5, 0.01, "count must be even and >= 4, got L=-2$"),
+    (2, 0.5, 0.01, "count must be even and >= 4, got L=2$"),
+    (7, 0.5, 0.01, "count must be even and >= 4, got L=7$"),
+    (8, float("nan"), 0.01, "width nan is not in"),
+    (8, 0.0, 0.01, "width 0.0 is not in"),
+    (8, -0.5, 0.01, "width -0.39269908169872414 is not in"),
+    (8, 1.0, 0.01, "width 0.7853981633974483 is not in"),   # arcs touch
+    (8, 0.5, 0.0, "impedance must be positive, got 0.0$"),
+    (8, 0.5, -1.0, "impedance must be positive, got -1.0$"),
+    (8, 0.5, float("nan"), "impedance must be positive, got nan$"),
+])
+def test_every_way_to_make_a_layout_checks_it(L, coverage, z, match):
+    # the layout holds the rules, so a direct construction, the placement
+    # from a coverage and a layout with one field replaced all refuse the
+    # same layouts (a dn.json layout: test_cli.py::test_malformed_dn_exit_2)
+    width = coverage * 2 * np.pi / L if L else np.nan
+    good = place_electrodes(8, 0.5, 0.01)
+    bad = dict([("L", L) if L != 8 else ("angular_width", width)
+                if coverage != 0.5 else ("contact_impedance", z)])
+    for make in (lambda: place_electrodes(L, coverage, z),
+                 lambda: ElectrodeLayout(L, width, z),
+                 lambda: dataclasses.replace(good, **bad)):
+        with pytest.raises(ValueError, match=match):
+            make()
 
 
 def test_total_coverage():
@@ -162,12 +192,32 @@ def test_refinement_doubles_boundary_nodes():
     assert len(fine.boundary_nodes) >= 2 * len(coarse.boundary_nodes)
 
 
-def test_every_electrode_owns_boundary_edges():
-    layout = place_electrodes(16, 0.5, 0.01)
-    mesh = build_disk_mesh(1.0, 0.08, layout)
-    owners = boundary_edge_electrodes(mesh, layout)
-    for l in range(16):
-        assert (owners == l).sum() >= 1
+def _chord_contact(mesh, layout):
+    """The electrode of each boundary edge, -1 in a gap: the arc, tested
+    against every centre, that holds the angle of the edge's chord
+    midpoint."""
+    mid = mesh.nodes[mesh.boundary_edges()].mean(axis=1)
+    angle = np.arctan2(mid[:, 1], mid[:, 0])
+    ref = np.full(len(mid), -1)
+    for l, c in enumerate(layout.centers):
+        d = np.abs(np.mod(angle - c + np.pi, 2 * np.pi) - np.pi)
+        ref[d <= 0.5 * layout.angular_width + 1e-12] = l
+    return ref
+
+
+@pytest.mark.parametrize("h", [0.9, 0.1])
+@pytest.mark.parametrize("coverage", [1e-9, 0.01, 0.5, 0.99, 1 - 1e-9])
+@pytest.mark.parametrize("L", [4, 16, 128, 512])
+def test_every_electrode_owns_boundary_edges(L, coverage, h):
+    # each arc's two ends are boundary nodes, so the arc holds an edge
+    # whose midpoint lies inside it, however narrow the arc or the gaps
+    # and however coarse the mesh
+    layout = place_electrodes(L, coverage, 0.01)
+    mesh = build_disk_mesh(1.0, h, layout)
+    tree = mesh.fronts
+    assert tree.width == layout.angular_width
+    assert np.array_equal(tree.contact, _chord_contact(mesh, layout))
+    assert np.array_equal(np.unique(tree.contact), np.arange(-1, L))
 
 
 @pytest.mark.parametrize("L, h", [(8, 0.1), (16, 0.05), (32, 0.024),
@@ -257,8 +307,7 @@ def test_front_tree_matches_its_subtrees(L, h):
     # every vertex of the triangles at arc l, which takes the others' U
     adj = [set() for _ in range(n)]
     el = {}
-    for (i, j), l in zip(mesh.boundary_edges(),
-                         boundary_edge_electrodes(mesh, layout)):
+    for (i, j), l in zip(mesh.boundary_edges(), t.contact):
         if l >= 0:
             el[i] = el[j] = N + l
     for tri in mesh.triangles:
